@@ -71,7 +71,9 @@ from .campaigns import (
 )
 from .report import (
     emit_report,
+    emit_reports,
     load_report,
+    load_reports,
     matrix_from_json,
     matrix_to_json,
     render_report,

@@ -9,13 +9,12 @@ encountered in some sample.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .calculus import BUILTIN_NAMES
 from .campaigns import CAMPAIGN_IDS, CHANNEL_FAMILIES, CampaignConfig, CampaignReport, run_campaign
-from .report import emit_report, report_to_dict
+from .report import emit_report, emit_reports
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -134,8 +133,7 @@ def main(argv=None) -> int:
     if args.out is not None:
         try:
             if args.all:
-                payload = {"campaigns": {r.config.campaign: report_to_dict(r) for r in reports}}
-                Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+                emit_reports(reports, args.out)
             else:
                 emit_report(reports[0], args.out)
         except OSError as exc:

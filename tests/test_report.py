@@ -1,16 +1,23 @@
 """JSON report round-trips: exact floats, matrices, channels, files."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entropygap import (
+    CAMPAIGN_IDS,
+    CHANNEL_FAMILIES,
     CampaignConfig,
     CampaignReport,
     apply_channel,
     emit_report,
+    emit_reports,
     load_report,
+    load_reports,
     matrix_from_json,
     matrix_to_json,
     random_hermitian,
@@ -20,6 +27,7 @@ from entropygap import (
     run_campaign,
 )
 from entropygap import RngStream
+from entropygap.cli import EXIT_PASS, main
 
 
 def _report(campaign: str = "C1", **overrides) -> CampaignReport:
@@ -121,3 +129,156 @@ def test_emit_reports_unwritable_path():
 def test_load_reports_missing_path(tmp_path):
     with pytest.raises(OSError, match="missing.json"):
         load_report(tmp_path / "missing.json")
+
+
+# render_report must give exactly the text json's indent=2 encoder gives for
+# report_to_dict; that encoder is the oracle for the layout.
+
+
+def _oracle(report: CampaignReport) -> str:
+    return json.dumps(report_to_dict(report), indent=2) + "\n"
+
+
+SPECIAL = (float("nan"), float("inf"), float("-inf"), -0.0, 5e-324)
+
+
+def _hand_built(witness, margins=(0.5,), errors=()) -> CampaignReport:
+    return CampaignReport(
+        config=CampaignConfig(campaign="C1", samples=len(margins)),
+        margins=list(margins),
+        violations=0,
+        worst_margin=min(margins) if margins else None,
+        witness=witness,
+        errors=list(errors),
+        wall_time=0.0,
+    )
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("campaign", CAMPAIGN_IDS)
+def test_render_matches_json_indent_oracle(campaign, dims):
+    report = _report(campaign=campaign, d1=dims[0], d2=dims[1], samples=3)
+    assert render_report(report) == _oracle(report)
+
+
+@pytest.mark.parametrize("family", CHANNEL_FAMILIES)
+def test_render_matches_oracle_for_each_channel_family(family):
+    report = _report(campaign="C3", d2=3, channel_family=family)
+    if family == "pinching":
+        assert len(report.witness["channel"].unitaries) > 1
+    assert render_report(report) == _oracle(report)
+
+
+def test_render_matches_oracle_for_c9_descent_witness():
+    report = _report(campaign="C9", samples=3)
+    assert report.witness["sample"] == "descent"
+    assert render_report(report) == _oracle(report)
+
+
+def test_render_matches_oracle_with_special_floats():
+    m = np.array([[complex(a, b) for b in SPECIAL] for a in SPECIAL])
+    report = _hand_built({"rho": m, "sample": 0}, margins=SPECIAL)
+    text = render_report(report)
+    assert text == _oracle(report)
+    for spelling in ("NaN", "Infinity", "-Infinity", "-0.0", "5e-324"):
+        assert spelling in text
+
+
+def test_render_matches_oracle_for_transposed_and_real_matrices():
+    m = random_hermitian(4, RngStream(313, 0)) + 0.5j * np.arange(16).reshape(4, 4)
+    real = np.arange(6, dtype=float).reshape(2, 3) - 2.5
+    assert not m.T.flags.c_contiguous
+    report = _hand_built({"rho": m.T, "h": real, "ints": np.eye(2, dtype=int), "sample": 1})
+    assert render_report(report) == _oracle(report)
+
+
+def test_render_matches_oracle_for_empty_matrices():
+    report = _hand_built({"none": np.zeros((0, 0)), "rows": np.zeros((2, 0))})
+    assert render_report(report) == _oracle(report)
+
+
+def test_render_matches_oracle_without_witness():
+    report = _hand_built(None, margins=())
+    assert render_report(report) == _oracle(report)
+
+
+def test_render_matches_oracle_for_escaped_error_message():
+    errors = [{"sample": 2, "message": 'NumericError: "zero" pivot in \\ \u03c1 \u2264 \u221e\n'}]
+    report = _hand_built({"rho": np.eye(2), "sample": 0}, errors=errors)
+    text = render_report(report)
+    assert text == _oracle(report)
+    assert text.isascii()
+    assert json.loads(text)["errors"] == errors
+
+
+_entries = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SPECIAL))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 4),
+    cols=st.integers(1, 4),
+    data=st.data(),
+)
+def test_render_matches_oracle_on_random_matrices(rows, cols, data):
+    values = data.draw(st.lists(_entries, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    m = np.array(values, dtype=float).view(complex).reshape(rows, cols)
+    report = _hand_built({"x": m, "h": m.T, "sample": 0}, margins=values[:3])
+    assert render_report(report) == _oracle(report)
+
+
+def test_emitted_file_is_rendered_utf8_bytes(tmp_path):
+    report = _report(campaign="C2")
+    path = tmp_path / "report.json"
+    emit_report(report, path)
+    assert path.read_bytes() == render_report(report).encode("utf-8")
+    assert b"\r" not in path.read_bytes()
+
+
+def _bits(values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def test_all_out_document_matches_oracle_and_reads_back(tmp_path, capsys):
+    path = tmp_path / "all.json"
+    assert main(["--all", "--samples", "4", "--seed", "5", "--out", str(path)]) == EXIT_PASS
+    capsys.readouterr()
+    loaded = load_reports(path)
+    assert sorted(loaded) == [f"C{i}" for i in range(1, 9)]
+    for campaign, report in loaded.items():
+        fresh = run_campaign(CampaignConfig(campaign=campaign, samples=4, seed=5))
+        assert report.config == fresh.config
+        assert _bits(report.margins) == _bits(fresh.margins)
+        assert _bits([report.worst_margin]) == _bits([fresh.worst_margin])
+        assert report.violations == fresh.violations
+    payload = {"campaigns": {c: report_to_dict(r) for c, r in loaded.items()}}
+    assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=2) + "\n"
+
+
+def test_emit_reports_matches_oracle(tmp_path):
+    reports = [_report(campaign=c) for c in ("C3", "C1")]
+    path = tmp_path / "both.json"
+    emit_reports(reports, path)
+    payload = {"campaigns": {r.config.campaign: report_to_dict(r) for r in reports}}
+    assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+
+
+def test_load_reports_reads_single_report_document(tmp_path):
+    report = _report(campaign="C4")
+    path = tmp_path / "c4.json"
+    emit_report(report, path)
+    loaded = load_reports(path)
+    assert list(loaded) == ["C4"]
+    assert loaded["C4"].margins == report.margins
+
+
+def test_load_report_rejects_multi_campaign_document(tmp_path):
+    path = tmp_path / "all.json"
+    emit_reports([_report(campaign="C1")], path)
+    with pytest.raises(ValueError, match="load_reports"):
+        load_report(path)
+
+
+def test_all_campaigns_document_unwritable_path():
+    with pytest.raises(OSError, match="cannot write report to /no-such-directory"):
+        emit_reports([_report()], "/no-such-directory/all.json")
