@@ -7,6 +7,7 @@ from .linalg import (
     RngStream,
     SpectralDecomposition,
     check_hermitian,
+    check_positive,
     eigh,
     hermitize,
     is_stored_hermitian,
@@ -32,7 +33,6 @@ from .calculus import (
     matrix_function,
     power,
     quad_form,
-    spectral_apply,
 )
 from .oracles import (
     dd_log_quadrature,

@@ -54,18 +54,28 @@ def _check_dim(x, dim: int, name: str = "matrix") -> np.ndarray:
     return x
 
 
+def _blocks(x, space: BipartiteSpace) -> np.ndarray:
+    # One matrix or a stack, each composite index split into its factors.
+    x = np.asarray(x, dtype=complex)
+    if x.shape[-2:] != (space.dim, space.dim):
+        raise DomainError(f"matrix must have shape ({space.dim}, {space.dim}), got {x.shape}")
+    return x.reshape(x.shape[:-2] + (space.d1, space.d2, space.d1, space.d2))
+
+
 def partial_trace_2(x, space: BipartiteSpace) -> np.ndarray:
-    """Trace out the second factor: out[a, b] = sum_j x[(a, j), (b, j)]."""
-    x = _check_dim(x, space.dim)
-    blocks = x.reshape(space.d1, space.d2, space.d1, space.d2)
-    return np.einsum("ajbj->ab", blocks)
+    """Trace out the second factor: out[a, b] = sum_j x[(a, j), (b, j)].
+
+    Takes one matrix or a stack of them, shape ``(..., dim, dim)``.
+    """
+    return np.einsum("...ajbj->...ab", _blocks(x, space))
 
 
 def partial_trace_1(x, space: BipartiteSpace) -> np.ndarray:
-    """Trace out the first factor: out[i, j] = sum_a x[(a, i), (a, j)]."""
-    x = _check_dim(x, space.dim)
-    blocks = x.reshape(space.d1, space.d2, space.d1, space.d2)
-    return np.einsum("aiaj->ij", blocks)
+    """Trace out the first factor: out[i, j] = sum_a x[(a, i), (a, j)].
+
+    Takes one matrix or a stack of them, shape ``(..., dim, dim)``.
+    """
+    return np.einsum("...aiaj->...ij", _blocks(x, space))
 
 
 def embed_1(a, space: BipartiteSpace) -> np.ndarray:
@@ -218,14 +228,12 @@ def random_pinching(dim: int, rng: RngStream) -> MixedUnitaryChannel:
     return pinching(frame, blocks)
 
 
-def conditional_expectation_1_channel(space: BipartiteSpace,
-                                      rng: RngStream | None = None) -> MixedUnitaryChannel:
+def conditional_expectation_1_channel(space: BipartiteSpace) -> MixedUnitaryChannel:
     """Realize :func:`conditional_expectation_1` as a mixed-unitary channel.
 
     Averages the d2**2 shift-and-phase unitaries ``I (x) w`` on the second
     factor with equal weights; the average of ``w^H b w`` over that family is
-    tr(b) I / d2.  The construction is deterministic; ``rng`` is accepted
-    only for signature parity with the other channel factories.
+    tr(b) I / d2.  The construction is deterministic.
     """
     d1, d2 = space.d1, space.d2
     omega = np.exp(2j * np.pi / d2)

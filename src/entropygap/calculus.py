@@ -10,6 +10,9 @@ where ``g^[1](s, t) = (g(t) - g(s)) / (t - s)`` is the first divided
 difference with confluent value ``g'(t)``.  The quadratic form
 ``tr h^H Dg'(a)[h]`` built from the same kernel for ``g = f'`` is the
 curvature form whose convexity and monotonicity the campaigns certify.
+
+The matrix routines take one matrix or a stack of them, shape ``(..., n, n)``,
+and return one value per matrix: a float for a single matrix, else an array.
 """
 
 from __future__ import annotations
@@ -20,7 +23,16 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .linalg import SpectralDecomposition, check_hermitian, eigh, hermitize
+from .linalg import (
+    SpectralDecomposition,
+    _adjoint,
+    _eigh,
+    _per_matrix,
+    check_hermitian,
+    check_positive,
+    eigh,
+    hermitize,
+)
 
 # Relative eigenvalue gap below which the difference quotient is replaced by
 # the confluent derivative value.
@@ -164,8 +176,8 @@ def _divided_difference_matrix(fn, dfn, lam: np.ndarray, threshold: float) -> np
     # Pairwise quotients; near-confluent pairs (the diagonal among them) fall
     # back to the derivative at the midpoint.  The construction is exactly
     # symmetric: (-x)/(-y) == x/y bitwise.
-    li = lam[:, None]
-    lj = lam[None, :]
+    li = lam[..., :, None]
+    lj = lam[..., None, :]
     diff = li - lj
     near = np.abs(diff) <= threshold * np.maximum(li, lj)
     quotient = (fn(li) - fn(lj)) / np.where(near, 1.0, diff)
@@ -185,34 +197,21 @@ def loewner(func: ScalarFunction, which: str, dec: SpectralDecomposition,
     """Divided-difference kernel of ``func.f`` or ``func.f1`` on a spectrum.
 
     K[i, j] is the divided difference at (lam_i, lam_j); the diagonal carries
-    the derivative values.
+    the derivative values.  A stacked spectrum gives a stack of kernels.
     """
     lam = np.asarray(dec.eigenvalues, dtype=float)
     if lam.size == 0:
         raise DomainError("empty spectrum")
-    smallest = float(lam.min())
-    if smallest <= 0:
-        raise DomainError(f"spectrum must be positive; smallest eigenvalue is {smallest:.6g}")
+    check_positive(lam, "spectrum must be positive")
     fn, dfn = _select_pair(func, which)
     return LoewnerMatrix(lam, _divided_difference_matrix(fn, dfn, lam, threshold))
-
-
-def spectral_apply(g, a) -> np.ndarray:
-    """Apply a scalar callable to a Hermitian matrix through its spectrum."""
-    vals, vecs = eigh(a)
-    return hermitize((vecs * g(vals)) @ vecs.conj().T)
 
 
 def matrix_function(func: ScalarFunction, a) -> np.ndarray:
     """Evaluate ``U diag(f(lam)) U^H`` for positive definite ``a``."""
     vals, vecs = eigh(a)
-    smallest = float(vals.min())
-    if smallest <= 0:
-        raise DomainError(
-            f"matrix function {func.name} needs a positive definite argument; "
-            f"smallest eigenvalue is {smallest:.6g}"
-        )
-    return hermitize((vecs * func.f(vals)) @ vecs.conj().T)
+    check_positive(vals, f"matrix function {func.name} needs a positive definite argument")
+    return hermitize((vecs * func.f(vals)[..., None, :]) @ _adjoint(vecs))
 
 
 def frechet_derivative(func: ScalarFunction, which: str, a, h) -> np.ndarray:
@@ -223,25 +222,32 @@ def frechet_derivative(func: ScalarFunction, which: str, a, h) -> np.ndarray:
     """
     dec = eigh(a)
     h = check_hermitian(h, "direction")
-    if h.shape != (dec.eigenvalues.size, dec.eigenvalues.size):
+    if h.shape != dec.basis.shape:
         raise DomainError(f"direction shape {h.shape} does not match base point")
     kernel = loewner(func, which, dec)
     u = dec.basis
-    rotated = u.conj().T @ h @ u
-    return hermitize(u @ (kernel.entries * rotated) @ u.conj().T)
+    rotated = _adjoint(u) @ h @ u
+    return hermitize(u @ (kernel.entries * rotated) @ _adjoint(u))
 
 
-def quad_form(func: ScalarFunction, a, h) -> float:
+def quad_form(func: ScalarFunction, a, h) -> float | np.ndarray:
     """Curvature form ``tr h^H Df'(a)[h]`` as a weighted sum of |entries|^2.
 
     In the eigenbasis of ``a`` this is sum_ij |h~[i, j]|^2 K[i, j] with K the
     divided-difference kernel of ``f'``; the value is real by construction.
     """
-    dec = eigh(a)
+    a = check_hermitian(a)
     h = check_hermitian(h, "direction")
-    if h.shape != (dec.eigenvalues.size, dec.eigenvalues.size):
+    if h.shape != a.shape:
         raise DomainError(f"direction shape {h.shape} does not match base point")
+    return _per_matrix(_quad_form(func, a, h))
+
+
+def _quad_form(func: ScalarFunction, a: np.ndarray, h: np.ndarray) -> np.ndarray:
+    # quad_form without the checks of its arguments, for stored-Hermitian
+    # inputs of equal shape; one value per matrix.
+    dec = _eigh(a)
     kernel = loewner(func, "f1", dec)
-    rotated = dec.basis.conj().T @ h @ dec.basis
+    rotated = _adjoint(dec.basis) @ h @ dec.basis
     weights = rotated.real**2 + rotated.imag**2
-    return float(np.sum(weights * kernel.entries))
+    return np.sum(weights * kernel.entries, axis=(-2, -1))

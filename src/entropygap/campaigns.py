@@ -38,12 +38,19 @@ d1 * d2.  Per-sample randomness comes from ``RngStream(seed, sample_index)``
 (the C9 descent uses stream ``samples``), so dropping a sample never changes
 the draws of the others and margin lists are reproducible bit-for-bit for a
 fixed config.
+
+Samples are evaluated in chunks of up to :data:`CHUNK_BYTES` of matrices.
+Every sample of a chunk draws from its own stream, making the generator calls
+it would make alone, and a sampler then computes the margins of the whole
+chunk on stacks of matrices.  Stacked routines give each matrix the bits it
+gets alone, so margins do not depend on the chunk size.  A sampler makes for
+its chunk the calls that one sample would make alone, in the same order, so a
+chunk of one sample raises what that sample raises.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -57,7 +64,15 @@ from .bipartite import (
     random_mixed_unitary,
     random_pinching,
 )
-from .calculus import CUBE, LOG, T_LOG_T, by_name, divided_difference, quad_form
+from .calculus import (
+    CUBE,
+    LOG,
+    T_LOG_T,
+    _quad_form,
+    by_name,
+    divided_difference,
+    quad_form,
+)
 from .entropy import (
     EntropyGapSpec,
     entropy_gap,
@@ -65,7 +80,15 @@ from .entropy import (
     von_neumann_entropy,
 )
 from .errors import DomainError, NumericError
-from .linalg import RngStream, hermitize, random_hermitian, random_pd
+from .linalg import (
+    RngStream,
+    _adjoint,
+    check_hermitian,
+    check_positive,
+    hermitize,
+    random_hermitian,
+    random_pd,
+)
 from .oracles import dd_log_quadrature, log_quad_form_quadrature
 
 CAMPAIGN_IDS = tuple(f"C{i}" for i in range(1, 10))
@@ -74,6 +97,18 @@ CHANNEL_FAMILIES = ("pinching", "expectation", "mixed", "uniform")
 # C8 draws its scalar pairs from this interval regardless of the matrix
 # spectrum range.
 _C8_PAIR_RANGE = (0.1, 10.0)
+
+# Memory budget of one chunk of samples.  A sample is budgeted as
+# _SAMPLE_MATRICES complex matrices of the campaign's dimension, more than a
+# stacked sampler holds per sample at once; at dimension 64 a chunk holds 2
+# samples, at dimension 4 it holds 512.  C3 also keeps each sample's channel,
+# up to 128 unitaries, until its chunk is done, so a C3 chunk may reach four
+# times the budget.
+CHUNK_BYTES = 1 << 22
+_SAMPLE_MATRICES = 32
+
+# What a failed sample may raise and have recorded; anything else propagates.
+_SAMPLE_ERRORS = (DomainError, NumericError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -95,13 +130,11 @@ class CampaignConfig:
     function: str = "t_log_t"
     p: float = 1.5
     weights: tuple[float, ...] = (0.5, 0.25, 0.75)
-    fd_step: float = 1e-4
     eig_low: float = 0.1
     eig_high: float = 3.0
     normalize: bool = False
     relative: bool = False
     channel_family: str = "uniform"
-    threads: int = 1
 
     def validate(self) -> None:
         if self.campaign not in CAMPAIGN_IDS:
@@ -116,16 +149,12 @@ class CampaignConfig:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if not self.weights or any(not 0.0 < t < 1.0 for t in self.weights):
             raise ValueError(f"segment weights must lie strictly inside (0, 1), got {self.weights}")
-        if not self.fd_step > 0:
-            raise ValueError(f"fd_step must be positive, got {self.fd_step}")
         if not 0 < self.eig_low <= self.eig_high:
             raise ValueError(f"eigenvalue range ({self.eig_low}, {self.eig_high}) is invalid")
         if self.channel_family not in CHANNEL_FAMILIES:
             raise ValueError(
                 f"unknown channel family {self.channel_family!r}; choose from {CHANNEL_FAMILIES}"
             )
-        if self.threads < 1:
-            raise ValueError(f"threads must be positive, got {self.threads}")
         if self.campaign == "C6" and not 1.0 <= self.p <= 2.0:
             # C6 reads the exponent directly, bypassing the power builtin.
             raise ValueError(f"campaign C6 needs an exponent p in [1, 2], got {self.p}")
@@ -143,9 +172,10 @@ class CampaignReport:
     """Outcome of one campaign.
 
     ``margins`` is ordered by sample index (successful samples only; failed
-    ones are listed under ``errors``), ``violations`` counts margins below
-    ``-tolerance``, and ``witness`` carries the inputs achieving the worst
-    margin plus the sample they came from.
+    ones are listed under ``errors`` with their sample, exception type and
+    message), ``violations`` counts margins below ``-tolerance``, and
+    ``witness`` carries the inputs achieving the worst margin plus the sample
+    they came from.
     """
 
     config: CampaignConfig
@@ -157,186 +187,205 @@ class CampaignReport:
     wall_time: float
 
 
-def _draw_pd(config: CampaignConfig, rng: RngStream, dim: int) -> np.ndarray:
-    m = random_pd(dim, rng, (config.eig_low, config.eig_high))
+# A sampler takes the config and one stream per sample of a chunk, and
+# returns the chunk's margins and one witness dict per sample; the witness
+# holds the sample's drawn inputs, its matrices first in drawing order.
+
+
+def _draw_pd(config: CampaignConfig, streams, dim: int) -> np.ndarray:
+    m = random_pd(dim, streams, (config.eig_low, config.eig_high))
     if config.normalize:
-        m = m / np.trace(m).real
+        m = m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
     return m
 
 
-def _norms(*mats) -> float:
-    return 1.0 + sum(float(np.linalg.norm(m)) for m in mats)
+def _norms(witness: dict) -> float:
+    # 1 + the Frobenius norms of the witness matrices, one norm per matrix.
+    return 1.0 + sum(float(np.linalg.norm(v)) for v in witness.values()
+                     if isinstance(v, np.ndarray))
 
 
-def _segment_min(left_value, right_value, mixture_value, orientation):
-    """Worst signed slack over the segment weights.
+def _segment_min(weights, left, right, mixed, orientation):
+    """Worst signed slack over the segment weights, and its weight, per sample.
 
-    ``orientation`` +1 compares chord - value (convexity), -1 value - chord
-    (concavity).
+    ``mixed[k]`` holds the values at ``weights[k]``.  ``orientation`` +1
+    compares chord - value (convexity), -1 value - chord (concavity).
     """
-    margin, worst = math.inf, None
-    for t, mixed in mixture_value:
-        chord = t * left_value + (1.0 - t) * right_value
-        slack = orientation * (chord - mixed)
-        if slack < margin:
-            margin, worst = slack, t
-    return margin, worst
+    margins, worst_weights = [], []
+    for left_value, right_value, *values in zip(left.tolist(), right.tolist(),
+                                                *(m.tolist() for m in mixed)):
+        margin, worst = math.inf, None
+        for t, value in zip(weights, values):
+            chord = t * left_value + (1.0 - t) * right_value
+            slack = orientation * (chord - value)
+            if slack < margin:
+                margin, worst = slack, t
+        margins.append(margin)
+        worst_weights.append(worst)
+    return margins, worst_weights
 
 
-def _sample_c1(config: CampaignConfig, rng: RngStream):
+def _sample_c1(config: CampaignConfig, streams):
     space = config.space()
     gap = EntropyGapSpec(config.scalar_function(), space)
-    rho = _draw_pd(config, rng, space.dim)
-    sigma = _draw_pd(config, rng, space.dim)
+    rho = _draw_pd(config, streams, space.dim)
+    sigma = _draw_pd(config, streams, space.dim)
     g_rho = entropy_gap(rho, gap)
     g_sigma = entropy_gap(sigma, gap)
-    mixtures = [(t, entropy_gap(t * rho + (1.0 - t) * sigma, gap)) for t in config.weights]
-    margin, worst = _segment_min(g_rho, g_sigma, mixtures, +1)
-    return margin, _norms(rho, sigma), {"rho": rho, "sigma": sigma, "weight": worst}
+    mixed = [entropy_gap(t * rho + (1.0 - t) * sigma, gap) for t in config.weights]
+    margins, worst = _segment_min(config.weights, g_rho, g_sigma, mixed, +1)
+    return margins, [{"rho": r, "sigma": s, "weight": w} for r, s, w in zip(rho, sigma, worst)]
 
 
-def _sample_c2(config: CampaignConfig, rng: RngStream):
+def _sample_c2(config: CampaignConfig, streams):
     space = config.space()
     gap = EntropyGapSpec(config.scalar_function(), space)
-    rho = _draw_pd(config, rng, space.dim)
-    h = random_hermitian(space.dim, rng, 1.0)
-    margin = second_differential_spectral(rho, h, gap)
-    return margin, _norms(rho, h), {"rho": rho, "h": h}
+    rho = _draw_pd(config, streams, space.dim)
+    h = random_hermitian(space.dim, streams, 1.0)
+    margins = second_differential_spectral(rho, h, gap)
+    return margins.tolist(), [{"rho": r, "h": d} for r, d in zip(rho, h)]
 
 
-def _sample_c3(config: CampaignConfig, rng: RngStream):
+def _sample_c3(config: CampaignConfig, streams):
     space = config.space()
     func = config.scalar_function()
-    x = _draw_pd(config, rng, space.dim)
-    h = random_hermitian(space.dim, rng, 1.0)
-    family = config.channel_family
-    if family == "uniform":
-        family = ("pinching", "expectation", "mixed")[int(rng.gen.integers(0, 3))]
-    if family == "pinching":
-        channel = random_pinching(space.dim, rng)
-    elif family == "expectation":
-        channel = conditional_expectation_1_channel(space)
-    else:
-        channel = random_mixed_unitary(space.dim, rng, int(rng.gen.integers(2, 6)))
-    margin = quad_form(func, x, h) - quad_form(
-        func, apply_channel(channel, x), apply_channel(channel, h)
+    x = _draw_pd(config, streams, space.dim)
+    h = random_hermitian(space.dim, streams, 1.0)
+    witnesses = []
+    for rng, xi, hi in zip(streams, x, h):
+        family = config.channel_family
+        if family == "uniform":
+            family = ("pinching", "expectation", "mixed")[int(rng.gen.integers(0, 3))]
+        if family == "pinching":
+            channel = random_pinching(space.dim, rng)
+        elif family == "expectation":
+            channel = conditional_expectation_1_channel(space)
+        else:
+            channel = random_mixed_unitary(space.dim, rng, int(rng.gen.integers(2, 6)))
+        witnesses.append({"x": xi, "h": hi, "family": family, "channel": channel})
+    before = quad_form(func, x, h)
+    after = quad_form(
+        func,
+        np.stack([apply_channel(w["channel"], w["x"]) for w in witnesses]),
+        np.stack([apply_channel(w["channel"], w["h"]) for w in witnesses]),
     )
-    witness = {"x": x, "h": h, "family": family, "channel": channel}
-    return margin, _norms(x, h), witness
+    return (before - after).tolist(), witnesses
 
 
-def _q_midpoint_margin(func, x1, h1, x2, h2) -> float:
-    average = 0.5 * quad_form(func, x1, h1) + 0.5 * quad_form(func, x2, h2)
-    return average - quad_form(func, (x1 + x2) / 2.0, (h1 + h2) / 2.0)
+def _q_midpoint_margin(func, x1, h1, x2, h2):
+    """(Q(x1, h1) + Q(x2, h2)) / 2 - Q(midpoint, midpoint), per matrix.
+
+    The inputs must be stored Hermitian already; they are not checked again.
+    """
+    average = 0.5 * _quad_form(func, x1, h1) + 0.5 * _quad_form(func, x2, h2)
+    return average - _quad_form(func, (x1 + x2) / 2.0, (h1 + h2) / 2.0)
 
 
-def _sample_c4(config: CampaignConfig, rng: RngStream):
+def _midpoint_sample(config: CampaignConfig, streams, func):
     dim = config.space().dim
-    func = config.scalar_function()
-    x1 = _draw_pd(config, rng, dim)
-    h1 = random_hermitian(dim, rng, 1.0)
-    x2 = _draw_pd(config, rng, dim)
-    h2 = random_hermitian(dim, rng, 1.0)
-    margin = _q_midpoint_margin(func, x1, h1, x2, h2)
-    return margin, _norms(x1, h1, x2, h2), {"x1": x1, "h1": h1, "x2": x2, "h2": h2}
+    x1 = _draw_pd(config, streams, dim)
+    h1 = random_hermitian(dim, streams, 1.0)
+    x2 = _draw_pd(config, streams, dim)
+    h2 = random_hermitian(dim, streams, 1.0)
+    for m, name in ((x1, "matrix"), (h1, "direction"), (x2, "matrix"), (h2, "direction")):
+        check_hermitian(m, name)
+    margins = _q_midpoint_margin(func, x1, h1, x2, h2)
+    return margins.tolist(), [dict(zip(_C9_KEYS, mats)) for mats in zip(x1, h1, x2, h2)]
 
 
-def _entropy_defect(rho, space: BipartiteSpace) -> float:
+def _sample_c4(config: CampaignConfig, streams):
+    return _midpoint_sample(config, streams, config.scalar_function())
+
+
+def _entropy_defect(rho, space: BipartiteSpace):
     return von_neumann_entropy(rho) - von_neumann_entropy(partial_trace_2(rho, space))
 
 
-def _sample_c5(config: CampaignConfig, rng: RngStream):
+def _sample_c5(config: CampaignConfig, streams):
     space = config.space()
     gap = EntropyGapSpec(T_LOG_T, space)
-    rho = _draw_pd(config, rng, space.dim)
-    sigma = _draw_pd(config, rng, space.dim)
+    rho = _draw_pd(config, streams, space.dim)
+    sigma = _draw_pd(config, streams, space.dim)
     # Closed-form cross-check: for f = t log t the gap equals
     # log(d2) tr(rho) - S(rho) + S(tr_2 rho).
+    defects = []
     for state in (rho, sigma):
         lhs = entropy_gap(state, gap)
-        rhs = (
-            math.log(space.d2) * float(np.trace(state).real)
-            - von_neumann_entropy(state)
-            + von_neumann_entropy(partial_trace_2(state, space))
-        )
-        if abs(lhs - rhs) > 1e-9 * abs(rhs):
+        entropy = von_neumann_entropy(state)
+        marginal = von_neumann_entropy(partial_trace_2(state, space))
+        rhs = (math.log(space.d2) * np.trace(state, axis1=-2, axis2=-1).real
+               - entropy + marginal)
+        mismatch = np.abs(lhs - rhs) > 1e-9 * np.abs(rhs)
+        if mismatch.any():
+            j = int(mismatch.argmax())
             raise NumericError(
-                f"entropy closed form disagrees with the gap functional: {lhs!r} vs {rhs!r}"
+                "entropy closed form disagrees with the gap functional: "
+                f"{float(lhs[j])!r} vs {float(rhs[j])!r}"
             )
-    v_rho = _entropy_defect(rho, space)
-    v_sigma = _entropy_defect(sigma, space)
-    mixtures = [
-        (t, _entropy_defect(t * rho + (1.0 - t) * sigma, space)) for t in config.weights
-    ]
-    margin, worst = _segment_min(v_rho, v_sigma, mixtures, -1)
-    return margin, _norms(rho, sigma), {"rho": rho, "sigma": sigma, "weight": worst}
+        defects.append(entropy - marginal)
+    mixed = [_entropy_defect(t * rho + (1.0 - t) * sigma, space) for t in config.weights]
+    margins, worst = _segment_min(config.weights, *defects, mixed, -1)
+    return margins, [{"rho": r, "sigma": s, "weight": w} for r, s, w in zip(rho, sigma, worst)]
 
 
-def _power_trace_gap(rho, space: BipartiteSpace, p: float) -> float:
+def _power_trace_gap(rho, space: BipartiteSpace, p: float) -> np.ndarray:
     vals = np.linalg.eigvalsh(rho)
-    smallest = float(vals.min())
-    if smallest <= 0:
-        raise DomainError(f"power trace gap needs a positive definite state; "
-                          f"smallest eigenvalue is {smallest:.6g}")
+    check_positive(vals, "power trace gap needs a positive definite state")
     marginal_vals = np.linalg.eigvalsh(partial_trace_2(rho, space))
-    return float(space.d2 ** (p - 1.0) * np.sum(vals**p) - np.sum(marginal_vals**p))
+    return space.d2 ** (p - 1.0) * np.sum(vals**p, axis=-1) - np.sum(marginal_vals**p, axis=-1)
 
 
-def _sample_c6(config: CampaignConfig, rng: RngStream):
+def _sample_c6(config: CampaignConfig, streams):
     space = config.space()
     p = float(config.p)
-    rho = _draw_pd(config, rng, space.dim)
-    sigma = _draw_pd(config, rng, space.dim)
+    rho = _draw_pd(config, streams, space.dim)
+    sigma = _draw_pd(config, streams, space.dim)
     v_rho = _power_trace_gap(rho, space, p)
     v_sigma = _power_trace_gap(sigma, space, p)
-    mixtures = [
-        (t, _power_trace_gap(t * rho + (1.0 - t) * sigma, space, p)) for t in config.weights
-    ]
-    margin, worst = _segment_min(v_rho, v_sigma, mixtures, +1)
-    return margin, _norms(rho, sigma), {"rho": rho, "sigma": sigma, "weight": worst}
+    mixed = [_power_trace_gap(t * rho + (1.0 - t) * sigma, space, p) for t in config.weights]
+    margins, worst = _segment_min(config.weights, v_rho, v_sigma, mixed, +1)
+    return margins, [{"rho": r, "sigma": s, "weight": w} for r, s, w in zip(rho, sigma, worst)]
 
 
 def _congruence_inverse(a, b) -> np.ndarray:
     # (A, B) -> B^H A^-1 B, Hermitian positive semidefinite for any B.
-    return hermitize(b.conj().T @ np.linalg.solve(a, b))
+    return hermitize(_adjoint(b) @ np.linalg.solve(a, b))
 
 
-def _sample_c7(config: CampaignConfig, rng: RngStream):
+def _sample_c7(config: CampaignConfig, streams):
     dim = config.space().dim
-    a1 = _draw_pd(config, rng, dim)
-    b1 = random_hermitian(dim, rng, 1.0) + 1j * random_hermitian(dim, rng, 1.0)
-    a2 = _draw_pd(config, rng, dim)
-    b2 = random_hermitian(dim, rng, 1.0) + 1j * random_hermitian(dim, rng, 1.0)
+    a1 = _draw_pd(config, streams, dim)
+    b1 = random_hermitian(dim, streams, 1.0) + 1j * random_hermitian(dim, streams, 1.0)
+    a2 = _draw_pd(config, streams, dim)
+    b2 = random_hermitian(dim, streams, 1.0) + 1j * random_hermitian(dim, streams, 1.0)
     defect = (
         0.5 * _congruence_inverse(a1, b1)
         + 0.5 * _congruence_inverse(a2, b2)
         - _congruence_inverse((a1 + a2) / 2.0, (b1 + b2) / 2.0)
     )
-    margin = float(np.linalg.eigvalsh(defect).min())
-    return margin, _norms(a1, b1, a2, b2), {"a1": a1, "b1": b1, "a2": a2, "b2": b2}
+    margins = np.linalg.eigvalsh(defect).min(axis=-1)
+    witnesses = [{"a1": m1, "b1": n1, "a2": m2, "b2": n2} for m1, n1, m2, n2 in zip(a1, b1, a2, b2)]
+    return margins.tolist(), witnesses
 
 
-def _sample_c8(config: CampaignConfig, rng: RngStream):
+def _sample_c8(config: CampaignConfig, streams):
     dim = config.space().dim
     lo, hi = _C8_PAIR_RANGE
-    s, t = (float(v) for v in rng.gen.uniform(lo, hi, size=2))
-    dd_gap = abs(divided_difference(LOG.f, LOG.f1, s, t) - dd_log_quadrature(s, t))
-    a = _draw_pd(config, rng, dim)
-    h = random_hermitian(dim, rng, 1.0)
-    reference = log_quad_form_quadrature(a, h)
-    qf_gap = abs(quad_form(T_LOG_T, a, h) - reference) / abs(reference)
-    margin = config.tolerance - max(dd_gap, qf_gap)
-    return margin, _norms(a, h), {"s": s, "t": t, "a": a, "h": h}
+    pairs = [tuple(float(v) for v in rng.gen.uniform(lo, hi, size=2)) for rng in streams]
+    dd_gaps = [abs(divided_difference(LOG.f, LOG.f1, s, t) - dd_log_quadrature(s, t))
+               for s, t in pairs]
+    a = _draw_pd(config, streams, dim)
+    h = random_hermitian(dim, streams, 1.0)
+    references = np.array([log_quad_form_quadrature(ai, hi) for ai, hi in zip(a, h)])
+    qf_gaps = np.abs(quad_form(T_LOG_T, a, h) - references) / np.abs(references)
+    margins = [config.tolerance - max(dd_gap, qf_gap)
+               for dd_gap, qf_gap in zip(dd_gaps, qf_gaps.tolist())]
+    witnesses = [{"s": s, "t": t, "a": ai, "h": hi} for (s, t), ai, hi in zip(pairs, a, h)]
+    return margins, witnesses
 
 
-def _sample_c9(config: CampaignConfig, rng: RngStream):
-    dim = config.space().dim
-    x1 = _draw_pd(config, rng, dim)
-    h1 = random_hermitian(dim, rng, 1.0)
-    x2 = _draw_pd(config, rng, dim)
-    h2 = random_hermitian(dim, rng, 1.0)
-    margin = _q_midpoint_margin(CUBE, x1, h1, x2, h2)
-    return margin, _norms(x1, h1, x2, h2), {"x1": x1, "h1": h1, "x2": x2, "h2": h2}
+def _sample_c9(config: CampaignConfig, streams):
+    return _midpoint_sample(config, streams, CUBE)
 
 
 _SAMPLERS = {
@@ -378,7 +427,7 @@ def _c9_descent(config: CampaignConfig, witness: dict, start_margin: float):
         if base_floor <= 1e-8:
             step *= 0.5
             continue
-        trial = _q_midpoint_margin(CUBE, *candidate)
+        trial = float(_q_midpoint_margin(CUBE, *candidate))
         if trial < margin:
             mats, margin = candidate, trial
         else:
@@ -386,64 +435,70 @@ def _c9_descent(config: CampaignConfig, witness: dict, start_margin: float):
     return margin, dict(zip(_C9_KEYS, mats))
 
 
+def _chunk_samples(dim: int) -> int:
+    return max(1, CHUNK_BYTES // (_SAMPLE_MATRICES * 16 * dim * dim))
+
+
+def _evaluate(config: CampaignConfig, indices, errors: list) -> list:
+    """``(index, margin, witness)`` of each sample in ``indices`` that succeeds.
+
+    The samples are evaluated as one chunk.  If the chunk raises, each sample
+    is evaluated again as a chunk of one, and each failure is appended to
+    ``errors`` against its own sample.
+    """
+    streams = [RngStream(config.seed, index) for index in indices]
+    try:
+        margins, witnesses = _SAMPLERS[config.campaign](config, streams)
+    except _SAMPLE_ERRORS as exc:
+        if len(indices) > 1:
+            return [outcome for index in indices
+                    for outcome in _evaluate(config, [index], errors)]
+        kind = type(exc).__name__
+        errors.append({"sample": indices[0], "type": kind, "message": f"{kind}: {exc}"})
+        return []
+    return list(zip(indices, margins, witnesses))
+
+
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Run one campaign and assemble its report.
 
-    Samples may be evaluated concurrently (``config.threads``); margins are
-    recorded in sample order either way.  A sample whose evaluation raises a
-    domain or numeric error is recorded under ``errors`` and the campaign
-    continues.
+    Samples are evaluated chunk by chunk and recorded in sample order.  A
+    sample whose evaluation raises a domain, numeric or LAPACK error is
+    recorded under ``errors`` and the campaign continues.
     """
     config.validate()
     start = perf_counter()
-    sampler = _SAMPLERS[config.campaign]
-
-    def evaluate(index: int):
-        rng = RngStream(config.seed, index)
-        try:
-            margin, scale, witness = sampler(config, rng)
-        except (DomainError, NumericError, np.linalg.LinAlgError) as exc:
-            return index, None, f"{type(exc).__name__}: {exc}"
-        if config.relative:
-            margin = margin / scale
-        return index, (margin, witness), None
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            outcomes = list(pool.map(evaluate, range(config.samples)))
-    else:
-        outcomes = [evaluate(i) for i in range(config.samples)]
-
-    records: list[tuple[object, float, dict]] = []
+    margins: list[float] = []
     errors: list[dict] = []
-    for index, success, message in outcomes:
-        if message is not None:
-            errors.append({"sample": index, "message": message})
-        else:
-            margin, witness = success
-            records.append((index, margin, witness))
+    worst = None  # (margin, sample, witness) of the first smallest margin
+    size = _chunk_samples(config.space().dim)
+    for first in range(0, config.samples, size):
+        indices = range(first, min(first + size, config.samples))
+        for index, margin, witness in _evaluate(config, indices, errors):
+            if config.relative:
+                margin = margin / _norms(witness)
+            margins.append(margin)
+            if worst is None or margin < worst[0]:
+                worst = (margin, index, witness)
 
-    if config.campaign == "C9" and records:
-        worst = min(records, key=lambda r: r[1])
-        raw_start = _q_midpoint_margin(CUBE, *(worst[2][k] for k in _C9_KEYS))
-        final_margin, final_witness = _c9_descent(config, worst[2], raw_start)
+    if config.campaign == "C9" and worst is not None:
+        raw_start = float(_q_midpoint_margin(CUBE, *(worst[2][k] for k in _C9_KEYS)))
+        margin, witness = _c9_descent(config, worst[2], raw_start)
         if config.relative:
-            final_margin = final_margin / _norms(*(final_witness[k] for k in _C9_KEYS))
-        records.append(("descent", final_margin, final_witness))
+            margin = margin / _norms(witness)
+        margins.append(margin)
+        if margin < worst[0]:
+            worst = (margin, "descent", witness)
 
-    margins = [margin for _, margin, _ in records]
-    violations = int(sum(1 for m in margins if m < -config.tolerance))
-    worst_margin = min(margins) if margins else None
     witness = None
-    if records:
-        index, _, payload = min(records, key=lambda r: r[1])
-        witness = dict(payload)
-        witness["sample"] = index
+    if worst is not None:
+        witness = dict(worst[2])
+        witness["sample"] = worst[1]
     return CampaignReport(
         config=config,
         margins=margins,
-        violations=violations,
-        worst_margin=worst_margin,
+        violations=int(sum(1 for m in margins if m < -config.tolerance)),
+        worst_margin=None if worst is None else worst[0],
         witness=witness,
         errors=errors,
         wall_time=perf_counter() - start,

@@ -62,8 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exponent for --function power and campaign C6 (default 1.5)")
     parser.add_argument("--weights", type=_parse_weights, default=(0.5, 0.25, 0.75),
                         help="segment weights, comma separated (default 0.5,0.25,0.75)")
-    parser.add_argument("--fd-step", type=float, default=1e-4,
-                        help="finite difference step (default 1e-4)")
     parser.add_argument("--eig-range", type=_parse_eig_range, default=(0.1, 3.0),
                         help="spectrum range for positive definite draws (default 0.1,3)")
     parser.add_argument("--normalize", action="store_true",
@@ -72,8 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="divide margins by 1 + the Frobenius norms of the drawn inputs")
     parser.add_argument("--channel-family", choices=CHANNEL_FAMILIES, default="uniform",
                         help="channel family for C3 (default uniform)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads per campaign (default 1)")
     parser.add_argument("--out", type=Path, default=None, help="write a JSON report here")
     return parser
 
@@ -89,13 +85,11 @@ def _config(args, campaign: str) -> CampaignConfig:
         function=args.function,
         p=args.p,
         weights=tuple(args.weights),
-        fd_step=args.fd_step,
         eig_low=args.eig_range[0],
         eig_high=args.eig_range[1],
         normalize=args.normalize,
         relative=args.relative,
         channel_family=args.channel_family,
-        threads=args.threads,
     )
 
 

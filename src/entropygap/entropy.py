@@ -11,6 +11,9 @@ Hermitian direction ``h`` has the closed spectral form
 
 where Q is the curvature form of ``f`` (:func:`entropygap.calculus.quad_form`),
 and can independently be recomputed by a second difference quotient of G.
+
+The spectral functionals take one state or a stack of them, shape
+``(..., n, n)``, and return a float for one state, else one value per state.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bipartite import BipartiteSpace, partial_trace_2
-from .calculus import ScalarFunction, quad_form
+from .calculus import ScalarFunction, _quad_form
 from .errors import DomainError
-from .linalg import check_hermitian, eigh
+from .linalg import _eigh, _per_matrix, check_hermitian, check_positive, eigh
 
 
 @dataclass(frozen=True)
@@ -33,26 +36,14 @@ class EntropyGapSpec:
     space: BipartiteSpace
 
 
-def von_neumann_entropy(rho) -> float:
+def von_neumann_entropy(rho) -> float | np.ndarray:
     """Spectral entropy ``-sum_i lam_i log lam_i`` of a positive definite matrix."""
     vals = eigh(rho).eigenvalues
-    smallest = float(vals.min())
-    if smallest <= 0:
-        raise DomainError(f"entropy needs a positive definite argument; "
-                          f"smallest eigenvalue is {smallest:.6g}")
-    return float(-np.sum(vals * np.log(vals)))
+    check_positive(vals, "entropy needs a positive definite argument")
+    return _per_matrix(-np.sum(vals * np.log(vals), axis=-1))
 
 
-def _positive_spectrum(a, label: str) -> np.ndarray:
-    vals = eigh(a).eigenvalues
-    smallest = float(vals.min())
-    if smallest <= 0:
-        raise DomainError(f"{label} must be positive definite; "
-                          f"smallest eigenvalue is {smallest:.6g}")
-    return vals
-
-
-def entropy_gap(rho, spec: EntropyGapSpec) -> float:
+def entropy_gap(rho, spec: EntropyGapSpec) -> float | np.ndarray:
     """Evaluate ``tr f(d2 * rho) / d2 - tr f(tr_2 rho)``.
 
     Both traces are taken over the spectrum directly, ``sum_i f(lam_i)``,
@@ -62,16 +53,18 @@ def entropy_gap(rho, spec: EntropyGapSpec) -> float:
     """
     rho = check_hermitian(rho, "state")
     space = spec.space
-    if rho.shape != (space.dim, space.dim):
+    if rho.shape[-2:] != (space.dim, space.dim):
         raise DomainError(f"state must have shape ({space.dim}, {space.dim}), got {rho.shape}")
     f = spec.function.f
     d2 = space.d2
-    vals = _positive_spectrum(rho, "state")
-    marginal_vals = _positive_spectrum(partial_trace_2(rho, space), "partial trace of the state")
-    return float(np.sum(f(d2 * vals)) / d2 - np.sum(f(marginal_vals)))
+    vals = _eigh(rho).eigenvalues
+    check_positive(vals, "state must be positive definite")
+    marginal_vals = _eigh(partial_trace_2(rho, space)).eigenvalues
+    check_positive(marginal_vals, "partial trace of the state must be positive definite")
+    return _per_matrix(np.sum(f(d2 * vals), axis=-1) / d2 - np.sum(f(marginal_vals), axis=-1))
 
 
-def second_differential_spectral(rho, h, spec: EntropyGapSpec) -> float:
+def second_differential_spectral(rho, h, spec: EntropyGapSpec) -> float | np.ndarray:
     """Second differential of the gap along ``h``, by the spectral formula.
 
     Returns ``d2 * Q(d2 * rho, h) - Q(tr_2 rho, tr_2 h)`` with Q the
@@ -80,12 +73,12 @@ def second_differential_spectral(rho, h, spec: EntropyGapSpec) -> float:
     rho = check_hermitian(rho, "state")
     h = check_hermitian(h, "direction")
     space = spec.space
-    if rho.shape != (space.dim, space.dim) or h.shape != rho.shape:
+    if rho.shape[-2:] != (space.dim, space.dim) or h.shape != rho.shape:
         raise DomainError("state and direction must both live on the composite space")
     d2 = space.d2
-    composite = d2 * quad_form(spec.function, d2 * rho, h)
-    marginal = quad_form(spec.function, partial_trace_2(rho, space), partial_trace_2(h, space))
-    return float(composite - marginal)
+    composite = d2 * _quad_form(spec.function, d2 * rho, h)
+    marginal = _quad_form(spec.function, partial_trace_2(rho, space), partial_trace_2(h, space))
+    return _per_matrix(composite - marginal)
 
 
 def second_differential_fd(rho, h, spec: EntropyGapSpec, step: float) -> float:
@@ -93,6 +86,8 @@ def second_differential_fd(rho, h, spec: EntropyGapSpec, step: float) -> float:
     if not step > 0:
         raise DomainError(f"step must be positive, got {step}")
     rho = check_hermitian(rho, "state")
+    if rho.ndim != 2:
+        raise DomainError(f"state must be a single matrix, got shape {rho.shape}")
     h = check_hermitian(h, "direction")
     for sign, label in ((1.0, "plus"), (-1.0, "minus")):
         shifted = rho + sign * step * h

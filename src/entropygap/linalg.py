@@ -6,11 +6,17 @@ factory here routes through :func:`hermitize`, which guarantees that exactly,
 and :func:`eigh` rejects inputs that do not satisfy it.  Composite indices on
 tensor products are row-major, ``(a, i) -> a * d2 + i``, the convention of
 ``numpy.kron``.
+
+Except for :func:`kron`, every routine also takes a stack of matrices, shape
+``(..., n, n)``, and treats each matrix of it exactly as it would treat that
+matrix alone: stacked LAPACK calls, matrix products and reductions over the
+trailing axes give the same bits per matrix.  The random factories draw a
+stack when given a sequence of streams, one matrix per stream.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,7 +27,8 @@ MAX_DIM = 64
 
 
 class SpectralDecomposition(NamedTuple):
-    """Ascending eigenvalues and unitary eigenbasis of a Hermitian matrix."""
+    """Ascending eigenvalues and unitary eigenbasis of a Hermitian matrix
+    (or of each matrix of a stack)."""
 
     eigenvalues: np.ndarray
     basis: np.ndarray
@@ -32,8 +39,7 @@ class RngStream:
 
     Two streams built from the same pair replay the same draw sequence, so a
     computation is rerun exactly by rebuilding its stream.  A stream is
-    stateful and must not be shared between concurrent tasks; derive one
-    stream per task instead.
+    stateful: derive one stream per independent computation.
     """
 
     def __init__(self, seed: int, stream: int = 0):
@@ -49,11 +55,25 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream={self.stream})"
 
 
+def _is_square(a: np.ndarray) -> bool:
+    return a.ndim >= 2 and a.shape[-1] == a.shape[-2]
+
+
 def _as_square(a, name: str = "matrix") -> np.ndarray:
+    """``a`` as a complex square matrix or stack of them."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if not _is_square(a):
         raise DomainError(f"{name} must be square, got shape {a.shape}")
     return a
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def _per_matrix(values) -> float | np.ndarray:
+    """One value per matrix: a float for a single matrix, else the array."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def hermitize(a) -> np.ndarray:
@@ -64,15 +84,16 @@ def hermitize(a) -> np.ndarray:
     imaginary parts cancel exactly.
     """
     a = _as_square(a)
-    return (a + a.conj().T) / 2.0
+    return (a + _adjoint(a)) / 2.0
 
 
 def is_stored_hermitian(a) -> bool:
-    """True when ``a`` equals its conjugate transpose entry-for-entry."""
+    """True when ``a`` (every matrix of it) equals its conjugate transpose
+    entry-for-entry."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if not _is_square(a):
         return False
-    return bool((a == a.conj().T).all())
+    return bool((a == _adjoint(a)).all())
 
 
 def check_hermitian(a, name: str = "matrix") -> np.ndarray:
@@ -80,8 +101,8 @@ def check_hermitian(a, name: str = "matrix") -> np.ndarray:
     a = _as_square(a, name)
     if not np.isfinite(a.view(float)).all():
         raise DomainError(f"{name} has non-finite entries")
-    if not (a == a.conj().T).all():
-        defect = float(np.abs(a - a.conj().T).max())
+    if not (a == _adjoint(a)).all():
+        defect = float(np.abs(a - _adjoint(a)).max())
         raise DomainError(
             f"{name} is not stored Hermitian (max asymmetry {defect:.3e}); "
             "construct it with hermitize()"
@@ -89,9 +110,17 @@ def check_hermitian(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def eigh(a) -> SpectralDecomposition:
-    """Eigendecomposition of a stored-Hermitian matrix, eigenvalues ascending."""
-    a = check_hermitian(a)
+def check_positive(eigenvalues, what: str) -> None:
+    """Raise ``DomainError("<what>; smallest eigenvalue is ...")`` unless every
+    eigenvalue is positive."""
+    smallest = float(np.min(eigenvalues))
+    if smallest <= 0:
+        raise DomainError(f"{what}; smallest eigenvalue is {smallest:.6g}")
+
+
+def _eigh(a: np.ndarray) -> SpectralDecomposition:
+    # For matrices that are stored Hermitian by construction or were checked
+    # at the caller's boundary.
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -99,10 +128,17 @@ def eigh(a) -> SpectralDecomposition:
     return SpectralDecomposition(vals, vecs)
 
 
+def eigh(a) -> SpectralDecomposition:
+    """Eigendecomposition of a stored-Hermitian matrix, eigenvalues ascending."""
+    return _eigh(check_hermitian(a))
+
+
 def kron(a, b) -> np.ndarray:
-    """Kronecker product with row-major composite indices."""
-    a = _as_square(a, "left factor")
-    b = _as_square(b, "right factor")
+    """Kronecker product of two square matrices, row-major composite indices."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    for m, name in ((a, "left factor"), (b, "right factor")):
+        if m.ndim != 2 or not _is_square(m):
+            raise DomainError(f"{name} must be square, got shape {m.shape}")
     if a.shape[0] * b.shape[0] > MAX_DIM:
         raise DomainError(
             f"composite dimension {a.shape[0] * b.shape[0]} exceeds the "
@@ -111,25 +147,41 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def random_unitary(dim: int, rng: RngStream) -> np.ndarray:
+Streams = RngStream | Sequence[RngStream]
+
+
+def _draw(rng: Streams, draw: Callable) -> np.ndarray:
+    """``draw(generator)`` from one stream, or stacked over a sequence of them.
+
+    Each stream makes the same generator calls in the same order either way.
+    """
+    if isinstance(rng, RngStream):
+        return draw(rng.gen)
+    return np.stack([draw(stream.gen) for stream in rng])
+
+
+def random_unitary(dim: int, rng: Streams) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix.
 
     The R factor's diagonal phases are divided out, which makes the
-    factorization unique and the law exactly Haar.
+    factorization unique and the law exactly Haar.  A sequence of streams
+    gives a stack, one unitary per stream.
     """
     if dim < 1:
         raise DomainError(f"dim must be positive, got {dim}")
-    z = rng.gen.standard_normal((dim, dim)) + 1j * rng.gen.standard_normal((dim, dim))
+    z = _draw(rng, lambda gen: gen.standard_normal((dim, dim))
+              + 1j * gen.standard_normal((dim, dim)))
     q, r = np.linalg.qr(z / np.sqrt(2.0))
-    d = np.diagonal(r).copy()
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0
-    return q * (d / np.abs(d))
+    return q * (d / np.abs(d))[..., None, :]
 
 
-def random_pd(dim: int, rng: RngStream, eig_range: tuple[float, float] = (0.1, 3.0)) -> np.ndarray:
+def random_pd(dim: int, rng: Streams, eig_range: tuple[float, float] = (0.1, 3.0)) -> np.ndarray:
     """Random positive definite matrix with spectrum uniform in ``eig_range``.
 
-    Eigenvectors are Haar-distributed; the matrix is stored Hermitian.
+    Eigenvectors are Haar-distributed; the matrix is stored Hermitian.  A
+    sequence of streams gives a stack, one matrix per stream.
     """
     lo, hi = float(eig_range[0]), float(eig_range[1])
     if not lo > 0:
@@ -137,20 +189,21 @@ def random_pd(dim: int, rng: RngStream, eig_range: tuple[float, float] = (0.1, 3
     if hi < lo:
         raise DomainError(f"eigenvalue range is empty: ({lo}, {hi})")
     u = random_unitary(dim, rng)
-    vals = rng.gen.uniform(lo, hi, size=dim)
-    return hermitize((u * vals) @ u.conj().T)
+    vals = _draw(rng, lambda gen: gen.uniform(lo, hi, size=dim))
+    return hermitize((u * vals[..., None, :]) @ _adjoint(u))
 
 
-def random_hermitian(dim: int, rng: RngStream, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(dim: int, rng: Streams, scale: float = 1.0) -> np.ndarray:
     """Random Hermitian matrix with entries of magnitude at most ``scale``.
 
-    Not necessarily definite; intended for perturbation directions.
+    Not necessarily definite; intended for perturbation directions.  A
+    sequence of streams gives a stack, one matrix per stream.
     """
     if dim < 1:
         raise DomainError(f"dim must be positive, got {dim}")
     if not scale > 0:
         raise DomainError(f"scale must be positive, got {scale}")
     s = scale / np.sqrt(2.0)
-    re = rng.gen.uniform(-s, s, size=(dim, dim))
-    im = rng.gen.uniform(-s, s, size=(dim, dim))
+    re = _draw(rng, lambda gen: gen.uniform(-s, s, size=(dim, dim)))
+    im = _draw(rng, lambda gen: gen.uniform(-s, s, size=(dim, dim)))
     return hermitize(re + 1j * im)

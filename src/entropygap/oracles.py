@@ -15,12 +15,25 @@ from .errors import DomainError
 from .linalg import check_hermitian
 
 
+# Rules computed so far, by node count; their arrays are read-only.
+_GAUSS_LEGENDRE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
 def gauss_legendre_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of n-point Gauss-Legendre quadrature on (0, 1)."""
+    """Nodes and weights of n-point Gauss-Legendre quadrature on (0, 1).
+
+    Each rule is computed once and returned as read-only arrays afterwards.
+    """
     if n < 1:
         raise DomainError(f"node count must be positive, got {n}")
-    x, w = np.polynomial.legendre.leggauss(n)
-    return (x + 1.0) / 2.0, w / 2.0
+    rule = _GAUSS_LEGENDRE.get(n)
+    if rule is None:
+        x, w = np.polynomial.legendre.leggauss(n)
+        rule = ((x + 1.0) / 2.0, w / 2.0)
+        for array in rule:
+            array.flags.writeable = False
+        _GAUSS_LEGENDRE[n] = rule
+    return rule
 
 
 def dd_log_quadrature(s: float, t: float, nodes: int = 64) -> float:
@@ -46,6 +59,8 @@ def log_quad_form_quadrature(a, h, nodes: int = 128) -> float:
     any eigendecomposition.
     """
     a = check_hermitian(a, "base point")
+    if a.ndim != 2:
+        raise DomainError(f"base point must be a single matrix, got shape {a.shape}")
     h = check_hermitian(h, "direction")
     if h.shape != a.shape:
         raise DomainError(f"direction shape {h.shape} does not match base point {a.shape}")

@@ -87,9 +87,14 @@ def report_to_dict(report: CampaignReport) -> dict:
     return _report_tree(report, matrix_to_json)
 
 
+# Config fields that earlier versions wrote and no campaign read.
+_RETIRED_CONFIG_FIELDS = ("fd_step", "threads")
+
+
 def report_from_dict(data: dict) -> CampaignReport:
     """Rebuild a report from its JSON form (wall time comes back as 0)."""
-    config = dict(data["config"])
+    config = {key: value for key, value in data["config"].items()
+              if key not in _RETIRED_CONFIG_FIELDS}
     config["weights"] = tuple(config["weights"])
     witness = None
     if data["witness"] is not None:

@@ -354,6 +354,16 @@ def test_gauss_legendre_unit_quality():
         assert abs((weights * nodes**k).sum() - 1.0 / (k + 1)) <= 1e-14
 
 
+def test_gauss_legendre_unit_returns_the_same_read_only_rule():
+    first = gauss_legendre_unit(128)
+    again = gauss_legendre_unit(128)
+    for computed, repeated in zip(first, again):
+        assert np.array_equal(computed, repeated)
+        assert not repeated.flags.writeable
+        with pytest.raises(ValueError):
+            repeated[0] = 0.5
+
+
 def test_dd_log_quadrature_analytic_case():
     assert dd_log_quadrature(1.0, 3.0) == pytest.approx(math.log(3.0) / 2.0, abs=1e-12)
 

@@ -6,10 +6,21 @@ import pytest
 from entropygap import (
     CAMPAIGN_IDS,
     CUBE,
+    BipartiteSpace,
     CampaignConfig,
     DomainError,
+    EntropyGapSpec,
+    RngStream,
+    entropy_gap,
+    hermitize,
+    partial_trace_2,
+    quad_form,
+    random_hermitian,
+    random_pd,
     run_campaign,
+    second_differential_spectral,
 )
+from entropygap import campaigns
 from entropygap.campaigns import _SAMPLERS, _q_midpoint_margin
 
 
@@ -34,13 +45,13 @@ def test_config_rejects_unknown_campaign():
         {"tolerance": 0.0},
         {"d1": 0},
         {"d1": 9, "d2": 8},
-        {"fd_step": -1.0},
+        {"seed": -1},
         {"eig_low": 0.0},
         {"eig_low": 2.0, "eig_high": 1.0},
         {"weights": (0.0, 0.5)},
         {"weights": ()},
         {"channel_family": "depolarizing"},
-        {"threads": 0},
+        {"seed": 2**64},
         {"function": "power", "p": 3.0},
         {"function": "nosuch"},
     ],
@@ -69,10 +80,120 @@ def test_samples_are_independent_streams():
     assert long.margins[:10] == short.margins
 
 
-def test_threads_do_not_change_margins():
-    serial = _run("C3", samples=16, threads=1)
-    parallel = _run("C3", samples=16, threads=4)
-    assert serial.margins == parallel.margins
+# -- chunked evaluation -----------------------------------------------------------
+
+SHAPES = [(1, 1), (2, 2), (2, 3), (3, 2)]
+
+
+def _bits(values) -> bytes:
+    # NaN margins, which only a non-finite draw gives, compare by value: the
+    # sign bit of a NaN depends on which of numpy's loops produced it.
+    values = np.asarray(values, dtype=float)
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+def _poison(monkeypatch, sample: int) -> None:
+    """Give one sample's positive definite draws a NaN entry."""
+    original = campaigns.random_pd
+
+    def poisoned(dim, streams, eig_range):
+        m = original(dim, streams, eig_range)
+        for j, stream in enumerate(streams):
+            if stream.stream == sample:
+                m[j, 0, 0] = np.nan
+        return m
+
+    monkeypatch.setattr(campaigns, "random_pd", poisoned)
+
+
+def _with_chunk(monkeypatch, dim: int, samples: int | None):
+    """Budget chunks of ``samples`` samples, or restore the default budget."""
+    per_sample = campaigns._SAMPLE_MATRICES * 16 * dim * dim
+    budget = campaigns.CHUNK_BYTES if samples is None else samples * per_sample
+    monkeypatch.setattr(campaigns, "CHUNK_BYTES", budget)
+
+
+@pytest.mark.parametrize("d1,d2", SHAPES)
+@pytest.mark.parametrize("campaign", CAMPAIGN_IDS)
+@pytest.mark.parametrize("poisoned", [False, True], ids=["clean", "poisoned"])
+def test_chunk_size_does_not_change_margins_or_errors(monkeypatch, campaign, d1, d2, poisoned):
+    if poisoned:
+        _poison(monkeypatch, 4)
+    default = campaigns.CHUNK_BYTES
+    reports = []
+    for chunk in (1, 3, None):
+        _with_chunk(monkeypatch, d1 * d2, chunk)
+        reports.append(_run(campaign, d1=d1, d2=d2, samples=7))
+        monkeypatch.setattr(campaigns, "CHUNK_BYTES", default)
+    assert campaigns._chunk_samples(d1 * d2) >= 7  # the default is one chunk here
+    first = reports[0]
+    if poisoned and first.errors:
+        assert [e["sample"] for e in first.errors] == [4]
+        kind = first.errors[0]["type"]
+        assert kind in ("DomainError", "LinAlgError")
+        assert first.errors[0]["message"].startswith(kind + ": ")
+    for other in reports[1:]:
+        assert _bits(other.margins) == _bits(first.margins)
+        assert other.errors == first.errors
+        assert _bits([other.worst_margin]) == _bits([first.worst_margin])
+        assert other.witness["sample"] == first.witness["sample"]
+        assert other.violations == first.violations
+
+
+def _recomputed_margin(report) -> float:
+    """The worst margin recomputed from its witness with the single-matrix API."""
+    config, w = report.config, report.witness
+    space = BipartiteSpace(config.d1, config.d2)
+    func = config.scalar_function()
+    if config.campaign == "C1":
+        gap = EntropyGapSpec(func, space)
+        t = w["weight"]
+        mixed = entropy_gap(t * w["rho"] + (1.0 - t) * w["sigma"], gap)
+        chord = t * entropy_gap(w["rho"], gap) + (1.0 - t) * entropy_gap(w["sigma"], gap)
+        return chord - mixed
+    if config.campaign == "C2":
+        return second_differential_spectral(w["rho"], w["h"], EntropyGapSpec(func, space))
+    if config.campaign == "C4":
+        average = 0.5 * quad_form(func, w["x1"], w["h1"]) + 0.5 * quad_form(func, w["x2"], w["h2"])
+        return average - quad_form(func, (w["x1"] + w["x2"]) / 2.0, (w["h1"] + w["h2"]) / 2.0)
+    if config.campaign == "C6":
+        p = config.p
+
+        def power_gap(rho):
+            vals = np.linalg.eigvalsh(rho)
+            marginal = np.linalg.eigvalsh(partial_trace_2(rho, space))
+            return float(space.d2 ** (p - 1.0) * np.sum(vals**p) - np.sum(marginal**p))
+
+        t = w["weight"]
+        chord = t * power_gap(w["rho"]) + (1.0 - t) * power_gap(w["sigma"])
+        return chord - power_gap(t * w["rho"] + (1.0 - t) * w["sigma"])
+
+    def congruence(a, b):
+        return hermitize(b.conj().T @ np.linalg.solve(a, b))
+
+    defect = (0.5 * congruence(w["a1"], w["b1"]) + 0.5 * congruence(w["a2"], w["b2"])
+              - congruence((w["a1"] + w["a2"]) / 2.0, (w["b1"] + w["b2"]) / 2.0))
+    return float(np.linalg.eigvalsh(defect).min())
+
+
+@pytest.mark.parametrize("d1,d2", SHAPES)
+@pytest.mark.parametrize("campaign", ["C1", "C2", "C4", "C6", "C7"])
+def test_worst_margin_recomputes_from_its_witness(campaign, d1, d2):
+    report = _run(campaign, d1=d1, d2=d2, samples=12)
+    assert _bits([_recomputed_margin(report)]) == _bits([report.worst_margin])
+
+
+@pytest.mark.parametrize("d1,d2", SHAPES)
+def test_relative_scale_takes_one_norm_per_matrix(d1, d2):
+    absolute = _run("C2", d1=d1, d2=d2, samples=9)
+    relative = _run("C2", d1=d1, d2=d2, samples=9, relative=True)
+    expected = []
+    for index, margin in enumerate(absolute.margins):
+        rng = RngStream(42, index)
+        rho = random_pd(d1 * d2, rng, (0.1, 3.0))
+        h = random_hermitian(d1 * d2, rng, 1.0)
+        expected.append(margin / (1.0 + float(np.linalg.norm(rho)) + float(np.linalg.norm(h))))
+    assert _bits(relative.margins) == _bits(expected)
 
 
 # -- report invariants ----------------------------------------------------------
@@ -173,21 +294,23 @@ def test_custom_weights_are_used():
 
 
 def test_sampler_errors_are_recorded_and_skipped(monkeypatch):
+    clean = _run("C1", samples=5)
     original = _SAMPLERS["C1"]
-    calls = {"count": 0}
+    chunks = []
 
-    def flaky(config, rng):
-        calls["count"] += 1
-        if calls["count"] == 3:
+    def flaky(config, streams):
+        chunks.append([stream.stream for stream in streams])
+        if 2 in chunks[-1]:
             raise DomainError("synthetic failure for testing")
-        return original(config, rng)
+        return original(config, streams)
 
     monkeypatch.setitem(_SAMPLERS, "C1", flaky)
     report = _run("C1", samples=5)
-    assert len(report.margins) == 4
-    assert len(report.errors) == 1
-    assert report.errors[0]["sample"] == 2
-    assert "synthetic failure" in report.errors[0]["message"]
+    # The failure is raised inside the chunk, then each sample runs alone.
+    assert chunks == [[0, 1, 2, 3, 4], [0], [1], [2], [3], [4]]
+    assert report.errors == [{"sample": 2, "type": "DomainError",
+                              "message": "DomainError: synthetic failure for testing"}]
+    assert _bits(report.margins) == _bits(clean.margins[:2] + clean.margins[3:])
 
 
 # -- the falsification campaign ------------------------------------------------------

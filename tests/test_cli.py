@@ -73,7 +73,7 @@ def test_out_of_range_exponent_exits_two(capsys):
 def test_numeric_error_exits_three(capsys, monkeypatch):
     original = _SAMPLERS["C1"]
 
-    def flaky(config, rng):
+    def flaky(config, streams):
         raise DomainError("synthetic numeric failure")
 
     monkeypatch.setitem(_SAMPLERS, "C1", flaky)
@@ -122,21 +122,6 @@ def test_c9_prints_inconclusive_note(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_PASS
     assert "inconclusive" in out
-
-
-def test_threads_flag_keeps_reports_identical(tmp_path, capsys):
-    serial = tmp_path / "serial.json"
-    parallel = tmp_path / "parallel.json"
-    assert main(["--campaign", "C4", "--samples", "12", "--out", str(serial)]) == EXIT_PASS
-    assert (
-        main(["--campaign", "C4", "--samples", "12", "--threads", "3", "--out", str(parallel)])
-        == EXIT_PASS
-    )
-    a = json.loads(serial.read_text())
-    b = json.loads(parallel.read_text())
-    assert a["margins"] == b["margins"]
-    assert a["config"]["threads"] == 1 and b["config"]["threads"] == 3
-    capsys.readouterr()
 
 
 def test_unwritable_out_exits_two(capsys):

@@ -13,8 +13,11 @@ from entropygap import (
     RngStream,
     by_name,
     entropy_gap,
+    frechet_derivative,
     kron,
+    matrix_function,
     partial_trace_2,
+    quad_form,
     random_hermitian,
     random_pd,
     second_differential_fd,
@@ -219,3 +222,45 @@ def test_fd_rejects_nonpositive_step():
     rho, h = _draw(277, 0)
     with pytest.raises(DomainError):
         second_differential_fd(rho, h, GAP, step=0.0)
+
+
+# -- stacks ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d1,d2", [(1, 1), (2, 2), (2, 3), (4, 4), (8, 8)])
+def test_stacked_calls_match_single_calls_bitwise(d1, d2):
+    space = BipartiteSpace(d1, d2)
+    spec = EntropyGapSpec(T_LOG_T, space)
+    streams = [RngStream(5, index) for index in range(3)]
+    rho = random_pd(space.dim, streams)
+    h = random_hermitian(space.dim, streams)
+    stacked = {
+        "entropy_gap": entropy_gap(rho, spec),
+        "second_differential": second_differential_spectral(rho, h, spec),
+        "entropy": von_neumann_entropy(rho),
+        "quad_form": quad_form(T_LOG_T, rho, h),
+        "partial_trace": partial_trace_2(rho, space),
+        "matrix_function": matrix_function(T_LOG_T, rho),
+        "frechet": frechet_derivative(T_LOG_T, "f", rho, h),
+    }
+    for index in range(3):
+        a, d = _draw(5, index, space.dim)
+        single = {
+            "entropy_gap": entropy_gap(a, spec),
+            "second_differential": second_differential_spectral(a, d, spec),
+            "entropy": von_neumann_entropy(a),
+            "quad_form": quad_form(T_LOG_T, a, d),
+            "partial_trace": partial_trace_2(a, space),
+            "matrix_function": matrix_function(T_LOG_T, a),
+            "frechet": frechet_derivative(T_LOG_T, "f", a, d),
+        }
+        assert np.asarray(rho[index]).tobytes() == a.tobytes()
+        assert np.asarray(h[index]).tobytes() == d.tobytes()
+        for name, value in single.items():
+            assert np.asarray(stacked[name][index]).tobytes() == np.asarray(value).tobytes(), name
+
+
+def test_single_matrix_only_routines_reject_stacks():
+    rho, h = _draw(7, 0)
+    with pytest.raises(DomainError, match="single matrix"):
+        second_differential_fd(np.stack([rho, rho]), np.stack([h, h]), GAP, 1e-4)

@@ -272,6 +272,25 @@ def test_load_reports_reads_single_report_document(tmp_path):
     assert loaded["C4"].margins == report.margins
 
 
+def test_load_report_reads_documents_with_retired_config_fields(tmp_path):
+    # Earlier versions wrote "fd_step" after the weights and "threads" last;
+    # no campaign read either.
+    report = _report(campaign="C2")
+    data = report_to_dict(report)
+    config = {}
+    for key, value in data["config"].items():
+        config[key] = value
+        if key == "weights":
+            config["fd_step"] = 0.0001
+    config["threads"] = 1
+    data["config"] = config
+    path = tmp_path / "earlier.json"
+    path.write_bytes((json.dumps(data, indent=2) + "\n").encode("utf-8"))
+    loaded = load_report(path)
+    assert loaded.config == report.config
+    assert render_report(loaded) == render_report(report)
+
+
 def test_load_report_rejects_multi_campaign_document(tmp_path):
     path = tmp_path / "all.json"
     emit_reports([_report(campaign="C1")], path)
