@@ -197,13 +197,15 @@ def random_hermitian(dim: int, rng: Streams, scale: float = 1.0) -> np.ndarray:
     """Random Hermitian matrix with entries of magnitude at most ``scale``.
 
     Not necessarily definite; intended for perturbation directions.  A
-    sequence of streams gives a stack, one matrix per stream.
+    sequence of streams gives a stack, one matrix per stream.  Each matrix
+    draws its real parts, then its imaginary parts, in one generator call, so
+    a stream repeated ``k`` times in the sequence gives the same stack as
+    ``k`` consecutive draws from it.
     """
     if dim < 1:
         raise DomainError(f"dim must be positive, got {dim}")
     if not scale > 0:
         raise DomainError(f"scale must be positive, got {scale}")
     s = scale / np.sqrt(2.0)
-    re = _draw(rng, lambda gen: gen.uniform(-s, s, size=(dim, dim)))
-    im = _draw(rng, lambda gen: gen.uniform(-s, s, size=(dim, dim)))
-    return hermitize(re + 1j * im)
+    parts = _draw(rng, lambda gen: gen.uniform(-s, s, size=(2, dim, dim)))
+    return hermitize(parts[..., 0, :, :] + 1j * parts[..., 1, :, :])

@@ -148,6 +148,42 @@ def test_random_hermitian_streams_differ():
     assert not np.array_equal(a, b)
 
 
+def _two_call_hermitian(dim: int, gen, scale: float) -> np.ndarray:
+    # The draw as two generator calls: all real parts, then all imaginary parts.
+    s = scale / np.sqrt(2.0)
+    re = gen.uniform(-s, s, size=(dim, dim))
+    im = gen.uniform(-s, s, size=(dim, dim))
+    return hermitize(re + 1j * im)
+
+
+HERMITIAN_DIMS = [1, 2, 3, 4, 5, 6, 7, 8, 64]
+
+
+@pytest.mark.parametrize("dim", HERMITIAN_DIMS)
+def test_random_hermitian_repeated_stream_equals_consecutive_draws(dim):
+    rng = RngStream(5, 1)
+    stacked = random_hermitian(dim, [rng] * 4, 0.7)
+    after_stack = rng.gen.random()
+    rng = RngStream(5, 1)
+    singles = np.stack([random_hermitian(dim, rng, 0.7) for _ in range(4)])
+    assert stacked.tobytes() == singles.tobytes()
+    assert rng.gen.random() == after_stack
+
+
+@pytest.mark.parametrize("dim", HERMITIAN_DIMS)
+def test_random_hermitian_keeps_its_draws(dim):
+    # Single and distinct-stream draws give the bits of the two-call draw and
+    # leave each stream where the two calls leave it.
+    single_rng, reference = RngStream(11, 3), RngStream(11, 3).gen
+    single = random_hermitian(dim, single_rng, 0.7)
+    assert single.tobytes() == _two_call_hermitian(dim, reference, 0.7).tobytes()
+    assert single_rng.gen.random() == reference.random()
+    streams = [RngStream(11, i) for i in range(3)]
+    stack = random_hermitian(dim, streams, 0.7)
+    expected = np.stack([_two_call_hermitian(dim, RngStream(11, i).gen, 0.7) for i in range(3)])
+    assert stack.tobytes() == expected.tobytes()
+
+
 def test_random_hermitian_rejects_nonpositive_scale():
     with pytest.raises(DomainError):
         random_hermitian(2, RngStream(0, 0), 0.0)
