@@ -43,14 +43,14 @@ from .oracles import (
 from .bipartite import (
     MAX_PINCHING_BLOCKS,
     BipartiteSpace,
+    ConditionalExpectation1,
     MixedUnitaryChannel,
+    Pinching,
     apply_channel,
     conditional_expectation_1,
-    conditional_expectation_1_channel,
     embed_1,
     partial_trace_1,
     partial_trace_2,
-    pinching,
     random_mixed_unitary,
     random_pinching,
 )

@@ -12,8 +12,9 @@ campaign   margin (nonnegative in exact arithmetic except C9)
 C1         segment convexity of the gap G:
            t G(rho) + (1-t) G(sigma) - G(t rho + (1-t) sigma), worst weight
 C2         second differential of G along a random Hermitian direction
-C3         monotonicity of the curvature form Q under mixed-unitary channels:
-           Q(x, h) - Q(Phi(x), Phi(h))
+C3         monotonicity of the curvature form Q under averaging channels (a
+           pinching, the conditional expectation onto the first factor, or a
+           mixed-unitary channel): Q(x, h) - Q(Phi(x), Phi(h))
 C4         joint midpoint convexity of Q:
            (Q(x1, h1) + Q(x2, h2)) / 2 - Q(midpoint, midpoint)
 C5         segment concavity of rho -> S(rho) - S(tr_2 rho): value - chord,
@@ -46,6 +47,10 @@ chunk on stacks of matrices.  Stacked routines give each matrix the bits it
 gets alone, so margins do not depend on the chunk size.  A sampler makes for
 its chunk the calls that one sample would make alone, in the same order, so a
 chunk of one sample raises what that sample raises.
+
+C3 applies its channels a family at a time: pinchings (frames drawn as one
+stack) and the conditional expectation on stacks, each mixed-unitary channel,
+whose term count is its own, to its sample alone.
 """
 
 from __future__ import annotations
@@ -58,11 +63,14 @@ import numpy as np
 
 from .bipartite import (
     BipartiteSpace,
+    ConditionalExpectation1,
+    Pinching,
+    _pinch,
+    _random_labels,
     apply_channel,
-    conditional_expectation_1_channel,
+    conditional_expectation_1,
     partial_trace_2,
     random_mixed_unitary,
-    random_pinching,
 )
 from .calculus import (
     CUBE,
@@ -88,6 +96,7 @@ from .linalg import (
     hermitize,
     random_hermitian,
     random_pd,
+    random_unitary,
 )
 from .oracles import dd_log_quadrature, log_quad_form_quadrature
 
@@ -101,9 +110,9 @@ _C8_PAIR_RANGE = (0.1, 10.0)
 # Memory budget of one chunk of samples.  A sample is budgeted as
 # _SAMPLE_MATRICES complex matrices of the campaign's dimension, more than a
 # stacked sampler holds per sample at once; at dimension 64 a chunk holds 2
-# samples, at dimension 4 it holds 512.  C3 also keeps each sample's channel,
-# up to 128 unitaries, until its chunk is done, so a C3 chunk may reach four
-# times the budget.
+# samples, at dimension 4 it holds 512.  That covers the channel each C3
+# sample keeps until its chunk is done: one frame for a pinching, at most
+# five unitaries for a mixed-unitary channel.
 CHUNK_BYTES = 1 << 22
 _SAMPLE_MATRICES = 32
 
@@ -256,20 +265,29 @@ def _sample_c3(config: CampaignConfig, streams):
         family = config.channel_family
         if family == "uniform":
             family = ("pinching", "expectation", "mixed")[int(rng.gen.integers(0, 3))]
-        if family == "pinching":
-            channel = random_pinching(space.dim, rng)
+        if family == "pinching":  # its frame, the stream's last draw, comes below
+            channel = _random_labels(space.dim, rng)
         elif family == "expectation":
-            channel = conditional_expectation_1_channel(space)
+            channel = ConditionalExpectation1(space)
         else:
             channel = random_mixed_unitary(space.dim, rng, int(rng.gen.integers(2, 6)))
         witnesses.append({"x": xi, "h": hi, "family": family, "channel": channel})
+    families = np.array([w["family"] for w in witnesses])
+    pinched = np.flatnonzero(families == "pinching")
+    if pinched.size:
+        frames = random_unitary(space.dim, [streams[j] for j in pinched])
+        labels = np.stack([witnesses[j]["channel"] for j in pinched])
+        for j, frame, block_labels in zip(pinched, frames, labels):
+            witnesses[j]["channel"] = Pinching(frame, block_labels)
     before = quad_form(func, x, h)
-    after = quad_form(
-        func,
-        np.stack([apply_channel(w["channel"], w["x"]) for w in witnesses]),
-        np.stack([apply_channel(w["channel"], w["h"]) for w in witnesses]),
-    )
-    return (before - after).tolist(), witnesses
+    pair = np.stack([x, h])  # replaced by the channel outputs, a family at a time
+    if pinched.size:
+        pair[:, pinched] = hermitize(_pinch(frames, labels, pair[:, pinched]))
+    expected = families == "expectation"
+    pair[:, expected] = conditional_expectation_1(pair[:, expected], space)
+    for j in np.flatnonzero(families == "mixed"):
+        pair[:, j] = apply_channel(witnesses[j]["channel"], pair[:, j])
+    return (before - quad_form(func, pair[0], pair[1])).tolist(), witnesses
 
 
 def _q_midpoint_margin(func, x1, h1, x2, h2):

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bipartite import MixedUnitaryChannel
+from .bipartite import BipartiteSpace, ConditionalExpectation1, MixedUnitaryChannel, Pinching
 from .campaigns import CampaignConfig, CampaignReport
 
 
@@ -35,12 +35,15 @@ def matrix_from_json(rows) -> np.ndarray:
 
 
 def _encode_value(value, encode_matrix):
+    if isinstance(value, Pinching):
+        return {"channel": {"frame": encode_matrix(value.frame), "labels": value.labels.tolist()}}
+    if isinstance(value, ConditionalExpectation1):
+        return {"channel": {"d1": value.space.d1, "d2": value.space.d2}}
     if isinstance(value, MixedUnitaryChannel):
         return {
             "channel": {
                 "weights": [float(w) for w in value.weights],
                 "unitaries": [encode_matrix(u) for u in value.unitaries],
-                "is_conditional_expectation": bool(value.is_conditional_expectation),
             }
         }
     if isinstance(value, np.ndarray):
@@ -55,10 +58,15 @@ def _encode_value(value, encode_matrix):
 def _decode_value(value):
     if isinstance(value, dict) and set(value) == {"channel"}:
         payload = value["channel"]
+        if "frame" in payload:
+            return Pinching(matrix_from_json(payload["frame"]), np.array(payload["labels"]))
+        if "d1" in payload:
+            return ConditionalExpectation1(BipartiteSpace(payload["d1"], payload["d2"]))
+        # Earlier versions stored every channel this way, adding a flag
+        # "is_conditional_expectation" that no longer exists.
         return MixedUnitaryChannel(
             weights=np.array(payload["weights"], dtype=float),
             unitaries=np.stack([matrix_from_json(u) for u in payload["unitaries"]]),
-            is_conditional_expectation=payload["is_conditional_expectation"],
         )
     if isinstance(value, dict) and set(value) == {"matrix"}:
         return matrix_from_json(value["matrix"])

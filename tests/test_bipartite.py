@@ -7,16 +7,17 @@ from entropygap import (
     MAX_PINCHING_BLOCKS,
     BipartiteSpace,
     DomainError,
+    ConditionalExpectation1,
     MixedUnitaryChannel,
+    Pinching,
     RngStream,
     apply_channel,
     conditional_expectation_1,
-    conditional_expectation_1_channel,
     embed_1,
+    hermitize,
     kron,
     partial_trace_1,
     partial_trace_2,
-    pinching,
     random_hermitian,
     random_mixed_unitary,
     random_pd,
@@ -154,38 +155,162 @@ def test_projection_preserves_definiteness():
         assert projected_floor >= floor - 1e-10
 
 
-# -- channel realization of the projection ------------------------------------
+# -- oracles: the structural channels as averages of unitary conjugations -----
+#
+# A pinching and the conditional expectation onto the first factor are both
+# averages of unitary conjugations.  These constructions of them share no
+# code with the structural maps, which must agree with them.
+
+
+def sign_unitaries(frame, labels, patterns) -> np.ndarray:
+    """The sign unitaries ``v diag(eps) v^H`` of the given sign patterns.
+
+    Over B blocks a pattern is an integer below 2**(B - 1) whose bit k - 1
+    flips the sign of block k; block 0 keeps +1.  Averaging the conjugations
+    by all 2**(B - 1) of them cancels every cross-block entry in the frame
+    and fixes the block diagonal.
+    """
+    labels = np.asarray(labels)
+    count = int(labels.max()) + 1
+    patterns = np.asarray(patterns)[:, None]
+    flips = (patterns >> np.arange(count - 1)) & 1
+    signs = np.concatenate([np.ones((len(patterns), 1)), 1.0 - 2.0 * flips], axis=1)
+    eps = signs[:, labels]
+    return (frame * eps[:, None, :]) @ frame.conj().T
+
+
+def sign_unitary_pinching(frame, labels) -> MixedUnitaryChannel:
+    """A pinching as the uniform mixture of all its sign unitaries."""
+    m = 2 ** int(np.max(labels))
+    return MixedUnitaryChannel(np.full(m, 1.0 / m), sign_unitaries(frame, labels, range(m)))
+
+
+def sign_average(frame, labels, x) -> np.ndarray:
+    """The pinching of ``x`` as the sign-unitary average, 256 terms at a time."""
+    m = 2 ** int(np.max(labels))
+    total = np.zeros_like(x)
+    for start in range(0, m, 256):
+        u = sign_unitaries(frame, labels, range(start, min(m, start + 256)))
+        total += (u.conj().transpose(0, 2, 1) @ x @ u).sum(axis=0)
+    return total / m
+
+
+def weyl_unitaries(space: BipartiteSpace) -> np.ndarray:
+    """The d2**2 shift-and-clock unitaries ``I (x) X^a Z^b``; the average of
+    ``w^H b w`` over them is tr(b) I / d2, so their uniform mixture is the
+    conditional expectation onto the first factor."""
+    d1, d2 = space.d1, space.d2
+    omega = np.exp(2j * np.pi / d2)
+    shift = np.zeros((d2, d2), dtype=complex)
+    shift[(np.arange(d2) + 1) % d2, np.arange(d2)] = 1.0
+    clock = np.diag(omega ** np.arange(d2))
+    words = [np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+             for a in range(d2) for b in range(d2)]
+    return np.stack([kron(np.eye(d1), w) for w in words])
+
+
+def weyl_expectation(space: BipartiteSpace) -> MixedUnitaryChannel:
+    """The conditional expectation onto the first factor as a Weyl mixture."""
+    return MixedUnitaryChannel(np.full(space.d2**2, 1.0 / space.d2**2), weyl_unitaries(space))
+
+
+def term_by_term(channel: MixedUnitaryChannel, x) -> np.ndarray:
+    """``sum_i p_i u_i^H x u_i`` one term at a time, re-symmetrized, as
+    earlier versions applied every channel to a stored-Hermitian input."""
+    out = np.zeros(x.shape, dtype=complex)
+    for wi, ui in zip(channel.weights, channel.unitaries):
+        out += wi * (ui.conj().T @ x @ ui)
+    return hermitize(out)
+
+
+def _labels(dim: int, count: int, rng: RngStream) -> np.ndarray:
+    # ``count`` nonempty blocks, indices assigned in a random order.
+    return rng.gen.permutation(np.arange(dim) % count)
+
+
+def _pinching_cases():
+    for dim in range(1, 17):
+        for count in sorted({1, min(8, dim), dim}):
+            yield dim, count
+
+
+@pytest.mark.parametrize("dim,count", list(_pinching_cases()))
+def test_pinching_matches_sign_unitary_average(dim, count):
+    rng = RngStream(131, 100 * dim + count)
+    channel = Pinching(random_unitary(dim, rng), _labels(dim, count, rng))
+    for _ in range(3):
+        x = random_hermitian(dim, rng)
+        expected = sign_average(channel.frame, channel.labels, x)
+        assert np.linalg.norm(apply_channel(channel, x) - expected) <= 1e-14 * np.linalg.norm(x)
+
+
+def _spaces():
+    return [(d1, d2) for d1 in range(1, 17) for d2 in range(1, 17) if d1 * d2 <= 16]
+
+
+@pytest.mark.parametrize("d1,d2", _spaces())
+def test_expectation_matches_weyl_average(d1, d2):
+    space = BipartiteSpace(d1, d2)
+    oracle = weyl_expectation(space)
+    for index in range(3):
+        x = random_hermitian(space.dim, RngStream(132, index))
+        got = apply_channel(ConditionalExpectation1(space), x)
+        assert np.linalg.norm(got - term_by_term(oracle, x)) <= 1e-14 * np.linalg.norm(x)
+
+
+STRUCTURAL_CASES = ([("pinching", dim, count) for dim, count in _pinching_cases()]
+                    + [("expectation", d1, d2) for d1, d2 in _spaces()])
+
+
+@pytest.mark.parametrize("family,a,b", STRUCTURAL_CASES)
+def test_structural_channels_are_idempotent_trace_preserving_and_unital(family, a, b):
+    # a pinching of dimension a over b blocks, or the expectation on (a, b)
+    if family == "pinching":
+        rng = RngStream(133, 100 * a + b)
+        channel = Pinching(random_unitary(a, rng), _labels(a, b, rng))
+    else:
+        channel = ConditionalExpectation1(BipartiteSpace(a, b))
+    dim = channel.dim
+    eye = np.eye(dim, dtype=complex)
+    assert np.linalg.norm(apply_channel(channel, eye) - eye) <= 1e-14 * dim
+    for index in range(3):
+        x = random_hermitian(dim, RngStream(134, index))
+        once = apply_channel(channel, x)
+        twice = apply_channel(channel, once)
+        assert np.linalg.norm(twice - once) <= 1e-14 * np.linalg.norm(x)
+        assert abs(np.trace(once) - np.trace(x)) <= 1e-14 * np.linalg.norm(x) * dim
+        assert np.array_equal(once, once.conj().T)
 
 
 def test_projection_channel_trivial_factor():
     space = BipartiteSpace(3, 1)
-    channel = conditional_expectation_1_channel(space)
+    channel = weyl_expectation(space)
     assert len(channel.terms) == 1
     weight, unitary = channel.terms[0]
     assert weight == 1.0
     assert np.array_equal(unitary, np.eye(3))
     x = random_hermitian(3, RngStream(131, 0))
-    assert np.linalg.norm(apply_channel(channel, x) - x) <= 1e-14
+    assert np.array_equal(apply_channel(ConditionalExpectation1(space), x), x)
 
 
 @pytest.mark.parametrize("d1", [1, 2, 3, 4])
 @pytest.mark.parametrize("d2", [1, 2, 3, 4])
 def test_projection_channel_matches_map_on_matrix_units(d1, d2):
     space = BipartiteSpace(d1, d2)
-    channel = conditional_expectation_1_channel(space)
-    assert channel.is_conditional_expectation
+    oracle = weyl_expectation(space)
+    channel = ConditionalExpectation1(space)
     dim = space.dim
     for a in range(dim):
         for b in range(dim):
             unit = np.zeros((dim, dim), dtype=complex)
             unit[a, b] = 1.0
-            via_channel = apply_channel(channel, unit)
             direct = conditional_expectation_1(unit, space)
-            assert np.linalg.norm(via_channel - direct) <= 1e-10
+            assert np.linalg.norm(apply_channel(oracle, unit) - direct) <= 1e-10
+            assert np.array_equal(apply_channel(channel, unit), direct)
 
 
 def test_projection_channel_weights_uniform():
-    channel = conditional_expectation_1_channel(SPACE)
+    channel = weyl_expectation(SPACE)
     assert len(channel.terms) == 9
     for weight, unitary in channel.terms:
         assert weight == pytest.approx(1.0 / 9.0, abs=1e-15)
@@ -196,20 +321,20 @@ def test_projection_channel_weights_uniform():
 
 
 def test_pinching_single_block_is_identity():
-    channel = pinching(np.eye(4, dtype=complex), [[0, 1, 2, 3]])
+    channel = Pinching(np.eye(4, dtype=complex), np.zeros(4, dtype=int))
     x = random_hermitian(4, RngStream(137, 0))
     assert np.linalg.norm(apply_channel(channel, x) - x) <= 1e-14
 
 
 def test_pinching_singleton_blocks_zero_off_diagonal():
-    channel = pinching(np.eye(4, dtype=complex), [[0], [1], [2], [3]])
+    channel = Pinching(np.eye(4, dtype=complex), np.arange(4))
     x = random_hermitian(4, RngStream(137, 1))
     got = apply_channel(channel, x)
     assert np.linalg.norm(got - np.diag(np.diag(x))) <= 1e-14
 
 
 def test_pinching_zeroes_exactly_the_off_block_entries():
-    channel = pinching(np.eye(5, dtype=complex), [[0, 1], [2, 3, 4]])
+    channel = Pinching(np.eye(5, dtype=complex), np.array([0, 0, 1, 1, 1]))
     x = random_hermitian(5, RngStream(137, 2))
     got = apply_channel(channel, x)
     expected = x.copy()
@@ -219,21 +344,28 @@ def test_pinching_zeroes_exactly_the_off_block_entries():
 
 
 def test_pinching_respects_block_cap():
-    frame = np.eye(9, dtype=complex)
-    with pytest.raises(DomainError, match=str(MAX_PINCHING_BLOCKS)):
-        pinching(frame, [[i] for i in range(9)])
+    # The cap bounds the random draw; the structural map takes any count.
+    counts = {len(set(random_pinching(16, RngStream(138, i)).labels.tolist())) for i in range(60)}
+    assert max(counts) == MAX_PINCHING_BLOCKS
+    channel = Pinching(np.eye(9, dtype=complex), np.arange(9))
+    x = random_hermitian(9, RngStream(138, 99))
+    assert np.array_equal(apply_channel(channel, x), np.diag(np.diag(x)))
 
 
 def test_pinching_requires_partition():
-    with pytest.raises(DomainError):
-        pinching(np.eye(3, dtype=complex), [[0, 1], [1, 2]])
+    # Labels assign every frame column to exactly one block.
+    with pytest.raises(DomainError, match="labels"):
+        Pinching(np.eye(3, dtype=complex), np.array([0, 1]))
+    with pytest.raises(DomainError, match="labels"):
+        Pinching(np.eye(3, dtype=complex), np.array([0.0, 1.0, 1.0]))
+    with pytest.raises(DomainError, match="unitary"):
+        Pinching(2.0 * np.eye(3, dtype=complex), np.array([0, 1, 1]))
 
 
 def test_random_pinching_idempotent():
     for index in range(10):
         rng = RngStream(139, index)
         channel = random_pinching(6, rng)
-        assert channel.is_conditional_expectation
         x = random_hermitian(6, rng)
         once = apply_channel(channel, x)
         twice = apply_channel(channel, once)
@@ -255,7 +387,7 @@ def test_channels_trace_preserving_and_unital(family):
     if family == "pinching":
         channel = random_pinching(6, rng)
     elif family == "expectation":
-        channel = conditional_expectation_1_channel(SPACE)
+        channel = ConditionalExpectation1(SPACE)
     else:
         channel = random_mixed_unitary(6, rng, 4)
     eye = np.eye(6, dtype=complex)
@@ -267,12 +399,35 @@ def test_channels_trace_preserving_and_unital(family):
         assert np.array_equal(out, out.conj().T)
 
 
+@pytest.mark.parametrize("family", ["pinching", "expectation", "mixed"])
+def test_channels_apply_to_stacks_as_to_single_matrices(family):
+    rng = RngStream(152, 0)
+    channel = {"pinching": lambda: random_pinching(6, rng),
+               "expectation": lambda: ConditionalExpectation1(SPACE),
+               "mixed": lambda: random_mixed_unitary(6, rng, 3)}[family]()
+    stack = np.stack([random_hermitian(6, rng) for _ in range(4)])
+    stack[1] = stack[1] + 1j * np.eye(6)  # not Hermitian: kept as computed
+    got = apply_channel(channel, stack.reshape(2, 2, 6, 6)).reshape(4, 6, 6)
+    for out, x in zip(got, stack):
+        assert out.tobytes() == apply_channel(channel, x).tobytes()
+    assert not np.array_equal(got[1], got[1].conj().T)
+
+
+def test_random_mixed_unitary_draws_terms_in_order():
+    # One stacked draw of the terms replays n_terms consecutive draws.
+    channel = random_mixed_unitary(4, RngStream(153, 0), 3)
+    rng = RngStream(153, 0)
+    raw = rng.gen.uniform(0.1, 1.0, size=3)
+    expected = np.stack([random_unitary(4, rng) for _ in range(3)])
+    assert channel.weights.tobytes() == (raw / raw.sum()).tobytes()
+    assert channel.unitaries.tobytes() == expected.tobytes()
+
+
 def test_random_mixed_unitary_structure():
     channel = random_mixed_unitary(4, RngStream(157, 0), 5)
     assert len(channel.terms) == 5
     assert abs(sum(w for w, _ in channel.terms) - 1.0) <= 1e-12
     assert all(w > 0 for w, _ in channel.terms)
-    assert not channel.is_conditional_expectation
 
 
 def test_channel_rejects_bad_weights():
@@ -286,17 +441,9 @@ def test_channel_rejects_non_unitary_terms():
         MixedUnitaryChannel((1.0,), (np.diag([2.0, 1.0]).astype(complex),))
 
 
-def test_channel_rejects_false_expectation_flag():
-    # A generic two-term mixture is not idempotent; the flag must not be
-    # accepted at face value.
-    rng = RngStream(163, 0)
-    u = random_unitary(3, rng)
-    v = random_unitary(3, rng)
-    with pytest.raises(DomainError, match="idempot"):
-        MixedUnitaryChannel((0.5, 0.5), (u, v), is_conditional_expectation=True)
-
-
 def test_channel_rejects_dimension_mismatch():
-    channel = MixedUnitaryChannel((1.0,), (np.eye(3, dtype=complex),))
-    with pytest.raises(DomainError):
-        apply_channel(channel, np.eye(4, dtype=complex))
+    for channel in (MixedUnitaryChannel((1.0,), (np.eye(3, dtype=complex),)),
+                    Pinching(np.eye(3, dtype=complex), np.zeros(3, dtype=int)),
+                    ConditionalExpectation1(BipartiteSpace(3, 1))):
+        with pytest.raises(DomainError):
+            apply_channel(channel, np.eye(4, dtype=complex))

@@ -1,5 +1,7 @@
 """Campaign runner: determinism, per-statement margins, error capture."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,18 +12,22 @@ from entropygap import (
     CampaignConfig,
     DomainError,
     EntropyGapSpec,
+    MixedUnitaryChannel,
     RngStream,
+    apply_channel,
     entropy_gap,
     hermitize,
     partial_trace_2,
     quad_form,
     random_hermitian,
     random_pd,
+    random_unitary,
     run_campaign,
     second_differential_spectral,
 )
 from entropygap import campaigns
 from entropygap.campaigns import _SAMPLERS, _q_midpoint_margin
+from test_bipartite import sign_unitary_pinching, term_by_term, weyl_expectation
 
 
 def _run(campaign: str, **overrides) -> object:
@@ -158,6 +164,9 @@ def _recomputed_margin(report) -> float:
         return chord - mixed
     if config.campaign == "C2":
         return second_differential_spectral(w["rho"], w["h"], EntropyGapSpec(func, space))
+    if config.campaign == "C3":
+        after = (apply_channel(w["channel"], w["x"]), apply_channel(w["channel"], w["h"]))
+        return quad_form(func, w["x"], w["h"]) - quad_form(func, *after)
     if config.campaign == "C4":
         average = 0.5 * quad_form(func, w["x1"], w["h1"]) + 0.5 * quad_form(func, w["x2"], w["h2"])
         return average - quad_form(func, (w["x1"] + w["x2"]) / 2.0, (w["h1"] + w["h2"]) / 2.0)
@@ -182,7 +191,7 @@ def _recomputed_margin(report) -> float:
 
 
 @pytest.mark.parametrize("d1,d2", SHAPES)
-@pytest.mark.parametrize("campaign", ["C1", "C2", "C4", "C6", "C7"])
+@pytest.mark.parametrize("campaign", ["C1", "C2", "C3", "C4", "C6", "C7"])
 def test_worst_margin_recomputes_from_its_witness(campaign, d1, d2):
     report = _run(campaign, d1=d1, d2=d2, samples=12)
     assert _bits([_recomputed_margin(report)]) == _bits([report.worst_margin])
@@ -282,6 +291,89 @@ def test_c3_channel_family_is_forced(family):
 def test_c3_uniform_family_mixes():
     report = _run("C3", samples=60, channel_family="uniform")
     assert report.violations == 0
+
+
+def _mixed_unitary_c3(config, index):
+    """One C3 sample drawn and evaluated one matrix at a time, with every
+    channel as a mixed-unitary channel: a pinching as the average of its sign
+    unitaries, the expectation as the Weyl average.
+
+    Returns the family, x, h, the channel, Q(x, h), Q(Phi x, Phi h) and the
+    stream's next draw.
+    """
+    space = config.space()
+    dim = space.dim
+    func = config.scalar_function()
+    rng = RngStream(config.seed, index)
+    x = random_pd(dim, rng, (config.eig_low, config.eig_high))
+    h = random_hermitian(dim, rng, 1.0)
+    family = config.channel_family
+    if family == "uniform":
+        family = ("pinching", "expectation", "mixed")[int(rng.gen.integers(0, 3))]
+    if family == "pinching":
+        count = int(rng.gen.integers(1, min(dim, 8) + 1))
+        perm = rng.gen.permutation(dim)
+        labels = np.empty(dim, dtype=int)
+        labels[perm[:count]] = np.arange(count)
+        if dim > count:
+            labels[perm[count:]] = rng.gen.integers(0, count, size=dim - count)
+        channel = sign_unitary_pinching(random_unitary(dim, rng), labels)
+    elif family == "expectation":
+        channel = weyl_expectation(space)
+    else:
+        n_terms = int(rng.gen.integers(2, 6))
+        raw = rng.gen.uniform(0.1, 1.0, size=n_terms)
+        unitaries = np.stack([random_unitary(dim, rng) for _ in range(n_terms)])
+        channel = MixedUnitaryChannel(raw / raw.sum(), unitaries)
+    q_after = quad_form(func, term_by_term(channel, x), term_by_term(channel, h))
+    return family, x, h, channel, quad_form(func, x, h), q_after, int(rng.gen.integers(2**63))
+
+
+def _scaled(config, margin, x, h) -> float:
+    if config.relative:
+        return margin / (1.0 + (float(np.linalg.norm(x)) + float(np.linalg.norm(h))))
+    return margin
+
+
+@pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+@pytest.mark.parametrize("d1,d2", SHAPES + [(3, 3)])
+def test_c3_matches_its_mixed_unitary_form(d1, d2, relative):
+    families = set()
+    for seed in (42, 7):
+        config = CampaignConfig(campaign="C3", d1=d1, d2=d2, samples=24, seed=seed,
+                                relative=relative)
+        report = run_campaign(config)
+        streams = [RngStream(seed, index) for index in range(config.samples)]
+        campaigns._sample_c3(config, streams)
+        assert report.errors == []
+        for index, (margin, stream) in enumerate(zip(report.margins, streams)):
+            family, x, h, _, q, q_after, next_draw = _mixed_unitary_c3(config, index)
+            families.add(family)
+            expected = _scaled(config, q - q_after, x, h)
+            if family == "mixed":
+                assert _bits([margin]) == _bits([expected])
+            else:
+                budget = _scaled(config, 1e-14 * (1.0 + abs(q) + abs(q_after)), x, h)
+                assert abs(margin - expected) <= budget
+            # The sample left its stream where the one-matrix draws leave it.
+            assert int(stream.gen.integers(2**63)) == next_draw
+
+        mixed = run_campaign(replace(config, channel_family="mixed"))
+        margins = []
+        for index in range(config.samples):
+            _, x, h, channel, q, q_after, _ = _mixed_unitary_c3(mixed.config, index)
+            margins.append(_scaled(config, q - q_after, x, h))
+            if index == mixed.witness["sample"]:
+                worst = (x, h, channel)
+        assert _bits(mixed.margins) == _bits(margins)
+        assert _bits([mixed.worst_margin]) == _bits([min(margins)])
+        x, h, channel = worst
+        assert mixed.witness["x"].tobytes() == x.tobytes()
+        assert mixed.witness["h"].tobytes() == h.tobytes()
+        assert mixed.witness["channel"].weights.tobytes() == channel.weights.tobytes()
+        assert mixed.witness["channel"].unitaries.tobytes() == channel.unitaries.tobytes()
+    if d1 * d2 > 1:
+        assert families == {"pinching", "expectation", "mixed"}
 
 
 # -- config variants --------------------------------------------------------------

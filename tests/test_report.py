@@ -28,6 +28,7 @@ from entropygap import (
 )
 from entropygap import RngStream
 from entropygap.cli import EXIT_PASS, main
+from test_bipartite import sign_unitary_pinching, term_by_term, weyl_expectation
 
 
 def _report(campaign: str = "C1", **overrides) -> CampaignReport:
@@ -90,15 +91,22 @@ def test_witness_matrices_round_trip_exactly():
 
 
 def test_channel_witness_round_trips():
-    report = _report(campaign="C3", d2=3, channel_family="pinching")
-    recovered = report_from_dict(json.loads(render_report(report)))
-    original = report.witness["channel"]
-    decoded = recovered.witness["channel"]
-    assert decoded.is_conditional_expectation == original.is_conditional_expectation
-    assert np.array_equal(decoded.weights, original.weights)
-    assert np.array_equal(decoded.unitaries, original.unitaries)
     probe = random_hermitian(6, RngStream(311, 0))
-    assert np.array_equal(apply_channel(decoded, probe), apply_channel(original, probe))
+    for family in ("pinching", "expectation", "mixed"):
+        report = _report(campaign="C3", d2=3, channel_family=family)
+        recovered = report_from_dict(json.loads(render_report(report)))
+        original = report.witness["channel"]
+        decoded = recovered.witness["channel"]
+        assert type(decoded) is type(original)
+        if family == "pinching":
+            assert np.array_equal(decoded.frame, original.frame)
+            assert np.array_equal(decoded.labels, original.labels)
+        elif family == "expectation":
+            assert decoded == original
+        else:
+            assert np.array_equal(decoded.weights, original.weights)
+            assert np.array_equal(decoded.unitaries, original.unitaries)
+        assert np.array_equal(apply_channel(decoded, probe), apply_channel(original, probe))
 
 
 def test_render_is_deterministic():
@@ -165,7 +173,7 @@ def test_render_matches_json_indent_oracle(campaign, dims):
 def test_render_matches_oracle_for_each_channel_family(family):
     report = _report(campaign="C3", d2=3, channel_family=family)
     if family == "pinching":
-        assert len(report.witness["channel"].unitaries) > 1
+        assert len(set(report.witness["channel"].labels.tolist())) > 1
     assert render_report(report) == _oracle(report)
 
 
@@ -289,6 +297,40 @@ def test_load_report_reads_documents_with_retired_config_fields(tmp_path):
     loaded = load_report(path)
     assert loaded.config == report.config
     assert render_report(loaded) == render_report(report)
+
+
+@pytest.mark.parametrize("family", ["pinching", "expectation"])
+def test_load_report_reads_c3_documents_in_the_mixed_unitary_layout(tmp_path, family):
+    # Earlier versions stored every C3 channel as its weights and unitaries,
+    # with a flag claiming idempotence: a pinching as its sign unitaries, the
+    # expectation as the Weyl unitaries.
+    report = _report(campaign="C3", d2=3, channel_family=family)
+    channel = report.witness["channel"]
+    if family == "pinching":
+        earlier = sign_unitary_pinching(channel.frame, channel.labels)
+        assert len(earlier.unitaries) > 1
+    else:
+        earlier = weyl_expectation(channel.space)
+    data = report_to_dict(report)
+    terms = {"weights": earlier.weights.tolist(),
+             "unitaries": [matrix_to_json(u) for u in earlier.unitaries]}
+    data["witness"]["channel"] = {"channel": terms}
+    rewritten = json.dumps(data, indent=2) + "\n"  # written again: the terms without the flag
+    terms["is_conditional_expectation"] = True
+    text = json.dumps(data, indent=2) + "\n"
+    single, both = tmp_path / "earlier.json", tmp_path / "earlier-all.json"
+    single.write_bytes(text.encode("utf-8"))
+    both.write_bytes((json.dumps({"campaigns": {"C3": data}}, indent=2) + "\n").encode("utf-8"))
+    probe = random_hermitian(6, RngStream(317, 0))
+    expected = term_by_term(earlier, probe)
+    for loaded in (load_report(single), load_reports(both)["C3"], load_reports(single)["C3"]):
+        assert loaded.margins == report.margins
+        decoded = loaded.witness["channel"]
+        assert apply_channel(decoded, probe).tobytes() == expected.tobytes()
+        # The same map as the structural channel the campaign applied.
+        difference = apply_channel(decoded, probe) - apply_channel(channel, probe)
+        assert np.linalg.norm(difference) <= 1e-14 * np.linalg.norm(probe)
+        assert render_report(loaded) == rewritten
 
 
 def test_load_report_rejects_multi_campaign_document(tmp_path):
