@@ -17,25 +17,28 @@ C3         monotonicity of the curvature form Q under averaging channels (a
            mixed-unitary channel): Q(x, h) - Q(Phi(x), Phi(h))
 C4         joint midpoint convexity of Q:
            (Q(x1, h1) + Q(x2, h2)) / 2 - Q(midpoint, midpoint)
-C5         segment concavity of rho -> S(rho) - S(tr_2 rho): value - chord,
-           worst weight; each sample also cross-checks the closed form of G
-           for f = t log t against the entropy expression
-C6         segment convexity of rho -> d2**(p-1) tr rho**p - tr (tr_2 rho)**p:
-           chord - value, worst weight
+C5         C1 with f = t log t, where G(rho) = log(d2) tr rho - S(rho) +
+           S(tr_2 rho): the concavity of S(rho) - S(tr_2 rho)
+C6         C1 with f = t**p, where G(rho) = d2**(p-1) tr rho**p -
+           tr (tr_2 rho)**p
 C7         midpoint operator convexity of (A, B) -> B^H A^-1 B: smallest
            eigenvalue of the midpoint defect
 C8         kernel identities: -|difference|, the larger of the log divided
            difference against its integral form (absolute) and the t log t
            curvature form against the resolvent quadrature (relative), so a
            difference above the tolerance is a violation
-C9         falsification search for f = t**3 on the C4 statement: random
-           search, then greedy local descent from the worst draw (appended as
-           one extra margin entry); finding a violation is the interesting
-           outcome, absence of one is inconclusive
+C9         C4 with f = t**3 as a falsification search: random search, then
+           greedy local descent from the worst draw (appended as one extra
+           margin entry); finding a violation is the interesting outcome,
+           absence of one is inconclusive
 =========  ===================================================================
 
-C1-C6 draw on the bipartite space (d1, d2); C7-C9 use the single dimension
-d1 * d2.  Per-sample randomness comes from ``RngStream(seed, sample_index)``
+C5, C6 and C9 are presets: they run the sampler of C1 or C4 with the function
+of :data:`PRESET_FUNCTIONS`, and their config records that function whatever
+``function`` was passed in.
+
+C1-C3, C5 and C6 use the bipartite split (d1, d2); C4 and C7-C9 use only the
+dimension d1 * d2.  Per-sample randomness comes from ``RngStream(seed, sample_index)``
 (the C9 descent uses stream ``samples``), so dropping a sample never changes
 the draws of the others and margin lists are reproducible bit-for-bit for a
 fixed config.
@@ -69,11 +72,9 @@ from .bipartite import (
     _random_labels,
     apply_channel,
     conditional_expectation_1,
-    partial_trace_2,
     random_mixed_unitary,
 )
 from .calculus import (
-    CUBE,
     LOG,
     T_LOG_T,
     _quad_form,
@@ -81,18 +82,12 @@ from .calculus import (
     divided_difference,
     quad_form,
 )
-from .entropy import (
-    EntropyGapSpec,
-    entropy_gap,
-    second_differential_spectral,
-    von_neumann_entropy,
-)
+from .entropy import EntropyGapSpec, _entropy_gap, entropy_gap, second_differential_spectral
 from .errors import DomainError, NumericError
 from .linalg import (
     RngStream,
     _adjoint,
     check_hermitian,
-    check_positive,
     hermitize,
     random_hermitian,
     random_pd,
@@ -102,6 +97,9 @@ from .oracles import dd_log_quadrature, log_quad_form_quadrature
 
 CAMPAIGN_IDS = tuple(f"C{i}" for i in range(1, 10))
 CHANNEL_FAMILIES = ("pinching", "expectation", "mixed", "uniform")
+
+# The function each preset campaign fixes; C5 and C6 run as C1, C9 as C4.
+PRESET_FUNCTIONS = {"C5": "t_log_t", "C6": "power", "C9": "cube"}
 
 # C8 draws its scalar pairs from this interval regardless of the matrix
 # spectrum range.
@@ -145,6 +143,11 @@ class CampaignConfig:
     relative: bool = False
     channel_family: str = "uniform"
 
+    def __post_init__(self):
+        preset = PRESET_FUNCTIONS.get(self.campaign)
+        if preset is not None:
+            object.__setattr__(self, "function", preset)
+
     def validate(self) -> None:
         if self.campaign not in CAMPAIGN_IDS:
             raise ValueError(f"unknown campaign {self.campaign!r}; choose from {CAMPAIGN_IDS}")
@@ -164,9 +167,6 @@ class CampaignConfig:
             raise ValueError(
                 f"unknown channel family {self.channel_family!r}; choose from {CHANNEL_FAMILIES}"
             )
-        if self.campaign == "C6" and not 1.0 <= self.p <= 2.0:
-            # C6 reads the exponent directly, bypassing the power builtin.
-            raise ValueError(f"campaign C6 needs an exponent p in [1, 2], got {self.p}")
         self.scalar_function()  # validates the name and, for power, p
 
     def space(self) -> BipartiteSpace:
@@ -214,36 +214,20 @@ def _norms(witness: dict) -> float:
                      if isinstance(v, np.ndarray))
 
 
-def _segment_min(weights, left, right, mixed, orientation):
-    """Worst signed slack over the segment weights, and its weight, per sample.
-
-    ``mixed[k]`` holds the values at ``weights[k]``.  ``orientation`` +1
-    compares chord - value (convexity), -1 value - chord (concavity).
-    """
-    margins, worst_weights = [], []
-    for left_value, right_value, *values in zip(left.tolist(), right.tolist(),
-                                                *(m.tolist() for m in mixed)):
-        margin, worst = math.inf, None
-        for t, value in zip(weights, values):
-            chord = t * left_value + (1.0 - t) * right_value
-            slack = orientation * (chord - value)
-            if slack < margin:
-                margin, worst = slack, t
-        margins.append(margin)
-        worst_weights.append(worst)
-    return margins, worst_weights
-
-
 def _sample_c1(config: CampaignConfig, streams):
     space = config.space()
     gap = EntropyGapSpec(config.scalar_function(), space)
     rho = _draw_pd(config, streams, space.dim)
     sigma = _draw_pd(config, streams, space.dim)
-    g_rho = entropy_gap(rho, gap)
-    g_sigma = entropy_gap(sigma, gap)
-    mixed = [entropy_gap(t * rho + (1.0 - t) * sigma, gap) for t in config.weights]
-    margins, worst = _segment_min(config.weights, g_rho, g_sigma, mixed, +1)
-    return margins, [{"rho": r, "sigma": s, "weight": w} for r, s, w in zip(rho, sigma, worst)]
+    t = np.array(config.weights)[:, None]  # one row per weight
+    chord = t * entropy_gap(rho, gap) + (1.0 - t) * entropy_gap(sigma, gap)
+    mixed = t[..., None, None] * rho + (1.0 - t[..., None, None]) * sigma
+    slack = chord - _entropy_gap(mixed, gap)
+    worst = slack.argmin(axis=0)  # the first weight of the smallest slack
+    margins = slack[worst, np.arange(len(rho))]
+    witnesses = [{"rho": r, "sigma": s, "weight": config.weights[k]}
+                 for r, s, k in zip(rho, sigma, worst)]
+    return margins.tolist(), witnesses
 
 
 def _sample_c2(config: CampaignConfig, streams):
@@ -301,7 +285,10 @@ def _q_midpoint_margin(func, x1, h1, x2, h2):
     return (0.5 * q[0] + 0.5 * q[1]) - q[2]
 
 
-def _midpoint_sample(config: CampaignConfig, streams, func):
+_C4_KEYS = ("x1", "h1", "x2", "h2")
+
+
+def _sample_c4(config: CampaignConfig, streams):
     dim = config.space().dim
     x1 = _draw_pd(config, streams, dim)
     h1 = random_hermitian(dim, streams, 1.0)
@@ -309,62 +296,8 @@ def _midpoint_sample(config: CampaignConfig, streams, func):
     h2 = random_hermitian(dim, streams, 1.0)
     for m, name in ((x1, "matrix"), (h1, "direction"), (x2, "matrix"), (h2, "direction")):
         check_hermitian(m, name)
-    margins = _q_midpoint_margin(func, x1, h1, x2, h2)
-    return margins.tolist(), [dict(zip(_C9_KEYS, mats)) for mats in zip(x1, h1, x2, h2)]
-
-
-def _sample_c4(config: CampaignConfig, streams):
-    return _midpoint_sample(config, streams, config.scalar_function())
-
-
-def _entropy_defect(rho, space: BipartiteSpace):
-    return von_neumann_entropy(rho) - von_neumann_entropy(partial_trace_2(rho, space))
-
-
-def _sample_c5(config: CampaignConfig, streams):
-    space = config.space()
-    gap = EntropyGapSpec(T_LOG_T, space)
-    rho = _draw_pd(config, streams, space.dim)
-    sigma = _draw_pd(config, streams, space.dim)
-    # Closed-form cross-check: for f = t log t the gap equals
-    # log(d2) tr(rho) - S(rho) + S(tr_2 rho).
-    defects = []
-    for state in (rho, sigma):
-        lhs = entropy_gap(state, gap)
-        entropy = von_neumann_entropy(state)
-        marginal = von_neumann_entropy(partial_trace_2(state, space))
-        rhs = (math.log(space.d2) * np.trace(state, axis1=-2, axis2=-1).real
-               - entropy + marginal)
-        mismatch = np.abs(lhs - rhs) > 1e-9 * np.abs(rhs)
-        if mismatch.any():
-            j = int(mismatch.argmax())
-            raise NumericError(
-                "entropy closed form disagrees with the gap functional: "
-                f"{float(lhs[j])!r} vs {float(rhs[j])!r}"
-            )
-        defects.append(entropy - marginal)
-    mixed = [_entropy_defect(t * rho + (1.0 - t) * sigma, space) for t in config.weights]
-    margins, worst = _segment_min(config.weights, *defects, mixed, -1)
-    return margins, [{"rho": r, "sigma": s, "weight": w} for r, s, w in zip(rho, sigma, worst)]
-
-
-def _power_trace_gap(rho, space: BipartiteSpace, p: float) -> np.ndarray:
-    vals = np.linalg.eigvalsh(rho)
-    check_positive(vals, "power trace gap needs a positive definite state")
-    marginal_vals = np.linalg.eigvalsh(partial_trace_2(rho, space))
-    return space.d2 ** (p - 1.0) * np.sum(vals**p, axis=-1) - np.sum(marginal_vals**p, axis=-1)
-
-
-def _sample_c6(config: CampaignConfig, streams):
-    space = config.space()
-    p = float(config.p)
-    rho = _draw_pd(config, streams, space.dim)
-    sigma = _draw_pd(config, streams, space.dim)
-    v_rho = _power_trace_gap(rho, space, p)
-    v_sigma = _power_trace_gap(sigma, space, p)
-    mixed = [_power_trace_gap(t * rho + (1.0 - t) * sigma, space, p) for t in config.weights]
-    margins, worst = _segment_min(config.weights, v_rho, v_sigma, mixed, +1)
-    return margins, [{"rho": r, "sigma": s, "weight": w} for r, s, w in zip(rho, sigma, worst)]
+    margins = _q_midpoint_margin(config.scalar_function(), x1, h1, x2, h2)
+    return margins.tolist(), [dict(zip(_C4_KEYS, mats)) for mats in zip(x1, h1, x2, h2)]
 
 
 def _congruence_inverse(a, b) -> np.ndarray:
@@ -403,23 +336,17 @@ def _sample_c8(config: CampaignConfig, streams):
     return margins, witnesses
 
 
-def _sample_c9(config: CampaignConfig, streams):
-    return _midpoint_sample(config, streams, CUBE)
-
-
 _SAMPLERS = {
     "C1": _sample_c1,
     "C2": _sample_c2,
     "C3": _sample_c3,
     "C4": _sample_c4,
-    "C5": _sample_c5,
-    "C6": _sample_c6,
+    "C5": _sample_c1,
+    "C6": _sample_c1,
     "C7": _sample_c7,
     "C8": _sample_c8,
-    "C9": _sample_c9,
+    "C9": _sample_c4,
 }
-
-_C9_KEYS = ("x1", "h1", "x2", "h2")
 
 
 def _c9_descent(config: CampaignConfig, witness: dict, start_margin: float):
@@ -433,7 +360,8 @@ def _c9_descent(config: CampaignConfig, witness: dict, start_margin: float):
     """
     dim = config.space().dim
     rng = RngStream(config.seed, config.samples)
-    mats = np.stack([witness[k] for k in _C9_KEYS])
+    func = config.scalar_function()
+    mats = np.stack([witness[k] for k in _C4_KEYS])
     margin = start_margin
     step = 1e-2
     for _ in range(200):
@@ -443,12 +371,12 @@ def _c9_descent(config: CampaignConfig, witness: dict, start_margin: float):
         if np.linalg.eigvalsh(candidate[0::2]).min() <= 1e-8:
             step *= 0.5
             continue
-        trial = float(_q_midpoint_margin(CUBE, *candidate))
+        trial = float(_q_midpoint_margin(func, *candidate))
         if trial < margin:
             mats, margin = candidate, trial
         else:
             step *= 0.5
-    return margin, dict(zip(_C9_KEYS, mats))
+    return margin, dict(zip(_C4_KEYS, mats))
 
 
 def _chunk_samples(dim: int) -> int:
@@ -502,7 +430,8 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                 worst = (margin, index, witness)
 
     if config.campaign == "C9" and worst is not None:
-        raw_start = float(_q_midpoint_margin(CUBE, *(worst[2][k] for k in _C9_KEYS)))
+        raw_start = float(_q_midpoint_margin(config.scalar_function(),
+                                             *(worst[2][k] for k in _C4_KEYS)))
         margin, witness = _c9_descent(config, worst[2], raw_start)
         if config.relative:
             margin = margin / _norms(witness)

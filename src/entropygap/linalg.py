@@ -128,6 +128,14 @@ def _eigh(a: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(vals, vecs)
 
 
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    # The eigenvalues alone, under the same terms as _eigh.
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver did not converge: {exc}") from exc
+
+
 def eigh(a) -> SpectralDecomposition:
     """Eigendecomposition of a stored-Hermitian matrix, eigenvalues ascending."""
     return _eigh(check_hermitian(a))

@@ -117,6 +117,19 @@ def test_all_runs_eight_campaigns(tmp_path, capsys):
     assert all(entry["violations"] == 0 for entry in data["campaigns"].values())
 
 
+def test_all_records_the_function_each_campaign_ran(tmp_path, capsys):
+    # C5 fixes t log t and C6 the power function, whatever --function says.
+    path = tmp_path / "all.json"
+    code = main(["--all", "--function", "power", "--samples", "5", "--out", str(path)])
+    capsys.readouterr()
+    assert code == EXIT_PASS
+    documents = json.loads(path.read_text())["campaigns"]
+    configs = {cid: entry["config"] for cid, entry in documents.items()}
+    assert configs["C5"]["function"] == "t_log_t"
+    assert configs["C6"]["function"] == "power"
+    assert configs["C1"]["function"] == "power"
+
+
 def test_c9_prints_inconclusive_note(capsys):
     code = main(["--campaign", "C9", "--samples", "5"])
     out = capsys.readouterr().out

@@ -89,17 +89,21 @@ def test_gap_vanishes_on_maximally_mixed():
     assert abs(entropy_gap(rho, GAP)) <= 1e-13
 
 
-def test_gap_entropy_closed_form():
+@pytest.mark.parametrize("eig_range", [(0.1, 3.0), (1e-4, 1.0)], ids=["default", "wide"])
+@pytest.mark.parametrize("d1,d2", [(d1, d2) for d1 in range(1, 5) for d2 in range(1, 5)] + [(8, 8)])
+def test_gap_entropy_closed_form(d1, d2, eig_range):
     # For f = t log t the gap equals log(d2) tr(rho) - S(rho) + S(tr_2 rho).
-    for index in range(20):
-        rho, _ = _draw(227, index)
-        lhs = entropy_gap(rho, GAP)
-        rhs = (
-            math.log(3.0) * np.trace(rho).real
-            - von_neumann_entropy(rho)
-            + von_neumann_entropy(partial_trace_2(rho, SPACE))
+    # The bound is relative to the terms, not to G, which can be near 0.
+    space = BipartiteSpace(d1, d2)
+    spec = EntropyGapSpec(T_LOG_T, space)
+    for index in range(10):
+        rho = random_pd(space.dim, RngStream(227, index), eig_range)
+        terms = (
+            math.log(d2) * np.trace(rho).real,
+            -von_neumann_entropy(rho),
+            von_neumann_entropy(partial_trace_2(rho, space)),
         )
-        assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
+        assert abs(entropy_gap(rho, spec) - sum(terms)) <= 1e-14 * sum(abs(v) for v in terms)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])

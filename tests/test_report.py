@@ -299,6 +299,23 @@ def test_load_report_reads_documents_with_retired_config_fields(tmp_path):
     assert render_report(loaded) == render_report(report)
 
 
+def test_load_report_reads_c6_documents_that_recorded_t_log_t(tmp_path):
+    # Earlier versions recorded the configured function for C6, which read
+    # only the exponent; the config now records "power", and a rerun of the
+    # loaded config gives the margins the document holds.
+    report = _report(campaign="C6", p=1.25)
+    data = report_to_dict(report)
+    assert data["config"]["function"] == "power"
+    data["config"]["function"] = "t_log_t"
+    path = tmp_path / "earlier.json"
+    path.write_bytes((json.dumps(data, indent=2) + "\n").encode("utf-8"))
+    loaded = load_report(path)
+    assert loaded.config == report.config
+    rerun = run_campaign(loaded.config)
+    assert _bits(rerun.margins) == _bits(loaded.margins)
+    assert rerun.violations == loaded.violations
+
+
 @pytest.mark.parametrize("family", ["pinching", "expectation"])
 def test_load_report_reads_c3_documents_in_the_mixed_unitary_layout(tmp_path, family):
     # Earlier versions stored every C3 channel as its weights and unitaries,
