@@ -24,7 +24,6 @@ from .calculus import (
     LOG,
     SQUARE,
     T_LOG_T,
-    LoewnerMatrix,
     ScalarFunction,
     by_name,
     divided_difference,

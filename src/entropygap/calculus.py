@@ -11,6 +11,10 @@ difference with confluent value ``g'(t)``.  The quadratic form
 ``tr h^H Dg'(a)[h]`` built from the same kernel for ``g = f'`` is the
 curvature form whose convexity and monotonicity the campaigns certify.
 
+One broadcasting function, :func:`divided_difference`, holds this rule;
+:func:`loewner` applies it to the pairs of a spectrum, and campaign C8 checks
+it on scalar pairs, so C8 checks the code every kernel comes from.
+
 The matrix routines take one matrix or a stack of them, shape ``(..., n, n)``,
 and return one value per matrix: a float for a single matrix, else an array.
 """
@@ -18,13 +22,12 @@ and return one value per matrix: a float for a single matrix, else an array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
 from .linalg import (
-    SpectralDecomposition,
     _adjoint,
     _eigh,
     _per_matrix,
@@ -151,60 +154,39 @@ def by_name(name: str, p: float | None = None) -> ScalarFunction:
         raise DomainError(f"unknown scalar function {name!r}; choose from {BUILTIN_NAMES}") from None
 
 
-class LoewnerMatrix(NamedTuple):
-    """First divided differences of a scalar function on a fixed spectrum."""
-
-    eigenvalues: np.ndarray
-    entries: np.ndarray
-
-
-def divided_difference(g, dg, s: float, t: float, threshold: float = CONFLUENT_THRESHOLD) -> float:
+def divided_difference(g, dg, s, t) -> float | np.ndarray:
     """First divided difference ``(g(t) - g(s)) / (t - s)`` on (0, inf).
 
-    Below the relative gap ``threshold`` the quotient would lose precision to
+    ``s`` and ``t`` broadcast against each other; scalar arguments give a
+    float.  Where the relative gap ``|t - s| / max(s, t)`` is at most
+    :data:`CONFLUENT_THRESHOLD` the quotient would lose precision to
     cancellation, so the confluent value ``dg((s + t) / 2)`` is used instead.
+    The value is symmetric in ``s`` and ``t``: ``(-x)/(-y) == x/y`` bitwise,
+    except for the sign of a zero quotient.
     """
-    s, t = float(s), float(t)
-    if not (s > 0 and t > 0):
-        raise DomainError(f"divided difference needs positive arguments, got ({s}, {t})")
-    if abs(t - s) > threshold * max(s, t):
-        return float((g(t) - g(s)) / (t - s))
-    return float(dg((s + t) / 2.0))
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    smallest = float(np.minimum(np.min(s), np.min(t)))
+    if not smallest > 0:
+        raise DomainError(f"divided difference needs positive arguments; smallest is {smallest:.6g}")
+    diff = t - s
+    near = np.abs(diff) <= CONFLUENT_THRESHOLD * np.maximum(s, t)
+    quotient = (g(t) - g(s)) / np.where(near, 1.0, diff)
+    return _per_matrix(np.where(near, dg((s + t) / 2.0), quotient))
 
 
-def _divided_difference_matrix(fn, dfn, lam: np.ndarray, threshold: float) -> np.ndarray:
-    # Pairwise quotients; near-confluent pairs (the diagonal among them) fall
-    # back to the derivative at the midpoint.  The construction is exactly
-    # symmetric: (-x)/(-y) == x/y bitwise.
-    li = lam[..., :, None]
-    lj = lam[..., None, :]
-    diff = li - lj
-    near = np.abs(diff) <= threshold * np.maximum(li, lj)
-    quotient = (fn(li) - fn(lj)) / np.where(near, 1.0, diff)
-    return np.where(near, dfn((li + lj) / 2.0), quotient)
-
-
-def _select_pair(func: ScalarFunction, which: str):
-    if which == "f":
-        return func.f, func.f1
-    if which == "f1":
-        return func.f1, func.f2
-    raise DomainError(f"which must be 'f' or 'f1', got {which!r}")
-
-
-def loewner(func: ScalarFunction, which: str, dec: SpectralDecomposition,
-            threshold: float = CONFLUENT_THRESHOLD) -> LoewnerMatrix:
+def loewner(func: ScalarFunction, which: str, eigenvalues) -> np.ndarray:
     """Divided-difference kernel of ``func.f`` or ``func.f1`` on a spectrum.
 
     K[i, j] is the divided difference at (lam_i, lam_j); the diagonal carries
     the derivative values.  A stacked spectrum gives a stack of kernels.
     """
-    lam = np.asarray(dec.eigenvalues, dtype=float)
+    if which not in ("f", "f1"):
+        raise DomainError(f"which must be 'f' or 'f1', got {which!r}")
+    lam = np.asarray(eigenvalues, dtype=float)
     if lam.size == 0:
         raise DomainError("empty spectrum")
-    check_positive(lam, "spectrum must be positive")
-    fn, dfn = _select_pair(func, which)
-    return LoewnerMatrix(lam, _divided_difference_matrix(fn, dfn, lam, threshold))
+    g, dg = (func.f, func.f1) if which == "f" else (func.f1, func.f2)
+    return divided_difference(g, dg, lam[..., None, :], lam[..., :, None])
 
 
 def matrix_function(func: ScalarFunction, a) -> np.ndarray:
@@ -224,10 +206,10 @@ def frechet_derivative(func: ScalarFunction, which: str, a, h) -> np.ndarray:
     h = check_hermitian(h, "direction")
     if h.shape != dec.basis.shape:
         raise DomainError(f"direction shape {h.shape} does not match base point")
-    kernel = loewner(func, which, dec)
+    kernel = loewner(func, which, dec.eigenvalues)
     u = dec.basis
     rotated = _adjoint(u) @ h @ u
-    return hermitize(u @ (kernel.entries * rotated) @ _adjoint(u))
+    return hermitize(u @ (kernel * rotated) @ _adjoint(u))
 
 
 def quad_form(func: ScalarFunction, a, h) -> float | np.ndarray:
@@ -247,7 +229,7 @@ def _quad_form(func: ScalarFunction, a: np.ndarray, h: np.ndarray) -> np.ndarray
     # quad_form without the checks of its arguments, for stored-Hermitian
     # inputs of equal shape; one value per matrix.
     dec = _eigh(a)
-    kernel = loewner(func, "f1", dec)
+    kernel = loewner(func, "f1", dec.eigenvalues)
     rotated = _adjoint(dec.basis) @ h @ dec.basis
     weights = rotated.real**2 + rotated.imag**2
-    return np.sum(weights * kernel.entries, axis=(-2, -1))
+    return np.sum(weights * kernel, axis=(-2, -1))

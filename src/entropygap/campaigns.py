@@ -35,7 +35,9 @@ C9         C4 with f = t**3 as a falsification search: random search, then
 
 C5, C6 and C9 are presets: they run the sampler of C1 or C4 with the function
 of :data:`PRESET_FUNCTIONS`, and their config records that function whatever
-``function`` was passed in.
+``function`` was passed in.  C7 (which uses none) and C8 (whose curvature form
+is that of t log t) record ``t_log_t`` the same way.  A config records ``p``
+as given only with ``power``, which alone reads it, else at its default.
 
 C1-C3, C5 and C6 use the bipartite split (d1, d2); C4 and C7-C9 use only the
 dimension d1 * d2.  Per-sample randomness comes from ``RngStream(seed, sample_index)``
@@ -87,6 +89,7 @@ from .errors import DomainError, NumericError
 from .linalg import (
     RngStream,
     _adjoint,
+    _eigvalsh,
     check_hermitian,
     hermitize,
     random_hermitian,
@@ -98,8 +101,11 @@ from .oracles import dd_log_quadrature, log_quad_form_quadrature
 CAMPAIGN_IDS = tuple(f"C{i}" for i in range(1, 10))
 CHANNEL_FAMILIES = ("pinching", "expectation", "mixed", "uniform")
 
-# The function each preset campaign fixes; C5 and C6 run as C1, C9 as C4.
-PRESET_FUNCTIONS = {"C5": "t_log_t", "C6": "power", "C9": "cube"}
+# The function each campaign fixes whatever the config names: C5 and C6 run as
+# C1, C9 as C4, C7 uses none and C8 t log t.  A config records p as
+# _DEFAULT_P unless its function is power.
+PRESET_FUNCTIONS = {"C5": "t_log_t", "C6": "power", "C7": "t_log_t", "C8": "t_log_t", "C9": "cube"}
+_DEFAULT_P = 1.5
 
 # C8 draws its scalar pairs from this interval regardless of the matrix
 # spectrum range.
@@ -135,7 +141,7 @@ class CampaignConfig:
     seed: int = 42
     tolerance: float = 1e-8
     function: str = "t_log_t"
-    p: float = 1.5
+    p: float = _DEFAULT_P
     weights: tuple[float, ...] = (0.5, 0.25, 0.75)
     eig_low: float = 0.1
     eig_high: float = 3.0
@@ -147,6 +153,8 @@ class CampaignConfig:
         preset = PRESET_FUNCTIONS.get(self.campaign)
         if preset is not None:
             object.__setattr__(self, "function", preset)
+        if self.function != "power":
+            object.__setattr__(self, "p", _DEFAULT_P)
 
     def validate(self) -> None:
         if self.campaign not in CAMPAIGN_IDS:
@@ -311,12 +319,14 @@ def _sample_c7(config: CampaignConfig, streams):
     b1 = random_hermitian(dim, streams, 1.0) + 1j * random_hermitian(dim, streams, 1.0)
     a2 = _draw_pd(config, streams, dim)
     b2 = random_hermitian(dim, streams, 1.0) + 1j * random_hermitian(dim, streams, 1.0)
+    for a in (a1, a2):
+        check_hermitian(a)
     defect = (
         0.5 * _congruence_inverse(a1, b1)
         + 0.5 * _congruence_inverse(a2, b2)
         - _congruence_inverse((a1 + a2) / 2.0, (b1 + b2) / 2.0)
     )
-    margins = np.linalg.eigvalsh(defect).min(axis=-1)
+    margins = _eigvalsh(defect).min(axis=-1)
     witnesses = [{"a1": m1, "b1": n1, "a2": m2, "b2": n2} for m1, n1, m2, n2 in zip(a1, b1, a2, b2)]
     return margins.tolist(), witnesses
 
@@ -324,16 +334,15 @@ def _sample_c7(config: CampaignConfig, streams):
 def _sample_c8(config: CampaignConfig, streams):
     dim = config.space().dim
     lo, hi = _C8_PAIR_RANGE
-    pairs = [tuple(float(v) for v in rng.gen.uniform(lo, hi, size=2)) for rng in streams]
-    dd_gaps = [abs(divided_difference(LOG.f, LOG.f1, s, t) - dd_log_quadrature(s, t))
-               for s, t in pairs]
+    s, t = np.array([rng.gen.uniform(lo, hi, size=2) for rng in streams]).T
+    dd_gaps = np.abs(divided_difference(LOG.f, LOG.f1, s, t) - dd_log_quadrature(s, t))
     a = _draw_pd(config, streams, dim)
     h = random_hermitian(dim, streams, 1.0)
     references = np.array([log_quad_form_quadrature(ai, hi) for ai, hi in zip(a, h)])
     qf_gaps = np.abs(quad_form(T_LOG_T, a, h) - references) / np.abs(references)
-    margins = [-max(dd_gap, qf_gap) for dd_gap, qf_gap in zip(dd_gaps, qf_gaps.tolist())]
-    witnesses = [{"s": s, "t": t, "a": ai, "h": hi} for (s, t), ai, hi in zip(pairs, a, h)]
-    return margins, witnesses
+    witnesses = [{"s": si, "t": ti, "a": ai, "h": hi}
+                 for si, ti, ai, hi in zip(s.tolist(), t.tolist(), a, h)]
+    return (-np.maximum(dd_gaps, qf_gaps)).tolist(), witnesses
 
 
 _SAMPLERS = {
@@ -368,7 +377,7 @@ def _c9_descent(config: CampaignConfig, witness: dict, start_margin: float):
         if step < 1e-12:
             break
         candidate = mats + step * random_hermitian(dim, [rng] * 4, 1.0)
-        if np.linalg.eigvalsh(candidate[0::2]).min() <= 1e-8:
+        if _eigvalsh(candidate[0::2]).min() <= 1e-8:
             step *= 0.5
             continue
         trial = float(_q_midpoint_margin(func, *candidate))
@@ -386,8 +395,9 @@ def _chunk_samples(dim: int) -> int:
 def _evaluate(config: CampaignConfig, indices, errors: list) -> list:
     """``(index, margin, witness)`` of each sample in ``indices`` that succeeds.
 
-    The samples are evaluated as one chunk; a non-finite margin, which a
-    non-finite draw can give without raising, counts as a ``NumericError``.
+    The samples are evaluated as one chunk; a non-finite margin counts as a
+    ``NumericError`` (the samplers validate their draws, so this is a net for
+    what their checks miss).
     If the chunk raises, each sample is evaluated again as a chunk of one,
     and each failure is appended to ``errors`` against its own sample.
     """

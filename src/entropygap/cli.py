@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="margin tolerance (default 1e-8)")
     parser.add_argument("--function", choices=BUILTIN_NAMES, default="t_log_t",
                         help="scalar function of C1-C4 (default t_log_t); "
-                             "C5, C6 and C9 fix their own")
+                             "C5-C9 fix their own")
     parser.add_argument("--p", type=float, default=1.5,
                         help="exponent for --function power and campaign C6 (default 1.5)")
     parser.add_argument("--weights", type=_parse_weights, default=(0.5, 0.25, 0.75),

@@ -97,7 +97,7 @@ def second_differential_fd(rho, h, spec: EntropyGapSpec, step: float) -> float:
     h = check_hermitian(h, "direction")
     for sign, label in ((1.0, "plus"), (-1.0, "minus")):
         shifted = rho + sign * step * h
-        smallest = float(np.linalg.eigvalsh(shifted).min())
+        smallest = float(_eigvalsh(shifted).min())
         if smallest <= 0:
             raise DomainError(
                 f"state {label} step*direction leaves the positive definite cone "

@@ -12,7 +12,7 @@ import numpy as np
 
 from .calculus import ScalarFunction, matrix_function
 from .errors import DomainError
-from .linalg import check_hermitian
+from .linalg import _eigvalsh, _per_matrix, check_hermitian, check_positive
 
 
 # Rules computed so far, by node count; their arrays are read-only.
@@ -36,17 +36,21 @@ def gauss_legendre_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def dd_log_quadrature(s: float, t: float, nodes: int = 64) -> float:
+def dd_log_quadrature(s, t, nodes: int = 64) -> float | np.ndarray:
     """Integral form of the log divided difference.
 
     Evaluates integral_0^1 dl / (l*t + (1 - l)*s), which equals
-    (log t - log s) / (t - s) for positive s, t.
+    (log t - log s) / (t - s) for positive s, t, with an n-node
+    Gauss-Legendre rule.  ``s`` and ``t`` broadcast against each other, and
+    each pair's nodes are summed along the last axis, so a pair gets the bits
+    it gets alone; scalar arguments give a float.
     """
-    s, t = float(s), float(t)
-    if not (s > 0 and t > 0):
-        raise DomainError(f"integral kernel needs positive arguments, got ({s}, {t})")
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    smallest = float(np.minimum(np.min(s), np.min(t)))
+    if not smallest > 0:
+        raise DomainError(f"integral kernel needs positive arguments; smallest is {smallest:.6g}")
     x, w = gauss_legendre_unit(nodes)
-    return float(np.sum(w / (x * t + (1.0 - x) * s)))
+    return _per_matrix(np.sum(w / (x * t[..., None] + (1.0 - x) * s[..., None]), axis=-1))
 
 
 def log_quad_form_quadrature(a, h, nodes: int = 128) -> float:
@@ -64,8 +68,7 @@ def log_quad_form_quadrature(a, h, nodes: int = 128) -> float:
     h = check_hermitian(h, "direction")
     if h.shape != a.shape:
         raise DomainError(f"direction shape {h.shape} does not match base point {a.shape}")
-    if float(np.linalg.eigvalsh(a).min()) <= 0:
-        raise DomainError("resolvent integral needs a positive definite base point")
+    check_positive(_eigvalsh(a), "resolvent integral needs a positive definite base point")
     x, w = gauss_legendre_unit(nodes)
     eye = np.eye(a.shape[0])
     pencil = (1.0 - x)[:, None, None] * a + x[:, None, None] * eye

@@ -144,42 +144,84 @@ def test_divided_difference_symmetric_and_log_kernel_positive(s, t):
 
 def test_loewner_square_kernel_is_constant():
     dec = eigh(np.diag([0.5, 1.0, 2.5]).astype(complex))
-    k = loewner(SQUARE, "f1", dec)
-    assert np.array_equal(k.entries, np.full((3, 3), 2.0))
+    k = loewner(SQUARE, "f1", dec.eigenvalues)
+    assert np.array_equal(k, np.full((3, 3), 2.0))
 
 
 def test_loewner_identity_kernel_is_zero():
     dec = eigh(np.diag([1.0, 3.0]).astype(complex))
-    k = loewner(IDENTITY, "f1", dec)
-    assert np.array_equal(k.entries, np.zeros((2, 2)))
+    k = loewner(IDENTITY, "f1", dec.eigenvalues)
+    assert np.array_equal(k, np.zeros((2, 2)))
 
 
 def test_loewner_t_log_t_example():
     dec = eigh(np.diag([1.0, 2.0]).astype(complex))
-    k = loewner(T_LOG_T, "f1", dec)
+    k = loewner(T_LOG_T, "f1", dec.eigenvalues)
     expected = np.array([[1.0, LOG2], [LOG2, 0.5]])
-    assert np.allclose(k.entries, expected, atol=1e-15)
-    assert np.array_equal(k.entries, k.entries.T)
+    assert np.allclose(k, expected, atol=1e-15)
+    assert np.array_equal(k, k.T)
 
 
 def test_loewner_log_kernel_positive_on_random_spectra():
     for index in range(20):
         rng = RngStream(13, index)
         dec = eigh(random_pd(5, rng, (0.1, 10.0)))
-        k = loewner(LOG, "f", dec)
-        assert (k.entries > 0).all()
+        k = loewner(LOG, "f", dec.eigenvalues)
+        assert (k > 0).all()
 
 
 def test_loewner_rejects_nonpositive_spectrum():
     dec = eigh(np.diag([-1.0, 2.0]).astype(complex))
     with pytest.raises(DomainError, match="-1"):
-        loewner(LOG, "f", dec)
+        loewner(LOG, "f", dec.eigenvalues)
 
 
 def test_loewner_rejects_unknown_selector():
     dec = eigh(np.eye(2, dtype=complex))
     with pytest.raises(DomainError, match="which"):
-        loewner(LOG, "f2", dec)
+        loewner(LOG, "f2", dec.eigenvalues)
+
+
+# Relative gaps on both sides of CONFLUENT_THRESHOLD, with t = s * (1 + gap).
+_GAPS = (0.0, 1e-10, 0.99e-7, 1.01e-7, 1e-5, 1e-3, 1.0)
+
+
+def _pairs():
+    """Pairs with s < t and with s > t at every gap, as two arrays."""
+    low = np.array([0.3, 1.0, 7.5])[:, None] * np.ones(len(_GAPS))
+    high = low * (1.0 + np.array(_GAPS))
+    relative = (high - low) / high
+    assert ((relative > 0.0) & (relative <= CONFLUENT_THRESHOLD)).any()
+    assert ((relative > CONFLUENT_THRESHOLD) & (relative < 1.1e-7)).any()
+    return np.concatenate([low.ravel(), high.ravel()]), np.concatenate([high.ravel(), low.ravel()])
+
+
+@pytest.mark.parametrize("which", ["f", "f1"])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_divided_difference_is_the_loewner_kernel_bitwise(name, which):
+    # One rule: the kernel on a spectrum [s, t], the array call and the scalar
+    # calls give the same bits for every pair.
+    func = by_name(name, p=1.5)
+    g, dg = (func.f, func.f1) if which == "f" else (func.f1, func.f2)
+    s, t = _pairs()
+    values = divided_difference(g, dg, s, t)
+    kernels = loewner(func, which, np.stack([s, t], axis=-1))
+    one_at_a_time = [divided_difference(g, dg, float(a), float(b)) for a, b in zip(s, t)]
+    assert values.tobytes() == kernels[:, 1, 0].tobytes()
+    assert divided_difference(g, dg, t, s).tobytes() == kernels[:, 0, 1].tobytes()
+    assert np.array_equal(kernels[:, 0, 1], values)  # symmetric up to the sign of a zero
+    assert values.tobytes() == np.array(one_at_a_time).tobytes()
+    assert all(isinstance(v, float) for v in one_at_a_time)
+
+
+def test_dd_log_quadrature_on_arrays_matches_its_scalar_calls_bitwise():
+    s, t = _pairs()
+    values = dd_log_quadrature(s, t)
+    one_at_a_time = [dd_log_quadrature(float(a), float(b)) for a, b in zip(s, t)]
+    assert values.shape == s.shape
+    assert values.tobytes() == np.array(one_at_a_time).tobytes()
+    with pytest.raises(DomainError):
+        dd_log_quadrature(s, -t)
 
 
 # -- matrix functions ---------------------------------------------------------

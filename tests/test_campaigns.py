@@ -131,15 +131,9 @@ def test_chunk_size_does_not_change_margins_or_errors(monkeypatch, campaign, d1,
     first = reports[0]
     if poisoned:
         assert [e["sample"] for e in first.errors] == [4]
-        kind = first.errors[0]["type"]
-        if campaign == "C7" and d1 * d2 == 1:
-            # A 1x1 eigensolve raises nothing on a NaN, so the margin comes
-            # out non-finite and is recorded as a numeric error.
-            assert kind == "NumericError"
-            assert first.errors[0]["message"].startswith("NumericError: margin is not finite: ")
-        else:
-            assert kind in ("DomainError", "LinAlgError")
-        assert first.errors[0]["message"].startswith(kind + ": ")
+        # Every sampler validates its positive definite draws.
+        assert first.errors[0]["type"] == "DomainError"
+        assert first.errors[0]["message"].startswith("DomainError: ")
     else:
         assert first.errors == []
     for other in reports[1:]:
@@ -247,6 +241,33 @@ def test_presets_run_their_base_campaign_bitwise(d1, d2):
         assert report.config.function == function
         assert _bits(report.margins[:9]) == _bits(expected.margins)
         assert len(report.margins) == (10 if preset == "C9" else 9)  # C9 adds its descent
+
+
+@pytest.mark.parametrize(
+    "campaign,function,recorded_function,recorded_p",
+    [
+        ("C1", "power", "power", 1.2),
+        ("C1", "t_log_t", "t_log_t", 1.5),
+        ("C2", "log", "log", 1.5),
+        ("C5", "power", "t_log_t", 1.5),
+        ("C6", "t_log_t", "power", 1.2),
+        ("C7", "power", "t_log_t", 1.5),
+        ("C8", "power", "t_log_t", 1.5),
+        ("C9", "power", "cube", 1.5),
+    ],
+)
+def test_config_records_the_function_and_exponent_that_run(campaign, function,
+                                                           recorded_function, recorded_p):
+    config = CampaignConfig(campaign, function=function, p=1.2)
+    assert (config.function, config.p) == (recorded_function, recorded_p)
+
+
+@pytest.mark.parametrize("d1,d2", SHAPES)
+def test_c7_margins_ignore_the_function(d1, d2):
+    report = _run("C7", d1=d1, d2=d2, samples=9, function="power", p=1.2)
+    default = _run("C7", d1=d1, d2=d2, samples=9)
+    assert report.config == default.config
+    assert _bits(report.margins) == _bits(default.margins)
 
 
 def test_c5_records_no_error_on_a_wide_spectrum():

@@ -118,16 +118,26 @@ def test_all_runs_eight_campaigns(tmp_path, capsys):
 
 
 def test_all_records_the_function_each_campaign_ran(tmp_path, capsys):
-    # C5 fixes t log t and C6 the power function, whatever --function says.
+    # C5, C7 and C8 fix t log t and C6 the power function, whatever
+    # --function says; p is recorded as given only with the power function.
     path = tmp_path / "all.json"
-    code = main(["--all", "--function", "power", "--samples", "5", "--out", str(path)])
+    code = main(["--all", "--function", "power", "--p", "1.2", "--samples", "5",
+                 "--out", str(path)])
     capsys.readouterr()
     assert code == EXIT_PASS
     documents = json.loads(path.read_text())["campaigns"]
-    configs = {cid: entry["config"] for cid, entry in documents.items()}
-    assert configs["C5"]["function"] == "t_log_t"
-    assert configs["C6"]["function"] == "power"
-    assert configs["C1"]["function"] == "power"
+    recorded = {cid: (entry["config"]["function"], entry["config"]["p"])
+                for cid, entry in documents.items()}
+    assert recorded == {
+        "C1": ("power", 1.2),
+        "C2": ("power", 1.2),
+        "C3": ("power", 1.2),
+        "C4": ("power", 1.2),
+        "C5": ("t_log_t", 1.5),
+        "C6": ("power", 1.2),
+        "C7": ("t_log_t", 1.5),
+        "C8": ("t_log_t", 1.5),
+    }
 
 
 def test_c9_prints_inconclusive_note(capsys):

@@ -316,6 +316,24 @@ def test_load_report_reads_c6_documents_that_recorded_t_log_t(tmp_path):
     assert rerun.violations == loaded.violations
 
 
+def test_load_report_reads_c7_documents_that_recorded_power(tmp_path):
+    # Earlier versions recorded the configured function and exponent for C7,
+    # which reads neither; the config now records t_log_t at the default
+    # exponent, and a rerun of the loaded config gives the document's margins.
+    report = _report(campaign="C7")
+    data = report_to_dict(report)
+    assert (data["config"]["function"], data["config"]["p"]) == ("t_log_t", 1.5)
+    data["config"]["function"] = "power"
+    data["config"]["p"] = 1.2
+    path = tmp_path / "earlier.json"
+    path.write_bytes((json.dumps(data, indent=2) + "\n").encode("utf-8"))
+    loaded = load_report(path)
+    assert loaded.config == report.config
+    rerun = run_campaign(loaded.config)
+    assert _bits(rerun.margins) == _bits(loaded.margins)
+    assert rerun.violations == loaded.violations
+
+
 @pytest.mark.parametrize("family", ["pinching", "expectation"])
 def test_load_report_reads_c3_documents_in_the_mixed_unitary_layout(tmp_path, family):
     # Earlier versions stored every C3 channel as its weights and unitaries,
