@@ -26,7 +26,9 @@ C7         midpoint operator convexity of (A, B) -> B^H A^-1 B: smallest
 C8         kernel identities: -|difference|, the larger of the log divided
            difference against its integral form (absolute) and the t log t
            curvature form against the resolvent quadrature (relative), so a
-           difference above the tolerance is a violation
+           difference above the tolerance is a violation; a base point too
+           ill-conditioned for the quadrature (condition number beyond about
+           1e9) is a NumericError
 C9         C4 with f = t**3 as a falsification search: random search, then
            greedy local descent from the worst draw (appended as one extra
            margin entry); finding a violation is the interesting outcome,

@@ -114,7 +114,7 @@ def check_positive(eigenvalues, what: str) -> None:
     """Raise ``DomainError("<what>; smallest eigenvalue is ...")`` unless every
     eigenvalue is positive."""
     smallest = float(np.min(eigenvalues))
-    if smallest <= 0:
+    if not smallest > 0:  # also catches NaN
         raise DomainError(f"{what}; smallest eigenvalue is {smallest:.6g}")
 
 

@@ -16,6 +16,7 @@ from entropygap import (
     SQUARE,
     T_LOG_T,
     DomainError,
+    NumericError,
     RngStream,
     by_name,
     divided_difference,
@@ -29,10 +30,12 @@ from entropygap import (
     random_pd,
 )
 from entropygap.oracles import (
+    RESOLVENT_NODES,
     dd_log_quadrature,
     frechet_central_difference,
     gauss_legendre_unit,
     log_quad_form_quadrature,
+    resolvent_nodes,
 )
 
 LOG2 = 0.6931471805599453
@@ -346,7 +349,71 @@ def test_quad_form_matches_resolvent_quadrature():
             h = random_hermitian(dim, rng)
             got = quad_form(T_LOG_T, a, h)
             ref = log_quad_form_quadrature(a, h)
-            assert abs(got - ref) <= 1e-7 * abs(ref)
+            assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def _mp_log_quad_form(a, h) -> float:
+    """tr[h Dlog(a)[h]] at 40 digits: sum_ij |(u^H h u)_ij|^2 dd log(l_i, l_j)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        lam, u = mpmath.eighe(mpmath.matrix(a.tolist()))
+        g = u.H * mpmath.matrix(h.tolist()) * u
+        total = mpmath.mpf(0)
+        for i in range(a.shape[0]):
+            for j in range(a.shape[0]):
+                s, t = lam[i], lam[j]
+                dd = 1 / s if s == t else (mpmath.log(t) - mpmath.log(s)) / (t - s)
+                total += abs(g[i, j]) ** 2 * dd
+        return float(total)
+
+
+def _centred_resolvent_rule(a, h, nodes: int) -> float:
+    # The centred resolvent integral at a given node count, as a self-check.
+    lam = np.linalg.eigvalsh(a)
+    c = math.sqrt(lam[0] * lam[-1])
+    x, w = gauss_legendre_unit(nodes)
+    pencil = (1.0 - x)[:, None, None] * a + (c * x)[:, None, None] * np.eye(len(a))
+    solved = np.linalg.solve(pencil, np.broadcast_to(h, pencil.shape).copy())
+    return c * float(np.sum(w * np.einsum("nij,nji->n", solved, solved).real))
+
+
+@pytest.mark.parametrize("low,high,normalize", [(0.1, 3.0, False), (0.1, 3.0, True),
+                                                 (1e-4, 1.0, False), (1e-3, 3.0, True)])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 6, 8, 16, 32, 64])
+def test_resolvent_quadrature_is_accurate_across_spectra(low, high, normalize, dim):
+    # Up to dimension 6 against 40-digit arithmetic; above that against the
+    # kernel form and the same rule at twice the nodes.
+    for index in range(3):
+        rng = RngStream(97, dim * 10 + index)
+        a = random_pd(dim, rng, (low, high))
+        if normalize:
+            a = a / np.trace(a).real
+        h = random_hermitian(dim, rng)
+        got = log_quad_form_quadrature(a, h)
+        if dim <= 6:
+            exact = _mp_log_quad_form(a, h)
+            assert abs(got - exact) <= 1e-12 * abs(exact)
+        lam = np.linalg.eigvalsh(a)
+        doubled = _centred_resolvent_rule(a, h, 2 * resolvent_nodes(lam[0], lam[-1]))
+        assert abs(got - doubled) <= 1e-12 * abs(doubled)
+        assert abs(got - quad_form(T_LOG_T, a, h)) <= 1e-12 * abs(got)
+
+
+def test_resolvent_nodes_follow_the_condition_number():
+    assert resolvent_nodes(2.0, 2.0) == RESOLVENT_NODES[0] == 8
+    counts = [resolvent_nodes(1.0, kappa) for kappa in np.logspace(0, 9, 50)]
+    assert counts == sorted(counts)
+    assert set(counts) <= set(RESOLVENT_NODES)
+    assert resolvent_nodes(0.1, 3.0) == 32  # the default spectrum range
+    assert resolvent_nodes(1e-300, 1e-291) == resolvent_nodes(1.0, 1e9)
+    with pytest.raises(NumericError, match="nodes at condition number 1e\\+10"):
+        resolvent_nodes(1.0, 1e10)
+
+
+def test_resolvent_quadrature_refuses_an_ill_conditioned_base_point():
+    a = np.diag([1e-20, 1.0]).astype(complex)
+    with pytest.raises(NumericError, match="at most 2048 are allowed"):
+        log_quad_form_quadrature(a, np.eye(2, dtype=complex))
 
 
 def test_quad_form_is_trace_of_derivative():
@@ -408,6 +475,16 @@ def test_gauss_legendre_unit_returns_the_same_read_only_rule():
 
 def test_dd_log_quadrature_analytic_case():
     assert dd_log_quadrature(1.0, 3.0) == pytest.approx(math.log(3.0) / 2.0, abs=1e-12)
+
+
+def test_dd_log_quadrature_is_accurate_over_the_c8_pair_range():
+    mpmath = pytest.importorskip("mpmath")
+    s, t = RngStream(5, 0).gen.uniform(0.1, 10.0, size=(2, 2000))
+    s[:2], t[:2] = (0.1, 10.0), (10.0, 0.1)  # the widest ratio C8 can draw
+    with mpmath.workdps(30):
+        exact = np.array([float((mpmath.log(b) - mpmath.log(a)) / (mpmath.mpf(b) - a))
+                          for a, b in zip(s, t)])
+    assert np.max(np.abs(dd_log_quadrature(s, t) - exact) / exact) <= 1e-14
 
 
 def test_central_difference_requires_positive_step():

@@ -293,6 +293,19 @@ def test_c8_kernel_gaps_below_tolerance():
     assert max(-m for m in report.margins) <= 1e-7
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(d1=8, d2=8, samples=20, normalize=True),
+    dict(samples=200, eig_low=1e-9, eig_high=1e3),
+    dict(d1=4, d2=4, samples=100, eig_low=1e-4, eig_high=1.0),
+], ids=["8x8-normalized", "2x2-wide", "4x4-small"])
+def test_c8_reports_no_false_violation_on_wide_or_small_spectra(overrides):
+    # The kernel is right on these spectra; a violation would be the
+    # reference quadrature's error.
+    report = _run("C8", **overrides)
+    assert report.errors == []
+    assert report.violations == 0
+
+
 @pytest.mark.parametrize("offset,violated", [(0.5, False), (1.5, True)])
 def test_c8_flags_a_gap_above_the_tolerance(monkeypatch, offset, violated):
     # A reference off by `offset` tolerances gives a gap of about that size;

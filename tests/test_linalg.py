@@ -9,6 +9,7 @@ from entropygap import (
     DomainError,
     RngStream,
     check_hermitian,
+    check_positive,
     eigh,
     hermitize,
     is_stored_hermitian,
@@ -31,6 +32,13 @@ def test_check_hermitian_rejects_asymmetric_storage():
     a = np.array([[1.0, 2.0], [2.0 + 1e-18j, 1.0]])
     with pytest.raises(DomainError, match="hermitize"):
         check_hermitian(a)
+
+
+@pytest.mark.parametrize("spectrum", [[np.nan, 1.0], [1.0, np.nan], [0.0, 1.0], [-1e-300, 1.0]])
+def test_check_positive_rejects_nan_and_nonpositive_eigenvalues(spectrum):
+    with pytest.raises(DomainError, match="^x; smallest eigenvalue is"):
+        check_positive(np.array(spectrum), "x")
+    check_positive(np.array([1e-300, 1.0]), "x")
 
 
 def test_check_hermitian_rejects_non_finite():
