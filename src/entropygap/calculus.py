@@ -22,6 +22,7 @@ and return one value per matrix: a float for a single matrix, else an array.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -55,7 +56,6 @@ class ScalarFunction:
     f: Callable
     f1: Callable
     f2: Callable
-    params: dict | None = None
 
     def check_derivatives(self, points=(0.5, 1.0, 2.0, 5.0), tol: float = 1e-6) -> None:
         """Raise if f1 or f2 disagrees with a central difference of its parent."""
@@ -117,8 +117,9 @@ CUBE = ScalarFunction(
 )
 
 
+@lru_cache
 def power(p: float) -> ScalarFunction:
-    """The power function ``t -> t**p`` for an exponent in [1, 2]."""
+    """The power function ``t -> t**p`` for an exponent in [1, 2]; cached by ``p``."""
     p = float(p)
     if not 1.0 <= p <= 2.0:
         raise DomainError(f"power exponent must lie in [1, 2], got {p}")
@@ -127,7 +128,6 @@ def power(p: float) -> ScalarFunction:
         f=lambda t: np.power(t, p),
         f1=lambda t: p * np.power(t, p - 1.0),
         f2=lambda t: p * (p - 1.0) * np.power(t, p - 2.0),
-        params={"p": p},
     )
 
 

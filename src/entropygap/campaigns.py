@@ -35,11 +35,10 @@ C9         C4 with f = t**3 as a falsification search: random search, then
            absence of one is inconclusive
 =========  ===================================================================
 
-C5, C6 and C9 are presets: they run the sampler of C1 or C4 with the function
-of :data:`PRESET_FUNCTIONS`, and their config records that function whatever
-``function`` was passed in.  C7 (which uses none) and C8 (whose curvature form
-is that of t log t) record ``t_log_t`` the same way.  A config records ``p``
-as given only with ``power``, which alone reads it, else at its default.
+C5, C6 and C9 are presets that run the sampler of C1 or C4 with the function
+of :data:`PRESET_FUNCTIONS`; C7 uses none and C8 that of t log t.  Invalid
+values are rejected for every campaign; a config records a setting only where
+its campaign reads it, else its default (for ``function``, the preset).
 
 C1-C3, C5 and C6 use the bipartite split (d1, d2); C4 and C7-C9 use only the
 dimension d1 * d2.  Per-sample randomness comes from ``RngStream(seed, sample_index)``
@@ -79,11 +78,13 @@ from .bipartite import (
     random_mixed_unitary,
 )
 from .calculus import (
+    BUILTIN_NAMES,
     LOG,
     T_LOG_T,
     _quad_form,
     by_name,
     divided_difference,
+    power,
     quad_form,
 )
 from .entropy import EntropyGapSpec, _entropy_gap, entropy_gap, second_differential_spectral
@@ -104,10 +105,18 @@ CAMPAIGN_IDS = tuple(f"C{i}" for i in range(1, 10))
 CHANNEL_FAMILIES = ("pinching", "expectation", "mixed", "uniform")
 
 # The function each campaign fixes whatever the config names: C5 and C6 run as
-# C1, C9 as C4, C7 uses none and C8 t log t.  A config records p as
-# _DEFAULT_P unless its function is power.
+# C1, C9 as C4, C7 uses none and C8 t log t.
 PRESET_FUNCTIONS = {"C5": "t_log_t", "C6": "power", "C7": "t_log_t", "C8": "t_log_t", "C9": "cube"}
-_DEFAULT_P = 1.5
+
+# The settings that only some campaigns read, in the order they are decided,
+# each with whether a config's campaign reads it.  A config records a setting
+# its campaign does not read at the field default, and function at the preset.
+_READ = {
+    "function": lambda config: config.campaign not in PRESET_FUNCTIONS,
+    "p": lambda config: config.function == "power",
+    "weights": lambda config: config.campaign in ("C1", "C5", "C6"),
+    "channel_family": lambda config: config.campaign == "C3",
+}
 
 # C8 draws its scalar pairs from this interval regardless of the matrix
 # spectrum range.
@@ -133,7 +142,8 @@ class CampaignConfig:
     ``normalize`` rescales every positive definite draw to unit trace;
     ``relative`` divides each margin by 1 + the Frobenius norms of the drawn
     inputs; ``channel_family`` restricts the C3 channel draw ("uniform" picks
-    among the three families per sample).
+    among the three families per sample).  Construction rejects an invalid
+    field with ``ValueError``, then records unread settings by ``_READ``.
     """
 
     campaign: str
@@ -143,7 +153,7 @@ class CampaignConfig:
     seed: int = 42
     tolerance: float = 1e-8
     function: str = "t_log_t"
-    p: float = _DEFAULT_P
+    p: float = 1.5
     weights: tuple[float, ...] = (0.5, 0.25, 0.75)
     eig_low: float = 0.1
     eig_high: float = 3.0
@@ -152,32 +162,30 @@ class CampaignConfig:
     channel_family: str = "uniform"
 
     def __post_init__(self):
-        preset = PRESET_FUNCTIONS.get(self.campaign)
-        if preset is not None:
-            object.__setattr__(self, "function", preset)
-        if self.function != "power":
-            object.__setattr__(self, "p", _DEFAULT_P)
-
-    def validate(self) -> None:
-        if self.campaign not in CAMPAIGN_IDS:
-            raise ValueError(f"unknown campaign {self.campaign!r}; choose from {CAMPAIGN_IDS}")
-        space = self.space()  # bounds d1, d2 and the product
-        del space
+        for name, names in (("campaign", CAMPAIGN_IDS), ("channel_family", CHANNEL_FAMILIES),
+                            ("function", BUILTIN_NAMES)):
+            if getattr(self, name) not in names:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}; choose from {names}")
+        self.space()  # bounds d1, d2 and the product
         if self.samples < 1:
             raise ValueError(f"samples must be positive, got {self.samples}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
+        object.__setattr__(self, "weights", tuple(self.weights))
         if not self.weights or any(not 0.0 < t < 1.0 for t in self.weights):
             raise ValueError(f"segment weights must lie strictly inside (0, 1), got {self.weights}")
-        if not 0 < self.eig_low <= self.eig_high:
-            raise ValueError(f"eigenvalue range ({self.eig_low}, {self.eig_high}) is invalid")
-        if self.channel_family not in CHANNEL_FAMILIES:
-            raise ValueError(
-                f"unknown channel family {self.channel_family!r}; choose from {CHANNEL_FAMILIES}"
-            )
-        self.scalar_function()  # validates the name and, for power, p
+        if not 0 < self.eig_low <= self.eig_high < math.inf:
+            raise ValueError(f"eigenvalue range eig_low={self.eig_low}, eig_high={self.eig_high} "
+                             "must satisfy 0 < eig_low <= eig_high < inf")
+        power(self.p)  # raises unless p is a valid exponent
+        for name, read in _READ.items():
+            if not read(self):
+                default = getattr(CampaignConfig, name)
+                if name == "function":
+                    default = PRESET_FUNCTIONS[self.campaign]
+                object.__setattr__(self, name, default)
 
     def space(self) -> BipartiteSpace:
         return BipartiteSpace(self.d1, self.d2)
@@ -244,7 +252,7 @@ def _sample_c2(config: CampaignConfig, streams):
     space = config.space()
     gap = EntropyGapSpec(config.scalar_function(), space)
     rho = _draw_pd(config, streams, space.dim)
-    h = random_hermitian(space.dim, streams, 1.0)
+    h = random_hermitian(space.dim, streams)
     margins = second_differential_spectral(rho, h, gap)
     return margins.tolist(), [{"rho": r, "h": d} for r, d in zip(rho, h)]
 
@@ -253,7 +261,7 @@ def _sample_c3(config: CampaignConfig, streams):
     space = config.space()
     func = config.scalar_function()
     x = _draw_pd(config, streams, space.dim)
-    h = random_hermitian(space.dim, streams, 1.0)
+    h = random_hermitian(space.dim, streams)
     witnesses = []
     for rng, xi, hi in zip(streams, x, h):
         family = config.channel_family
@@ -301,9 +309,9 @@ _C4_KEYS = ("x1", "h1", "x2", "h2")
 def _sample_c4(config: CampaignConfig, streams):
     dim = config.space().dim
     x1 = _draw_pd(config, streams, dim)
-    h1 = random_hermitian(dim, streams, 1.0)
+    h1 = random_hermitian(dim, streams)
     x2 = _draw_pd(config, streams, dim)
-    h2 = random_hermitian(dim, streams, 1.0)
+    h2 = random_hermitian(dim, streams)
     for m, name in ((x1, "matrix"), (h1, "direction"), (x2, "matrix"), (h2, "direction")):
         check_hermitian(m, name)
     margins = _q_midpoint_margin(config.scalar_function(), x1, h1, x2, h2)
@@ -318,9 +326,9 @@ def _congruence_inverse(a, b) -> np.ndarray:
 def _sample_c7(config: CampaignConfig, streams):
     dim = config.space().dim
     a1 = _draw_pd(config, streams, dim)
-    b1 = random_hermitian(dim, streams, 1.0) + 1j * random_hermitian(dim, streams, 1.0)
+    b1 = random_hermitian(dim, streams) + 1j * random_hermitian(dim, streams)
     a2 = _draw_pd(config, streams, dim)
-    b2 = random_hermitian(dim, streams, 1.0) + 1j * random_hermitian(dim, streams, 1.0)
+    b2 = random_hermitian(dim, streams) + 1j * random_hermitian(dim, streams)
     for a in (a1, a2):
         check_hermitian(a)
     defect = (
@@ -339,7 +347,7 @@ def _sample_c8(config: CampaignConfig, streams):
     s, t = np.array([rng.gen.uniform(lo, hi, size=2) for rng in streams]).T
     dd_gaps = np.abs(divided_difference(LOG.f, LOG.f1, s, t) - dd_log_quadrature(s, t))
     a = _draw_pd(config, streams, dim)
-    h = random_hermitian(dim, streams, 1.0)
+    h = random_hermitian(dim, streams)
     references = np.array([log_quad_form_quadrature(ai, hi) for ai, hi in zip(a, h)])
     qf_gaps = np.abs(quad_form(T_LOG_T, a, h) - references) / np.abs(references)
     witnesses = [{"s": si, "t": ti, "a": ai, "h": hi}
@@ -378,7 +386,7 @@ def _c9_descent(config: CampaignConfig, witness: dict, start_margin: float):
     for _ in range(200):
         if step < 1e-12:
             break
-        candidate = mats + step * random_hermitian(dim, [rng] * 4, 1.0)
+        candidate = mats + step * random_hermitian(dim, [rng] * 4)
         if _eigvalsh(candidate[0::2]).min() <= 1e-8:
             step *= 0.5
             continue
@@ -426,7 +434,6 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     sample whose evaluation raises a domain, numeric or LAPACK error is
     recorded under ``errors`` and the campaign continues.
     """
-    config.validate()
     start = perf_counter()
     margins: list[float] = []
     errors: list[dict] = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .calculus import BUILTIN_NAMES
@@ -24,74 +25,65 @@ EXIT_NUMERIC = 3
 _ALL_CAMPAIGNS = tuple(f"C{i}" for i in range(1, 9))
 
 
-def _parse_weights(text: str) -> tuple[float, ...]:
+def _parse_floats(text: str) -> tuple[float, ...]:
     try:
-        weights = tuple(float(part) for part in text.split(","))
+        return tuple(float(part) for part in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"weights must be comma-separated floats, got {text!r}")
-    return weights
+        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from None
 
 
 def _parse_eig_range(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
+    low_high = _parse_floats(text)
+    if len(low_high) != 2:
         raise argparse.ArgumentTypeError(f"eig-range must be 'low,high', got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"eig-range must be 'low,high', got {text!r}")
+    return low_high
+
+
+# The config fields a command line can set.  One not given is not passed, so
+# CampaignConfig holds the only defaults.
+_SETTINGS = {field.name for field in fields(CampaignConfig)} - {"campaign"}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="verify",
         description="Seeded randomized verification of entropy-gap convexity and monotonicity.",
+        epilog="Invalid values are rejected for every campaign; a report records a setting "
+               "only where its campaign reads it.",
+        argument_default=argparse.SUPPRESS,
     )
     which = parser.add_mutually_exclusive_group(required=True)
     which.add_argument("--campaign", choices=CAMPAIGN_IDS, help="run one campaign")
-    which.add_argument("--all", action="store_true", help="run C1 through C8 with shared settings")
-    parser.add_argument("--d1", type=int, default=2, help="first factor dimension (default 2)")
-    parser.add_argument("--d2", type=int, default=2, help="second factor dimension (default 2)")
-    parser.add_argument("--samples", type=int, default=200, help="samples per campaign (default 200)")
-    parser.add_argument("--seed", type=int, default=42, help="base seed (default 42)")
-    parser.add_argument("--tolerance", type=float, default=1e-8,
-                        help="margin tolerance (default 1e-8)")
-    parser.add_argument("--function", choices=BUILTIN_NAMES, default="t_log_t",
-                        help="scalar function of C1-C4 (default t_log_t); "
-                             "C5-C9 fix their own")
-    parser.add_argument("--p", type=float, default=1.5,
-                        help="exponent for --function power and campaign C6 (default 1.5)")
-    parser.add_argument("--weights", type=_parse_weights, default=(0.5, 0.25, 0.75),
-                        help="segment weights, comma separated (default 0.5,0.25,0.75)")
-    parser.add_argument("--eig-range", type=_parse_eig_range, default=(0.1, 3.0),
-                        help="spectrum range for positive definite draws (default 0.1,3)")
-    parser.add_argument("--normalize", action="store_true",
-                        help="rescale positive definite draws to unit trace")
-    parser.add_argument("--relative", action="store_true",
-                        help="divide margins by 1 + the Frobenius norms of the drawn inputs")
-    parser.add_argument("--channel-family", choices=CHANNEL_FAMILIES, default="uniform",
-                        help="channel family for C3 (default uniform)")
-    parser.add_argument("--out", type=Path, default=None, help="write a JSON report here")
+    which.add_argument("--all", action="store_true", default=False,
+                       help="run C1 through C8 with shared settings")
+    add = parser.add_argument
+    add("--d1", type=int, help=f"first factor dimension (default {CampaignConfig.d1})")
+    add("--d2", type=int, help=f"second factor dimension (default {CampaignConfig.d2})")
+    add("--samples", type=int, help=f"samples per campaign (default {CampaignConfig.samples})")
+    add("--seed", type=int, help=f"base seed (default {CampaignConfig.seed})")
+    add("--tolerance", type=float, help=f"margin tolerance (default {CampaignConfig.tolerance})")
+    add("--function", choices=BUILTIN_NAMES,
+        help=f"scalar function of C1-C4 (default {CampaignConfig.function}); C5-C9 fix their own")
+    add("--p", type=float, help=f"exponent of --function power and C6 (default {CampaignConfig.p})")
+    add("--weights", type=_parse_floats, help="segment weights of C1, C5 and C6, comma "
+        f"separated (default {','.join(map(str, CampaignConfig.weights))})")
+    add("--eig-range", type=_parse_eig_range, help="spectrum range of positive definite "
+        f"draws (default {CampaignConfig.eig_low},{CampaignConfig.eig_high})")
+    add("--normalize", action="store_true", help="rescale positive definite draws to unit trace")
+    add("--relative", action="store_true",
+        help="divide margins by 1 + the Frobenius norms of the drawn inputs")
+    add("--channel-family", choices=CHANNEL_FAMILIES,
+        help=f"channel family of C3 (default {CampaignConfig.channel_family})")
+    add("--out", type=Path, default=None, help="write a JSON report here")
     return parser
 
 
 def _config(args, campaign: str) -> CampaignConfig:
-    return CampaignConfig(
-        campaign=campaign,
-        d1=args.d1,
-        d2=args.d2,
-        samples=args.samples,
-        seed=args.seed,
-        tolerance=args.tolerance,
-        function=args.function,
-        p=args.p,
-        weights=tuple(args.weights),
-        eig_low=args.eig_range[0],
-        eig_high=args.eig_range[1],
-        normalize=args.normalize,
-        relative=args.relative,
-        channel_family=args.channel_family,
-    )
+    given = dict(vars(args))
+    if "eig_range" in given:
+        given["eig_low"], given["eig_high"] = given.pop("eig_range")
+    return CampaignConfig(campaign, **{name: value for name, value in given.items()
+                                       if name in _SETTINGS})
 
 
 _HEADER = f"{'campaign':<10}{'samples':>8}{'errors':>8}{'violations':>12}{'worst_margin':>16}{'time_s':>9}"
@@ -111,18 +103,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     campaigns = _ALL_CAMPAIGNS if args.all else (args.campaign,)
 
+    try:
+        configs = [_config(args, campaign) for campaign in campaigns]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
     reports: list[CampaignReport] = []
     print(_HEADER)
-    for campaign in campaigns:
-        try:
-            config = _config(args, campaign)
-            report = run_campaign(config)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    for config in configs:
+        report = run_campaign(config)
         reports.append(report)
         print(_summary_line(report))
-        if campaign == "C9" and report.violations == 0:
+        if config.campaign == "C9" and report.violations == 0:
             print("C9: no counterexample found; the search is inconclusive, not a proof")
 
     if args.out is not None:

@@ -201,8 +201,8 @@ def random_pd(dim: int, rng: Streams, eig_range: tuple[float, float] = (0.1, 3.0
     return hermitize((u * vals[..., None, :]) @ _adjoint(u))
 
 
-def random_hermitian(dim: int, rng: Streams, scale: float = 1.0) -> np.ndarray:
-    """Random Hermitian matrix with entries of magnitude at most ``scale``.
+def random_hermitian(dim: int, rng: Streams) -> np.ndarray:
+    """Random Hermitian matrix with entries of magnitude at most 1.
 
     Not necessarily definite; intended for perturbation directions.  A
     sequence of streams gives a stack, one matrix per stream.  Each matrix
@@ -212,8 +212,6 @@ def random_hermitian(dim: int, rng: Streams, scale: float = 1.0) -> np.ndarray:
     """
     if dim < 1:
         raise DomainError(f"dim must be positive, got {dim}")
-    if not scale > 0:
-        raise DomainError(f"scale must be positive, got {scale}")
-    s = scale / np.sqrt(2.0)
+    s = 1.0 / np.sqrt(2.0)
     parts = _draw(rng, lambda gen: gen.uniform(-s, s, size=(2, dim, dim)))
     return hermitize(parts[..., 0, :, :] + 1j * parts[..., 1, :, :])

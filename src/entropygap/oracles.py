@@ -24,6 +24,8 @@ from .errors import DomainError, NumericError
 from .linalg import _eigvalsh, _per_matrix, check_hermitian, check_positive
 
 
+DD_LOG_NODES = 64  # nodes of the log divided-difference rule
+
 # Rules computed so far, by node count; their arrays are read-only.
 _GAUSS_LEGENDRE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -45,11 +47,11 @@ def gauss_legendre_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def dd_log_quadrature(s, t, nodes: int = 64) -> float | np.ndarray:
+def dd_log_quadrature(s, t) -> float | np.ndarray:
     """Integral form of the log divided difference.
 
     Evaluates integral_0^inf dl / ((s + l)(t + l)), which equals
-    (log t - log s) / (t - s) for positive s, t, with an n-node
+    (log t - log s) / (t - s) for positive s, t, with a DD_LOG_NODES-node
     Gauss-Legendre rule after the substitution l = c u / (1 - u) centred at
     c = sqrt(s t): the integrand c / (((1 - u) s + c u)((1 - u) t + c u)) has
     its poles at u = -delta and u = 1 + delta, delta = 1 / (sqrt(t/s) - 1),
@@ -61,7 +63,7 @@ def dd_log_quadrature(s, t, nodes: int = 64) -> float | np.ndarray:
     smallest = float(np.minimum(np.min(s), np.min(t)))
     if not smallest > 0:
         raise DomainError(f"integral kernel needs positive arguments; smallest is {smallest:.6g}")
-    x, w = gauss_legendre_unit(nodes)
+    x, w = gauss_legendre_unit(DD_LOG_NODES)
     s, t = s[..., None], t[..., None]
     c = np.sqrt(s * t)
     cx = c * x

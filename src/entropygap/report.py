@@ -103,7 +103,6 @@ def report_from_dict(data: dict) -> CampaignReport:
     """Rebuild a report from its JSON form (wall time comes back as 0)."""
     config = {key: value for key, value in data["config"].items()
               if key not in _RETIRED_CONFIG_FIELDS}
-    config["weights"] = tuple(config["weights"])
     witness = None
     if data["witness"] is not None:
         witness = {key: _decode_value(value) for key, value in data["witness"].items()}

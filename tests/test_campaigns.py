@@ -191,7 +191,7 @@ def test_relative_scale_takes_one_norm_per_matrix(campaign, d1, d2):
         if campaign == "C1":  # a second state
             other = random_pd(d1 * d2, rng, (0.1, 3.0))
         else:  # a direction
-            other = random_hermitian(d1 * d2, rng, 1.0)
+            other = random_hermitian(d1 * d2, rng)
         expected.append(margin / (1.0 + (float(np.linalg.norm(rho))
                                          + float(np.linalg.norm(other)))))
     assert _bits(relative.margins) == _bits(expected)
@@ -260,6 +260,42 @@ def test_config_records_the_function_and_exponent_that_run(campaign, function,
                                                            recorded_function, recorded_p):
     config = CampaignConfig(campaign, function=function, p=1.2)
     assert (config.function, config.p) == (recorded_function, recorded_p)
+
+
+@pytest.mark.parametrize("campaign", CAMPAIGN_IDS)
+def test_config_records_weights_and_family_only_where_they_are_read(campaign):
+    config = CampaignConfig(campaign, weights=[0.3], channel_family="pinching")
+    reads_weights = campaign in ("C1", "C5", "C6")
+    assert config.weights == ((0.3,) if reads_weights else CampaignConfig.weights)
+    assert config.channel_family == ("pinching" if campaign == "C3" else "uniform")
+
+
+INVALID_SETTINGS = [
+    {"samples": 0},
+    {"tolerance": float("inf")},
+    {"tolerance": float("nan")},
+    {"eig_high": float("inf")},
+    {"eig_low": float("nan")},
+    {"weights": (1.5,)},
+    {"channel_family": "depolarizing"},
+    {"function": "nosuch"},
+    {"function": "power", "p": 3.0},
+    {"p": float("nan")},
+]
+
+
+@pytest.mark.parametrize("overrides", INVALID_SETTINGS)
+@pytest.mark.parametrize("campaign", CAMPAIGN_IDS)
+def test_config_rejects_invalid_settings_for_every_campaign(campaign, overrides):
+    # Whether or not the campaign reads the setting, construction raises.
+    with pytest.raises(ValueError):
+        CampaignConfig(campaign, **overrides)
+
+
+def test_replace_validates_the_new_config():
+    with pytest.raises(ValueError, match="samples"):
+        replace(CampaignConfig("C1"), samples=0)
+    assert replace(CampaignConfig("C1", weights=(0.3,)), campaign="C7").weights == (0.5, 0.25, 0.75)
 
 
 @pytest.mark.parametrize("d1,d2", SHAPES)
@@ -344,7 +380,7 @@ def _mixed_unitary_c3(config, index):
     func = config.scalar_function()
     rng = RngStream(config.seed, index)
     x = random_pd(dim, rng, (config.eig_low, config.eig_high))
-    h = random_hermitian(dim, rng, 1.0)
+    h = random_hermitian(dim, rng)
     family = config.channel_family
     if family == "uniform":
         family = ("pinching", "expectation", "mixed")[int(rng.gen.integers(0, 3))]

@@ -4,13 +4,15 @@ import json
 
 import pytest
 
-from entropygap import DomainError
+from entropygap import CampaignConfig, DomainError
 from entropygap.campaigns import _SAMPLERS
 from entropygap.cli import (
     EXIT_NUMERIC,
     EXIT_PASS,
     EXIT_USAGE,
     EXIT_VIOLATION,
+    _config,
+    build_parser,
     main,
 )
 
@@ -119,25 +121,55 @@ def test_all_runs_eight_campaigns(tmp_path, capsys):
 
 def test_all_records_the_function_each_campaign_ran(tmp_path, capsys):
     # C5, C7 and C8 fix t log t and C6 the power function, whatever
-    # --function says; p is recorded as given only with the power function.
+    # --function says; p is recorded as given only with the power function,
+    # the weights only by C1, C5 and C6 and the channel family only by C3.
     path = tmp_path / "all.json"
     code = main(["--all", "--function", "power", "--p", "1.2", "--samples", "5",
-                 "--out", str(path)])
+                 "--weights", "0.3,0.6", "--channel-family", "pinching", "--out", str(path)])
     capsys.readouterr()
     assert code == EXIT_PASS
     documents = json.loads(path.read_text())["campaigns"]
-    recorded = {cid: (entry["config"]["function"], entry["config"]["p"])
+    recorded = {cid: (entry["config"]["function"], entry["config"]["p"],
+                      entry["config"]["weights"], entry["config"]["channel_family"])
                 for cid, entry in documents.items()}
+    given, default = [0.3, 0.6], [0.5, 0.25, 0.75]
     assert recorded == {
-        "C1": ("power", 1.2),
-        "C2": ("power", 1.2),
-        "C3": ("power", 1.2),
-        "C4": ("power", 1.2),
-        "C5": ("t_log_t", 1.5),
-        "C6": ("power", 1.2),
-        "C7": ("t_log_t", 1.5),
-        "C8": ("t_log_t", 1.5),
+        "C1": ("power", 1.2, given, "uniform"),
+        "C2": ("power", 1.2, default, "uniform"),
+        "C3": ("power", 1.2, default, "pinching"),
+        "C4": ("power", 1.2, default, "uniform"),
+        "C5": ("t_log_t", 1.5, given, "uniform"),
+        "C6": ("power", 1.2, given, "uniform"),
+        "C7": ("t_log_t", 1.5, default, "uniform"),
+        "C8": ("t_log_t", 1.5, default, "uniform"),
     }
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["--campaign", "C1", "--eig-range", "0.1,inf"], "eig_high"),
+    (["--campaign", "C2", "--function", "log", "--tolerance", "inf"], "tolerance"),
+])
+def test_non_finite_settings_exit_two(capsys, argv, field):
+    code = main(argv + ["--samples", "2"])
+    assert code == EXIT_USAGE
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("campaign", ["C7", "--all"])
+def test_an_invalid_setting_exits_two_where_it_is_not_read(capsys, campaign):
+    which = ["--all"] if campaign == "--all" else ["--campaign", campaign]
+    code = main(which + ["--function", "power", "--p", "3", "--samples", "2"])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "exponent" in captured.err
+    assert captured.out == ""  # nothing ran
+
+
+def test_settings_not_given_take_the_config_defaults():
+    args = build_parser().parse_args(["--campaign", "C3"])
+    assert _config(args, "C3") == CampaignConfig("C3")
+    args = build_parser().parse_args(["--campaign", "C3", "--eig-range", "0.2,2", "--normalize"])
+    assert _config(args, "C3") == CampaignConfig("C3", eig_low=0.2, eig_high=2.0, normalize=True)
 
 
 def test_c9_prints_inconclusive_note(capsys):

@@ -65,7 +65,7 @@ def test_eigh_diagonal_sorts_ascending():
 def test_eigh_reconstruction_and_orthonormality(dim):
     rng = RngStream(11, dim)
     for _ in range(20):
-        a = random_hermitian(dim, rng, 2.0)
+        a = 2.0 * random_hermitian(dim, rng)
         dec = eigh(a)
         u = dec.basis
         assert np.linalg.norm(u.conj().T @ u - np.eye(dim)) <= 1e-12 * dim
@@ -88,8 +88,8 @@ def test_kron_identities():
 def test_kron_trace_multiplicative():
     rng = RngStream(3, 0)
     for _ in range(10):
-        a = random_hermitian(3, rng, 1.0)
-        b = random_hermitian(4, rng, 1.0)
+        a = random_hermitian(3, rng)
+        b = random_hermitian(4, rng)
         lhs = np.trace(kron(a, b))
         rhs = np.trace(a) * np.trace(b)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
@@ -139,26 +139,26 @@ def test_random_pd_deterministic_per_stream():
 
 
 def test_random_hermitian_scalar_case():
-    m = random_hermitian(1, RngStream(2, 0), 0.5)
+    m = random_hermitian(1, RngStream(2, 0))
     assert m.shape == (1, 1)
     assert m[0, 0].imag == 0.0
-    assert abs(m[0, 0].real) <= 0.5
+    assert abs(m[0, 0].real) <= 1.0
 
 
 def test_random_hermitian_exactly_self_adjoint():
-    m = random_hermitian(5, RngStream(2, 1), 1.0)
+    m = random_hermitian(5, RngStream(2, 1))
     assert np.array_equal(m, m.conj().T)
 
 
 def test_random_hermitian_streams_differ():
-    a = random_hermitian(4, RngStream(9, 0), 1.0)
-    b = random_hermitian(4, RngStream(9, 1), 1.0)
+    a = random_hermitian(4, RngStream(9, 0))
+    b = random_hermitian(4, RngStream(9, 1))
     assert not np.array_equal(a, b)
 
 
-def _two_call_hermitian(dim: int, gen, scale: float) -> np.ndarray:
+def _two_call_hermitian(dim: int, gen) -> np.ndarray:
     # The draw as two generator calls: all real parts, then all imaginary parts.
-    s = scale / np.sqrt(2.0)
+    s = 1.0 / np.sqrt(2.0)
     re = gen.uniform(-s, s, size=(dim, dim))
     im = gen.uniform(-s, s, size=(dim, dim))
     return hermitize(re + 1j * im)
@@ -170,10 +170,10 @@ HERMITIAN_DIMS = [1, 2, 3, 4, 5, 6, 7, 8, 64]
 @pytest.mark.parametrize("dim", HERMITIAN_DIMS)
 def test_random_hermitian_repeated_stream_equals_consecutive_draws(dim):
     rng = RngStream(5, 1)
-    stacked = random_hermitian(dim, [rng] * 4, 0.7)
+    stacked = random_hermitian(dim, [rng] * 4)
     after_stack = rng.gen.random()
     rng = RngStream(5, 1)
-    singles = np.stack([random_hermitian(dim, rng, 0.7) for _ in range(4)])
+    singles = np.stack([random_hermitian(dim, rng) for _ in range(4)])
     assert stacked.tobytes() == singles.tobytes()
     assert rng.gen.random() == after_stack
 
@@ -183,18 +183,13 @@ def test_random_hermitian_keeps_its_draws(dim):
     # Single and distinct-stream draws give the bits of the two-call draw and
     # leave each stream where the two calls leave it.
     single_rng, reference = RngStream(11, 3), RngStream(11, 3).gen
-    single = random_hermitian(dim, single_rng, 0.7)
-    assert single.tobytes() == _two_call_hermitian(dim, reference, 0.7).tobytes()
+    single = random_hermitian(dim, single_rng)
+    assert single.tobytes() == _two_call_hermitian(dim, reference).tobytes()
     assert single_rng.gen.random() == reference.random()
     streams = [RngStream(11, i) for i in range(3)]
-    stack = random_hermitian(dim, streams, 0.7)
-    expected = np.stack([_two_call_hermitian(dim, RngStream(11, i).gen, 0.7) for i in range(3)])
+    stack = random_hermitian(dim, streams)
+    expected = np.stack([_two_call_hermitian(dim, RngStream(11, i).gen) for i in range(3)])
     assert stack.tobytes() == expected.tobytes()
-
-
-def test_random_hermitian_rejects_nonpositive_scale():
-    with pytest.raises(DomainError):
-        random_hermitian(2, RngStream(0, 0), 0.0)
 
 
 def test_random_unitary_is_unitary():

@@ -151,8 +151,9 @@ SPECIAL = (float("nan"), float("inf"), float("-inf"), -0.0, 5e-324)
 
 
 def _hand_built(witness, margins=(0.5,), errors=()) -> CampaignReport:
+    # No margins is a run of one sample that failed: a config needs a sample.
     return CampaignReport(
-        config=CampaignConfig(campaign="C1", samples=len(margins)),
+        config=CampaignConfig(campaign="C1", samples=max(len(margins), 1)),
         margins=list(margins),
         violations=0,
         worst_margin=min(margins) if margins else None,
@@ -332,6 +333,34 @@ def test_load_report_reads_c7_documents_that_recorded_power(tmp_path):
     rerun = run_campaign(loaded.config)
     assert _bits(rerun.margins) == _bits(loaded.margins)
     assert rerun.violations == loaded.violations
+
+
+@pytest.mark.parametrize("campaign,unread", [
+    ("C1", {"channel_family": "pinching"}),
+    ("C3", {"weights": [0.3]}),
+    ("C7", {"weights": [0.3], "channel_family": "pinching"}),
+])
+def test_load_report_reads_documents_that_recorded_unread_settings(tmp_path, campaign, unread):
+    # Earlier versions recorded the weights and the channel family as given
+    # for every campaign; a config now records them at their defaults where
+    # its campaign does not read them, and a rerun gives the document's margins.
+    report = _report(campaign=campaign)
+    data = report_to_dict(report)
+    data["config"].update(unread)
+    path = tmp_path / "earlier.json"
+    path.write_bytes((json.dumps(data, indent=2) + "\n").encode("utf-8"))
+    loaded = load_report(path)
+    assert loaded.config == report.config
+    rerun = run_campaign(loaded.config)
+    assert _bits(rerun.margins) == _bits(loaded.margins)
+    assert rerun.violations == loaded.violations
+
+
+def test_report_from_dict_rejects_an_invalid_config():
+    data = report_to_dict(_report())
+    data["config"]["tolerance"] = -1.0
+    with pytest.raises(ValueError, match="tolerance"):
+        report_from_dict(data)
 
 
 @pytest.mark.parametrize("family", ["pinching", "expectation"])
