@@ -62,6 +62,7 @@ whose term count is its own, to its sample alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -162,6 +163,17 @@ class CampaignConfig:
     channel_family: str = "uniform"
 
     def __post_init__(self):
+        # Types first: a float seed would run the margins of its integer part,
+        # and any non-empty string is a true flag.
+        for name in ("d1", "d2", "samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("normalize", "relative"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be True or False, got {value!r}")
         for name, names in (("campaign", CAMPAIGN_IDS), ("channel_family", CHANNEL_FAMILIES),
                             ("function", BUILTIN_NAMES)):
             if getattr(self, name) not in names:

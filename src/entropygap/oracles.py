@@ -125,8 +125,12 @@ def log_quad_form_quadrature(a, h) -> float:
     lo, hi = float(spectrum[0]), float(spectrum[-1])
     x, w = gauss_legendre_unit(resolvent_nodes(lo, hi))
     c = math.sqrt(lo) * math.sqrt(hi)
-    pencil = (1.0 - x)[:, None, None] * a + (c * x)[:, None, None] * np.eye(a.shape[0])
-    solved = np.linalg.solve(pencil, np.broadcast_to(h, pencil.shape).copy())
+    pencil = (1.0 - x)[:, None, None] * a
+    diagonal = np.arange(a.shape[0])
+    pencil[:, diagonal, diagonal] += (c * x)[:, None]
+    # solve broadcasts h over the nodes; the leading axis keeps numpy < 2 from
+    # reading a 2-D right-hand side as a stack of vectors.
+    solved = np.linalg.solve(pencil, h[None])
     values = np.einsum("nij,nji->n", solved, solved).real
     return c * float(np.sum(w * values))
 

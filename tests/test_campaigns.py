@@ -66,6 +66,14 @@ def test_config_rejects_invalid_fields(overrides):
         _run("C1", **overrides)
 
 
+def test_config_stores_numpy_integers_as_int():
+    config = CampaignConfig("C1", d1=np.int64(2), d2=np.uint8(3), samples=np.int32(4),
+                            seed=np.uint64(2**64 - 1))
+    values = (config.d1, config.d2, config.samples, config.seed)
+    assert values == (2, 3, 4, 2**64 - 1)
+    assert all(type(value) is int for value in values)
+
+
 # -- determinism and sample independence ---------------------------------------
 
 
@@ -281,6 +289,19 @@ INVALID_SETTINGS = [
     {"function": "nosuch"},
     {"function": "power", "p": 3.0},
     {"p": float("nan")},
+    # Types: a float seed would run the margins of its integer part, and "no"
+    # is a true flag.
+    {"seed": 1.5},
+    {"seed": True},
+    {"seed": 42.0},
+    {"d1": 1.5},
+    {"d2": True},
+    {"samples": 2.5},
+    {"samples": "5"},
+    {"normalize": "no"},
+    {"normalize": 1},
+    {"relative": None},
+    {"relative": np.float64(0.0)},
 ]
 
 

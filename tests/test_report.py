@@ -1,7 +1,9 @@
 """JSON report round-trips: exact floats, matrices, channels, files."""
 
+import base64
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,9 @@ from entropygap import (
     CHANNEL_FAMILIES,
     CampaignConfig,
     CampaignReport,
+    ConditionalExpectation1,
+    MixedUnitaryChannel,
+    Pinching,
     apply_channel,
     emit_report,
     emit_reports,
@@ -37,17 +42,41 @@ def _report(campaign: str = "C1", **overrides) -> CampaignReport:
     return run_campaign(CampaignConfig(**base))
 
 
-def test_matrix_encoding_shape():
+def test_matrix_encoding_layout():
     m = np.array([[1.0 + 2.0j, 0.0], [3.5, -1.0j]])
     encoded = matrix_to_json(m)
-    assert encoded == [[[1.0, 2.0], [0.0, 0.0]], [[3.5, 0.0], [0.0, -1.0]]]
+    assert encoded["shape"] == [2, 2]
+    raw = base64.b64decode(encoded["base64"])
+    # -1.0j is complex(-0.0, -1.0), and the zero keeps its sign.
+    assert raw == struct.pack("<8d", 1.0, 2.0, 0.0, 0.0, 3.5, 0.0, -0.0, -1.0)
+    # The decode README gives.
+    decoded = np.frombuffer(base64.b64decode(encoded["base64"]), "<c16").reshape(encoded["shape"])
+    assert np.array_equal(decoded, m)
     assert np.array_equal(matrix_from_json(encoded), m)
+
+
+def test_matrix_from_json_reads_earlier_nested_pairs():
+    m = np.array([[1.0 + 2.0j, 0.0], [3.5, -1.0j]])
+    assert np.array_equal(matrix_from_json(_nested(m)), m)
+    assert matrix_from_json(_nested(m)).tobytes() == matrix_from_json(matrix_to_json(m)).tobytes()
+
+
+def test_decoded_matrix_is_a_writable_native_array():
+    decoded = matrix_from_json(matrix_to_json(np.eye(3)))
+    assert decoded.dtype == np.dtype(complex) and decoded.flags.writeable
+    decoded[0, 0] = 2.0
 
 
 def test_matrix_round_trip_is_bitwise():
     m = random_hermitian(5, RngStream(307, 0))
     through_text = matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
-    assert np.array_equal(through_text, m)
+    assert through_text.tobytes() == m.tobytes()
+
+
+def test_matrix_from_json_rejects_a_shape_that_does_not_fit():
+    encoded = matrix_to_json(np.eye(2))
+    with pytest.raises(ValueError):
+        matrix_from_json({"shape": [3, 3], "base64": encoded["base64"]})
 
 
 def test_empty_report_round_trips_to_equality():
@@ -139,12 +168,43 @@ def test_load_reports_missing_path(tmp_path):
         load_report(tmp_path / "missing.json")
 
 
-# render_report must give exactly the text json's indent=2 encoder gives for
-# report_to_dict; that encoder is the oracle for the layout.
+# Every matrix must come back from the text bit for bit.
 
 
-def _oracle(report: CampaignReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+def _nested(m) -> list:
+    # The matrix layout of earlier versions: rows of [re, im] pairs.
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+def _through_text(report: CampaignReport) -> CampaignReport:
+    return report_from_dict(json.loads(render_report(report)))
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=complex).tobytes() == np.asarray(b, dtype=complex).tobytes()
+
+
+def _assert_same_witness(got, expected):
+    assert (got is None) == (expected is None)
+    if expected is None:
+        return
+    assert list(got) == list(expected)
+    for key, value in expected.items():
+        decoded = got[key]
+        assert type(decoded) is type(value), key
+        if isinstance(value, np.ndarray):
+            assert decoded.shape == value.shape and _same_bits(decoded, value), key
+        elif isinstance(value, Pinching):
+            assert _same_bits(decoded.frame, value.frame)
+            assert np.array_equal(decoded.labels, value.labels)
+        elif isinstance(value, MixedUnitaryChannel):
+            assert decoded.weights.tobytes() == np.asarray(value.weights, dtype=float).tobytes()
+            assert _same_bits(decoded.unitaries, value.unitaries)
+        elif isinstance(value, float):
+            assert _bits([decoded]) == _bits([value]), key
+        else:
+            assert isinstance(value, (ConditionalExpectation1, int, str)), key
+            assert decoded == value, key
 
 
 SPECIAL = (float("nan"), float("inf"), float("-inf"), -0.0, 5e-324)
@@ -163,64 +223,86 @@ def _hand_built(witness, margins=(0.5,), errors=()) -> CampaignReport:
     )
 
 
-@pytest.mark.parametrize("dims", [(1, 1), (2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("dims", [(1, 1), (2, 3), (8, 8)])
 @pytest.mark.parametrize("campaign", CAMPAIGN_IDS)
-def test_render_matches_json_indent_oracle(campaign, dims):
-    report = _report(campaign=campaign, d1=dims[0], d2=dims[1], samples=3)
-    assert render_report(report) == _oracle(report)
+def test_every_witness_round_trips_bitwise(campaign, dims):
+    report = _report(campaign=campaign, d1=dims[0], d2=dims[1], samples=1 if dims == (8, 8) else 3)
+    assert report.witness is not None
+    _assert_same_witness(_through_text(report).witness, report.witness)
 
 
+@pytest.mark.parametrize("dims", [(1, 1), (2, 3)])
 @pytest.mark.parametrize("family", CHANNEL_FAMILIES)
-def test_render_matches_oracle_for_each_channel_family(family):
-    report = _report(campaign="C3", d2=3, channel_family=family)
-    if family == "pinching":
+def test_every_channel_family_round_trips_bitwise(family, dims):
+    report = _report(campaign="C3", d1=dims[0], d2=dims[1], channel_family=family)
+    if family == "pinching" and dims != (1, 1):
         assert len(set(report.witness["channel"].labels.tolist())) > 1
-    assert render_report(report) == _oracle(report)
+    _assert_same_witness(_through_text(report).witness, report.witness)
 
 
-def test_render_matches_oracle_for_c9_descent_witness():
+def test_c9_descent_witness_round_trips_bitwise():
     report = _report(campaign="C9", samples=3)
     assert report.witness["sample"] == "descent"
-    assert render_report(report) == _oracle(report)
+    _assert_same_witness(_through_text(report).witness, report.witness)
 
 
-def test_render_matches_oracle_with_special_floats():
-    m = np.array([[complex(a, b) for b in SPECIAL] for a in SPECIAL])
-    report = _hand_built({"rho": m, "sample": 0}, margins=SPECIAL)
-    text = render_report(report)
-    assert text == _oracle(report)
-    for spelling in ("NaN", "Infinity", "-Infinity", "-0.0", "5e-324"):
-        assert spelling in text
+# Bit patterns no arithmetic produces on the way: quiet and signalling NaNs
+# with payloads, both infinities, both zeros, the smallest subnormal.
+_PATTERNS = np.array([0x7FF8000000000000, 0x7FF8000000000ABC, 0xFFF0DEADBEEF0001, 0x7FF0000000000001,
+                      0x7FF0000000000000, 0xFFF0000000000000, 0x8000000000000000, 0x0,
+                      0x1, 0x3FF0000000000000], dtype=np.uint64)
 
 
-def test_render_matches_oracle_for_transposed_and_real_matrices():
+def test_special_floats_round_trip_bitwise():
+    square = np.broadcast_to(_PATTERNS.view(complex).reshape(5, 1), (5, 5)).copy()
+    report = _hand_built({"rho": square, "sample": 0}, margins=SPECIAL)
+    recovered = _through_text(report)
+    _assert_same_witness(recovered.witness, report.witness)
+    assert recovered.witness["rho"].view(np.uint64).ravel().tolist() == \
+        square.view(np.uint64).ravel().tolist()
+    assert _bits(recovered.margins) == _bits(report.margins)
+
+
+def test_noncontiguous_real_and_integer_matrices_round_trip():
     m = random_hermitian(4, RngStream(313, 0)) + 0.5j * np.arange(16).reshape(4, 4)
     real = np.arange(6, dtype=float).reshape(2, 3) - 2.5
-    assert not m.T.flags.c_contiguous
-    report = _hand_built({"rho": m.T, "h": real, "ints": np.eye(2, dtype=int), "sample": 1})
-    assert render_report(report) == _oracle(report)
+    strided = np.arange(64, dtype=complex).reshape(8, 8)[::2, 1::3]
+    assert not m.T.flags.c_contiguous and not strided.flags.c_contiguous
+    witness = {"rho": m.T, "h": real, "ints": np.eye(2, dtype=int), "strided": strided,
+               "one": np.array([[-0.0 + 5e-324j]]), "sample": 1}
+    recovered = _through_text(_hand_built(witness)).witness
+    for key, value in witness.items():
+        if key != "sample":
+            assert recovered[key].shape == value.shape
+            assert recovered[key].tobytes() == np.asarray(value, dtype=complex).tobytes(), key
 
 
-def test_render_matches_oracle_for_empty_matrices():
-    report = _hand_built({"none": np.zeros((0, 0)), "rows": np.zeros((2, 0))})
-    assert render_report(report) == _oracle(report)
+def test_64x64_matrix_round_trips_bitwise():
+    m = random_hermitian(64, RngStream(331, 0)) * np.float64(1 / 3)
+    encoded = matrix_to_json(m)
+    assert encoded["shape"] == [64, 64]
+    assert len(encoded["base64"]) == 4 * -(-64 * 64 * 16 // 3)
+    assert matrix_from_json(json.loads(json.dumps(encoded))).tobytes() == m.tobytes()
 
 
-def test_render_matches_oracle_without_witness():
+def test_empty_matrices_keep_their_shape():
+    witness = {"none": np.zeros((0, 0)), "rows": np.zeros((2, 0))}
+    recovered = _through_text(_hand_built(witness)).witness
+    assert recovered["none"].shape == (0, 0) and recovered["rows"].shape == (2, 0)
+
+
+def test_report_without_witness_round_trips():
     report = _hand_built(None, margins=())
-    assert render_report(report) == _oracle(report)
+    assert _through_text(report) == report
 
 
-def test_render_matches_oracle_for_escaped_error_message():
+def test_escaped_error_message_round_trips():
     errors = [{"sample": 2, "message": 'NumericError: "zero" pivot in \\ \u03c1 \u2264 \u221e\n'}]
     report = _hand_built({"rho": np.eye(2), "sample": 0}, errors=errors)
     text = render_report(report)
-    assert text == _oracle(report)
     assert text.isascii()
     assert json.loads(text)["errors"] == errors
-
-
-_entries = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SPECIAL))
+    assert _through_text(report).errors == errors
 
 
 @settings(max_examples=60, deadline=None)
@@ -229,11 +311,12 @@ _entries = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_
     cols=st.integers(1, 4),
     data=st.data(),
 )
-def test_render_matches_oracle_on_random_matrices(rows, cols, data):
-    values = data.draw(st.lists(_entries, min_size=2 * rows * cols, max_size=2 * rows * cols))
-    m = np.array(values, dtype=float).view(complex).reshape(rows, cols)
-    report = _hand_built({"x": m, "h": m.T, "sample": 0}, margins=values[:3])
-    assert render_report(report) == _oracle(report)
+def test_random_bit_patterns_round_trip(rows, cols, data):
+    words = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=2 * rows * cols,
+                               max_size=2 * rows * cols))
+    m = np.array(words, dtype=np.uint64).view(complex).reshape(rows, cols)
+    report = _hand_built({"x": m, "h": m.T, "sample": 0})
+    _assert_same_witness(_through_text(report).witness, report.witness)
 
 
 def test_emitted_file_is_rendered_utf8_bytes(tmp_path):
@@ -260,6 +343,7 @@ def test_all_out_document_matches_oracle_and_reads_back(tmp_path, capsys):
         assert _bits(report.margins) == _bits(fresh.margins)
         assert _bits([report.worst_margin]) == _bits([fresh.worst_margin])
         assert report.violations == fresh.violations
+        _assert_same_witness(report.witness, fresh.witness)
     payload = {"campaigns": {c: report_to_dict(r) for c, r in loaded.items()}}
     assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=2) + "\n"
 
@@ -363,6 +447,18 @@ def test_report_from_dict_rejects_an_invalid_config():
         report_from_dict(data)
 
 
+@pytest.mark.parametrize("field,value", [("seed", 1.5), ("seed", True), ("d1", 2.0),
+                                         ("samples", "5"), ("normalize", "no"), ("relative", 0)])
+def test_load_report_rejects_a_config_field_of_the_wrong_type(tmp_path, field, value):
+    # A hand-edited seed of 1.5 would otherwise replay the margins of seed 1.
+    data = report_to_dict(_report())
+    data["config"][field] = value
+    path = tmp_path / "edited.json"
+    path.write_bytes((json.dumps(data, indent=2) + "\n").encode("utf-8"))
+    with pytest.raises(ValueError, match=field):
+        load_report(path)
+
+
 @pytest.mark.parametrize("family", ["pinching", "expectation"])
 def test_load_report_reads_c3_documents_in_the_mixed_unitary_layout(tmp_path, family):
     # Earlier versions stored every C3 channel as its weights and unitaries,
@@ -376,11 +472,17 @@ def test_load_report_reads_c3_documents_in_the_mixed_unitary_layout(tmp_path, fa
     else:
         earlier = weyl_expectation(channel.space)
     data = report_to_dict(report)
-    terms = {"weights": earlier.weights.tolist(),
-             "unitaries": [matrix_to_json(u) for u in earlier.unitaries]}
-    data["witness"]["channel"] = {"channel": terms}
-    rewritten = json.dumps(data, indent=2) + "\n"  # written again: the terms without the flag
-    terms["is_conditional_expectation"] = True
+    # Written again: the terms without the flag, each matrix as base64.
+    data["witness"]["channel"] = {"channel": {
+        "weights": earlier.weights.tolist(),
+        "unitaries": [matrix_to_json(u) for u in earlier.unitaries]}}
+    rewritten = json.dumps(data, indent=2) + "\n"
+    for key in ("x", "h"):
+        data["witness"][key] = {"matrix": _nested(report.witness[key])}
+    data["witness"]["channel"] = {"channel": {
+        "weights": earlier.weights.tolist(),
+        "unitaries": [_nested(u) for u in earlier.unitaries],
+        "is_conditional_expectation": True}}
     text = json.dumps(data, indent=2) + "\n"
     single, both = tmp_path / "earlier.json", tmp_path / "earlier-all.json"
     single.write_bytes(text.encode("utf-8"))
@@ -407,3 +509,35 @@ def test_load_report_rejects_multi_campaign_document(tmp_path):
 def test_all_campaigns_document_unwritable_path():
     with pytest.raises(OSError, match="cannot write report to /no-such-directory"):
         emit_reports([_report()], "/no-such-directory/all.json")
+
+
+# Reports written by the writer before matrices were stored as base64, with
+# every matrix as nested [re, im] pairs: verify --campaign C1 --samples 3,
+# --campaign C3 --samples 3 with --channel-family pinching and mixed, and
+# verify --all --samples 3 (seed 42, d1 = d2 = 2).
+DATA = Path(__file__).parent / "data"
+EARLIER_REPORTS = ["c1-2x2.json", "c3-pinching-2x2.json", "c3-mixed-2x2.json", "all-samples-3.json"]
+
+
+@pytest.mark.parametrize("name", EARLIER_REPORTS)
+def test_reports_with_nested_pair_matrices_still_load_bit_for_bit(name):
+    text = (DATA / name).read_text(encoding="utf-8")
+    assert '"base64"' not in text and '"matrix": [' in text
+    loaded = load_reports(DATA / name)
+    if "campaigns" not in json.loads(text):
+        (only,) = loaded.values()
+        assert render_report(load_report(DATA / name)) == render_report(only)
+    for campaign, report in loaded.items():
+        rerun = run_campaign(report.config)
+        assert report.config == rerun.config
+        assert _bits(report.margins) == _bits(rerun.margins)
+        assert report.violations == rerun.violations
+        _assert_same_witness(report.witness, rerun.witness)
+
+
+def test_earlier_reports_cover_both_matrix_channels():
+    families = {load_report(DATA / name).witness["family"]
+                for name in ("c3-pinching-2x2.json", "c3-mixed-2x2.json")}
+    assert families == {"pinching", "mixed"}
+    frame_labels = load_report(DATA / "c3-pinching-2x2.json").witness["channel"].labels
+    assert len(set(frame_labels.tolist())) > 1
