@@ -29,22 +29,21 @@ C8         kernel identities: -|difference|, the larger of the log divided
            difference above the tolerance is a violation; a base point too
            ill-conditioned for the quadrature (condition number beyond about
            1e9) is a NumericError
-C9         C4 with f = t**3 as a falsification search: random search, then
-           greedy local descent from the worst draw (appended as one extra
-           margin entry); finding a violation is the interesting outcome,
-           absence of one is inconclusive
+C9         C4 with f = t**3 as a falsification search: C4's draws, with the
+           directions replaced by the lowest Ritz vector of the margin as a
+           quadratic form in (h1, h2), of the drawn norm; a violation is the
+           expected outcome, absence of one is inconclusive
 =========  ===================================================================
 
-C5, C6 and C9 are presets that run the sampler of C1 or C4 with the function
-of :data:`PRESET_FUNCTIONS`; C7 uses none and C8 that of t log t.  Invalid
+C5 and C6 are presets that run the sampler of C1, and C9 C4's draws, with the
+function of :data:`PRESET_FUNCTIONS`; C7 uses none and C8 that of t log t.  Invalid
 values are rejected for every campaign; a config records a setting only where
 its campaign reads it, else its default (for ``function``, the preset).
 
 C1-C3, C5 and C6 use the bipartite split (d1, d2); C4 and C7-C9 use only the
-dimension d1 * d2.  Per-sample randomness comes from ``RngStream(seed, sample_index)``
-(the C9 descent uses stream ``samples``), so dropping a sample never changes
-the draws of the others and margin lists are reproducible bit-for-bit for a
-fixed config.
+dimension d1 * d2.  Per-sample randomness comes from ``RngStream(seed, sample_index)``,
+so dropping a sample never changes the draws of the others and margin lists
+are reproducible bit-for-bit for a fixed config.
 
 Samples are evaluated in chunks of up to :data:`CHUNK_BYTES` of matrices.
 Every sample of a chunk draws from its own stream, making the generator calls
@@ -85,6 +84,7 @@ from .calculus import (
     _quad_form,
     by_name,
     divided_difference,
+    loewner,
     power,
     quad_form,
 )
@@ -93,6 +93,7 @@ from .errors import DomainError, NumericError
 from .linalg import (
     RngStream,
     _adjoint,
+    _eigh,
     _eigvalsh,
     check_hermitian,
     hermitize,
@@ -106,7 +107,7 @@ CAMPAIGN_IDS = tuple(f"C{i}" for i in range(1, 10))
 CHANNEL_FAMILIES = ("pinching", "expectation", "mixed", "uniform")
 
 # The function each campaign fixes whatever the config names: C5 and C6 run as
-# C1, C9 as C4, C7 uses none and C8 t log t.
+# C1, C9 on C4's draws, C7 uses none and C8 t log t.
 PRESET_FUNCTIONS = {"C5": "t_log_t", "C6": "power", "C7": "t_log_t", "C8": "t_log_t", "C9": "cube"}
 
 # The settings that only some campaigns read, in the order they are decided,
@@ -125,15 +126,30 @@ _C8_PAIR_RANGE = (0.1, 10.0)
 
 # Memory budget of one chunk of samples.  A sample is budgeted as
 # _SAMPLE_MATRICES complex matrices of the campaign's dimension, more than a
-# stacked sampler holds per sample at once; at dimension 64 a chunk holds 2
-# samples, at dimension 4 it holds 512.  That covers the channel each C3
-# sample keeps until its chunk is done: one frame for a pinching, at most
-# five unitaries for a mixed-unitary channel.
+# stacked sampler holds per sample at once except C9, whose Lanczos basis
+# takes it to about 50; at dimension 64 a chunk holds 2 samples, at dimension
+# 4 it holds 512.  That covers the channel each C3 sample keeps until its
+# chunk is done: one frame for a pinching, at most five unitaries for a
+# mixed-unitary channel.
 CHUNK_BYTES = 1 << 22
 _SAMPLE_MATRICES = 32
 
 # What a failed sample may raise and have recorded; anything else propagates.
 _SAMPLE_ERRORS = (DomainError, NumericError, np.linalg.LinAlgError)
+
+
+def _typed(name: str, value, kind: type):
+    # A bool is an int to Python, but no count, seed or tolerance; an int
+    # beyond the float range is no float.
+    if type(value) is kind:
+        return value
+    try:
+        if isinstance(value, bool) or not isinstance(
+                value, {int: numbers.Integral, float: numbers.Real, bool: bool}[kind]):
+            raise TypeError
+        return kind(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -164,16 +180,12 @@ class CampaignConfig:
 
     def __post_init__(self):
         # Types first: a float seed would run the margins of its integer part,
-        # and any non-empty string is a true flag.
-        for name in ("d1", "d2", "samples", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        for name in ("normalize", "relative"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ValueError(f"{name} must be True or False, got {value!r}")
+        # a true tolerance as 1.0, and any non-empty string is a true flag.
+        for kind, names in ((int, ("d1", "d2", "samples", "seed")), (bool, ("normalize", "relative")),
+                            (float, ("tolerance", "p", "eig_low", "eig_high"))):
+            for name in names:
+                object.__setattr__(self, name, _typed(name, getattr(self, name), kind))
+        object.__setattr__(self, "weights", tuple(_typed("weights", t, float) for t in self.weights))
         for name, names in (("campaign", CAMPAIGN_IDS), ("channel_family", CHANNEL_FAMILIES),
                             ("function", BUILTIN_NAMES)):
             if getattr(self, name) not in names:
@@ -185,7 +197,6 @@ class CampaignConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if not 0 < self.tolerance < math.inf:
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
-        object.__setattr__(self, "weights", tuple(self.weights))
         if not self.weights or any(not 0.0 < t < 1.0 for t in self.weights):
             raise ValueError(f"segment weights must lie strictly inside (0, 1), got {self.weights}")
         if not 0 < self.eig_low <= self.eig_high < math.inf:
@@ -228,7 +239,7 @@ class CampaignReport:
 
 # A sampler takes the config and one stream per sample of a chunk, and
 # returns the chunk's margins and one witness dict per sample; the witness
-# holds the sample's drawn inputs, its matrices first in drawing order.
+# holds the inputs of the sample's margin, its matrices first in drawing order.
 
 
 def _draw_pd(config: CampaignConfig, streams, dim: int) -> np.ndarray:
@@ -315,10 +326,46 @@ def _q_midpoint_margin(func, x1, h1, x2, h2):
     return (0.5 * q[0] + 0.5 * q[1]) - q[2]
 
 
-_C4_KEYS = ("x1", "h1", "x2", "h2")
+def _pair_inner(a, b) -> np.ndarray:
+    # Re tr(a^H b) summed over the two matrices of a direction pair, per sample.
+    return np.sum(a.real * b.real + a.imag * b.imag, axis=(-3, -2, -1))
 
 
-def _sample_c4(config: CampaignConfig, streams):
+def _lowest_directions(func, x1, h1, x2, h2):
+    """C9's directions: the lowest Ritz vector, of the drawn pair's norm, of
+    the midpoint margin ``<v, A v>`` in ``v = (h1, h2)``, where
+    ``A v = (L1 h1 - Lm g, L2 h2 - Lm g) / 2``, ``g = (h1 + h2) / 2`` and
+    ``L_x h = U (K o U^H h U) U^H`` with ``K`` the Loewner kernel of ``f'``.
+
+    Lanczos takes ``min(8, 2 n^2)`` steps from the drawn pair, orthogonalizing
+    each vector twice against all earlier ones.  ``A v`` is hermitized, so each
+    vector, a real combination of stored-Hermitian pairs, is stored Hermitian.
+    """
+    eigenvalues, u = _eigh(np.stack([x1, x2, (x1 + x2) / 2.0], axis=1))
+    kernel, uh = loewner(func, "f1", eigenvalues), _adjoint(u)
+    steps = min(8, 2 * x1.shape[-1] ** 2)
+    t = np.zeros((len(x1), steps, steps))  # tridiagonal; eigh reads its lower triangle
+    drawn = np.stack([h1, h2], axis=1)
+    norm = np.sqrt(_pair_inner(drawn, drawn))[:, None, None, None]
+    basis = [drawn / norm]
+    for j in range(steps):
+        q = basis[j]
+        g = np.stack([q[:, 0], q[:, 1], (q[:, 0] + q[:, 1]) / 2.0], axis=1)
+        lg = u @ (kernel * (uh @ g @ u)) @ uh
+        w = hermitize(0.5 * (lg[:, :2] - lg[:, 2:]))
+        t[:, j, j] = _pair_inner(q, w)
+        if j + 1 < steps:
+            for b in basis * 2:
+                w = w - _pair_inner(b, w)[:, None, None, None] * b
+            t[:, j + 1, j] = beta = np.sqrt(_pair_inner(w, w))
+            # A zero w has exhausted the Krylov space; it stays zero.
+            basis.append(w / np.where(beta > 0, beta, 1.0)[:, None, None, None])
+    ritz = _eigh(t).basis[..., 0]  # the coefficients of the lowest Ritz vector
+    v = norm * sum(c[:, None, None, None] * b for c, b in zip(ritz.T, basis))
+    return v[:, 0], v[:, 1]
+
+
+def _sample_c4(config: CampaignConfig, streams, lowest: bool = False):
     dim = config.space().dim
     x1 = _draw_pd(config, streams, dim)
     h1 = random_hermitian(dim, streams)
@@ -326,8 +373,15 @@ def _sample_c4(config: CampaignConfig, streams):
     h2 = random_hermitian(dim, streams)
     for m, name in ((x1, "matrix"), (h1, "direction"), (x2, "matrix"), (h2, "direction")):
         check_hermitian(m, name)
-    margins = _q_midpoint_margin(config.scalar_function(), x1, h1, x2, h2)
-    return margins.tolist(), [dict(zip(_C4_KEYS, mats)) for mats in zip(x1, h1, x2, h2)]
+    func = config.scalar_function()
+    if lowest:
+        h1, h2 = _lowest_directions(func, x1, h1, x2, h2)
+    margins = _q_midpoint_margin(func, x1, h1, x2, h2)
+    return margins.tolist(), [dict(zip(("x1", "h1", "x2", "h2"), m)) for m in zip(x1, h1, x2, h2)]
+
+
+def _sample_c9(config: CampaignConfig, streams):
+    return _sample_c4(config, streams, lowest=True)
 
 
 def _congruence_inverse(a, b) -> np.ndarray:
@@ -376,38 +430,8 @@ _SAMPLERS = {
     "C6": _sample_c1,
     "C7": _sample_c7,
     "C8": _sample_c8,
-    "C9": _sample_c4,
+    "C9": _sample_c9,
 }
-
-
-def _c9_descent(config: CampaignConfig, witness: dict, start_margin: float):
-    """Greedy local search pushing the worst C9 margin further down.
-
-    Up to 200 proposals from stream ``(seed, samples)``: perturb all four
-    inputs by ``step`` times a random Hermitian, keep proposals that lower the
-    margin and leave both base points positive definite, halve the step on
-    failure.  A proposal draws its four directions from the stream in the
-    order x1, h1, x2, h2 and is evaluated as one stack of four inputs.
-    """
-    dim = config.space().dim
-    rng = RngStream(config.seed, config.samples)
-    func = config.scalar_function()
-    mats = np.stack([witness[k] for k in _C4_KEYS])
-    margin = start_margin
-    step = 1e-2
-    for _ in range(200):
-        if step < 1e-12:
-            break
-        candidate = mats + step * random_hermitian(dim, [rng] * 4)
-        if _eigvalsh(candidate[0::2]).min() <= 1e-8:
-            step *= 0.5
-            continue
-        trial = float(_q_midpoint_margin(func, *candidate))
-        if trial < margin:
-            mats, margin = candidate, trial
-        else:
-            step *= 0.5
-    return margin, dict(zip(_C4_KEYS, mats))
 
 
 def _chunk_samples(dim: int) -> int:
@@ -459,16 +483,6 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             margins.append(margin)
             if worst is None or margin < worst[0]:
                 worst = (margin, index, witness)
-
-    if config.campaign == "C9" and worst is not None:
-        raw_start = float(_q_midpoint_margin(config.scalar_function(),
-                                             *(worst[2][k] for k in _C4_KEYS)))
-        margin, witness = _c9_descent(config, worst[2], raw_start)
-        if config.relative:
-            margin = margin / _norms(witness)
-        margins.append(margin)
-        if margin < worst[0]:
-            worst = (margin, "descent", witness)
 
     witness = None
     if worst is not None:

@@ -1,5 +1,6 @@
 """Campaign runner: determinism, per-statement margins, error capture."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,8 +15,10 @@ from entropygap import (
     EntropyGapSpec,
     MixedUnitaryChannel,
     RngStream,
+    T_LOG_T,
     apply_channel,
     entropy_gap,
+    frechet_derivative,
     hermitize,
     quad_form,
     random_hermitian,
@@ -66,6 +69,23 @@ def test_config_rejects_invalid_fields(overrides):
         _run("C1", **overrides)
 
 
+@pytest.mark.parametrize("name,value", [("tolerance", True), ("tolerance", "1e-8"), ("p", None),
+                                        ("eig_low", True), ("eig_high", "3")])
+def test_config_names_a_float_field_of_the_wrong_type(name, value):
+    with pytest.raises(ValueError, match=name):
+        CampaignConfig("C1", **{name: value})
+    with pytest.raises(ValueError, match="weights"):
+        CampaignConfig("C1", weights=(0.5, value))
+
+
+def test_config_stores_float_fields_as_float():
+    config = CampaignConfig("C6", tolerance=np.float32(0.5), p=1, eig_low=1, eig_high=np.int64(2),
+                            weights=[np.float64(0.5), 0.25])
+    values = (config.tolerance, config.p, config.eig_low, config.eig_high, *config.weights)
+    assert values == (0.5, 1.0, 1.0, 2.0, 0.5, 0.25)
+    assert all(type(value) is float for value in values)
+
+
 def test_config_stores_numpy_integers_as_int():
     config = CampaignConfig("C1", d1=np.int64(2), d2=np.uint8(3), samples=np.int32(4),
                             seed=np.uint64(2**64 - 1))
@@ -86,11 +106,13 @@ def test_margins_reproducible(campaign):
     assert first.worst_margin == second.worst_margin
 
 
-def test_samples_are_independent_streams():
+@pytest.mark.parametrize("campaign", CAMPAIGN_IDS)
+def test_samples_are_independent_streams(campaign):
     # Margins of a shorter run are a prefix of a longer run's margins.
-    short = _run("C2", samples=10)
-    long = _run("C2", samples=20)
-    assert long.margins[:10] == short.margins
+    short = _run(campaign, samples=10)
+    long = _run(campaign, samples=20)
+    assert _bits(long.margins[:10]) == _bits(short.margins)
+    assert len(long.margins) == 20
 
 
 # -- chunked evaluation -----------------------------------------------------------
@@ -242,13 +264,12 @@ def test_c1_entropy_function_at_seed_42():
 
 @pytest.mark.parametrize("d1,d2", SHAPES)
 def test_presets_run_their_base_campaign_bitwise(d1, d2):
-    for preset, base, function in (("C5", "C1", "t_log_t"), ("C6", "C1", "power"),
-                                   ("C9", "C4", "cube")):
+    # C9 runs C4's draws with other directions; see the falsification tests.
+    for preset, base, function in (("C5", "C1", "t_log_t"), ("C6", "C1", "power")):
         report = _run(preset, d1=d1, d2=d2, samples=9, function="log", p=1.25)
         expected = _run(base, d1=d1, d2=d2, samples=9, function=function, p=1.25)
         assert report.config.function == function
-        assert _bits(report.margins[:9]) == _bits(expected.margins)
-        assert len(report.margins) == (10 if preset == "C9" else 9)  # C9 adds its descent
+        assert _bits(report.margins) == _bits(expected.margins)
 
 
 @pytest.mark.parametrize(
@@ -302,6 +323,18 @@ INVALID_SETTINGS = [
     {"normalize": 1},
     {"relative": None},
     {"relative": np.float64(0.0)},
+    # A true tolerance or bound would run as 1.0, and a string one fails a
+    # comparison with TypeError.
+    {"tolerance": True},
+    {"tolerance": "1e-8"},
+    {"p": False},
+    {"p": "1.5"},
+    {"eig_low": True},
+    {"eig_high": "3"},
+    {"eig_high": 3.0 + 0j},
+    {"tolerance": 10**400},
+    {"weights": (0.5, True)},
+    {"weights": ("0.5",)},
 ]
 
 
@@ -534,88 +567,137 @@ def _per_matrix_midpoint_margin(x1, h1, x2, h2) -> float:
     return average - quad_form(CUBE, (x1 + x2) / 2.0, (h1 + h2) / 2.0)
 
 
-def _per_matrix_descent(config, mats, margin):
-    """The C9 descent one matrix at a time: four draws, two eigenvalue
-    floors and three forms per proposal."""
+def _per_matrix_c4_draws(config, index):
     dim = config.d1 * config.d2
-    rng = RngStream(config.seed, config.samples)
-    step = 1e-2
-    accepted = 0
-    for _ in range(200):
-        if step < 1e-12:
+    rng = RngStream(config.seed, index)
+    x1 = random_pd(dim, rng, (config.eig_low, config.eig_high))
+    h1 = _two_call_hermitian(dim, rng)
+    x2 = random_pd(dim, rng, (config.eig_low, config.eig_high))
+    h2 = _two_call_hermitian(dim, rng)
+    return x1, h1, x2, h2
+
+
+def _hermitian_basis(n: int) -> list:
+    """An orthonormal basis of the n x n Hermitian matrices under Re tr(a^H b)."""
+    basis = []
+    for i in range(n):
+        for j in range(i, n):
+            for value in ((1.0,) if i == j else (1 / np.sqrt(2), 1j / np.sqrt(2))):
+                e = np.zeros((n, n), dtype=complex)
+                e[i, j], e[j, i] = value, np.conj(value)
+                basis.append(e)
+    return basis
+
+
+def _dense_midpoint_operator(func, x1, x2):
+    """The midpoint margin's operator on direction pairs as a real symmetric
+    matrix, a column per basis pair, one Frechet derivative at a time; and the
+    coordinates of a pair in that basis."""
+    zero = np.zeros_like(x1)
+    pairs = [(e, zero) for e in _hermitian_basis(len(x1))] + \
+            [(zero, e) for e in _hermitian_basis(len(x1))]
+
+    def coordinates(h1, h2):
+        return np.array([np.vdot(e1, h1).real + np.vdot(e2, h2).real for e1, e2 in pairs])
+
+    columns = []
+    for h1, h2 in pairs:
+        mid = frechet_derivative(func, "f1", (x1 + x2) / 2.0, (h1 + h2) / 2.0)
+        columns.append(coordinates((frechet_derivative(func, "f1", x1, h1) - mid) / 2.0,
+                                   (frechet_derivative(func, "f1", x2, h2) - mid) / 2.0))
+    return np.array(columns).T, coordinates
+
+
+def _lowest_ritz_value(a, start, steps: int) -> float:
+    """Lowest Ritz value of ``steps`` Lanczos steps on the dense matrix ``a``
+    from ``start``, each vector orthogonalized twice against all before it."""
+    basis, alphas, betas = [start / np.linalg.norm(start)], [], []
+    for step in range(steps):
+        w = a @ basis[-1]
+        alphas.append(basis[-1] @ w)
+        if step == steps - 1:
             break
-        candidate = [m + step * _two_call_hermitian(dim, rng) for m in mats]
-        base_floor = min(
-            float(np.linalg.eigvalsh(candidate[0]).min()),
-            float(np.linalg.eigvalsh(candidate[2]).min()),
-        )
-        if base_floor <= 1e-8:
-            step *= 0.5
-            continue
-        trial = _per_matrix_midpoint_margin(*candidate)
-        if trial < margin:
-            mats, margin = candidate, trial
-            accepted += 1
-        else:
-            step *= 0.5
-    return margin, mats, accepted
+        for _ in range(2):
+            for b in basis:
+                w = w - (b @ w) * b
+        betas.append(np.linalg.norm(w))
+        basis.append(w / betas[-1])
+    return np.linalg.eigvalsh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))[0]
 
 
-def _per_matrix_c9(config):
-    """Margins, worst margin, witness and accepted proposals of a C9 run,
-    computed one matrix at a time."""
-    dim = config.d1 * config.d2
-
-    def scaled(margin, mats):
-        if config.relative:
-            return margin / (1.0 + sum(float(np.linalg.norm(m)) for m in mats))
-        return margin
-
-    margins, worst = [], None
-    for index in range(config.samples):
-        rng = RngStream(config.seed, index)
-        x1 = random_pd(dim, rng, (config.eig_low, config.eig_high))
-        h1 = _two_call_hermitian(dim, rng)
-        x2 = random_pd(dim, rng, (config.eig_low, config.eig_high))
-        h2 = _two_call_hermitian(dim, rng)
-        mats = [x1, h1, x2, h2]
-        margin = scaled(_per_matrix_midpoint_margin(*mats), mats)
-        margins.append(margin)
-        if worst is None or margin < worst[0]:
-            worst = (margin, index, mats)
-    raw_start = _per_matrix_midpoint_margin(*worst[2])
-    margin, mats, accepted = _per_matrix_descent(config, worst[2], raw_start)
-    margin = scaled(margin, mats)
-    margins.append(margin)
-    if margin < worst[0]:
-        worst = (margin, "descent", mats)
-    return margins, worst, accepted
+@pytest.mark.parametrize("d1,d2", [(1, 1), (1, 2), (2, 2), (2, 3)])
+def test_c9_margin_is_the_lowest_ritz_value_of_a_dense_reference(d1, d2):
+    n = d1 * d2
+    steps = min(8, 2 * n * n)
+    for seed in (42, 7):
+        report = _run("C9", d1=d1, d2=d2, samples=6, seed=seed)
+        for index, margin in enumerate(report.margins):
+            x1, h1, x2, h2 = _per_matrix_c4_draws(report.config, index)
+            a, coordinates = _dense_midpoint_operator(CUBE, x1, x2)
+            start = coordinates(h1, h2)
+            scale = np.linalg.norm(a, 2) * (start @ start)
+            # The dense matrix is the margin's operator: symmetric, and its
+            # form at the drawn pair is the drawn pair's margin.
+            assert np.abs(a - a.T).max() <= 1e-13 * np.linalg.norm(a, 2)
+            drawn = _per_matrix_midpoint_margin(x1, h1, x2, h2)
+            assert abs(start @ a @ start - drawn) <= 1e-13 * scale
+            expected = _lowest_ritz_value(a, start, steps) * (start @ start)
+            assert abs(margin - expected) <= 1e-12 * scale
+            if steps == 2 * n * n:  # the Krylov space is the whole space
+                assert abs(margin - np.linalg.eigvalsh(a)[0] * (start @ start)) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
 @pytest.mark.parametrize("d1,d2", SHAPES + [(3, 3)])
-def test_c9_descent_matches_its_per_matrix_form(d1, d2, relative):
-    accepted = 0
-    for seed in (42, 7, 2026):
-        report = _run("C9", d1=d1, d2=d2, samples=12, seed=seed, relative=relative)
-        margins, (worst_margin, sample, mats), proposals = _per_matrix_c9(report.config)
-        accepted += proposals
-        assert _bits(report.margins) == _bits(margins)
-        assert _bits([report.worst_margin]) == _bits([worst_margin])
-        assert report.witness["sample"] == sample
-        for key, m in zip(("x1", "h1", "x2", "h2"), mats):
-            assert report.witness[key].tobytes() == m.tobytes()
-    assert accepted > 0  # the descent moved, so the comparison covers it
+def test_c9_keeps_the_c4_draws_and_lowers_their_margins(d1, d2):
+    config = CampaignConfig("C9", d1=d1, d2=d2, samples=9)
+    drawn_streams = [RngStream(42, index) for index in range(9)]
+    lowest_streams = [RngStream(42, index) for index in range(9)]
+    drawn, drawn_witnesses = _SAMPLERS["C4"](replace(config, campaign="C4"), drawn_streams)
+    lowest, witnesses = _SAMPLERS["C9"](config, lowest_streams)
+    assert _bits(run_campaign(config).margins) == _bits(lowest)
+    for margin, bound, w, d in zip(lowest, drawn, witnesses, drawn_witnesses):
+        assert margin <= bound
+        assert w["x1"].tobytes() == d["x1"].tobytes() and w["x2"].tobytes() == d["x2"].tobytes()
+        # The witness directions keep the drawn pair's norm.
+        norms = [np.linalg.norm(np.stack([p["h1"], p["h2"]])) for p in (w, d)]
+        assert abs(norms[0] - norms[1]) <= 1e-14 * norms[1]
+    # No stream is drawn from beyond the draws of C4.
+    for a, b in zip(drawn_streams, lowest_streams):
+        assert a.gen.integers(2**63) == b.gen.integers(2**63)
 
 
-def test_c9_appends_a_descent_stage():
-    report = _run("C9", samples=15)
-    assert len(report.margins) == 16
-    # The descent only ever improves on the worst random margin.
-    assert report.margins[-1] <= min(report.margins[:15])
-    assert report.worst_margin == report.margins[-1]
-    assert report.witness["sample"] == "descent"
-    assert set(report.witness) == {"x1", "h1", "x2", "h2", "sample"}
+@pytest.mark.parametrize("d1,d2", [(2, 2), (3, 3)])
+def test_c9_routine_finds_no_violation_for_t_log_t(d1, d2):
+    # t log t is a matrix entropy, so its midpoint form is positive
+    # semidefinite; (x1, x2) is a null direction, because Q(x, x) = tr x.
+    config = CampaignConfig("C4", d1=d1, d2=d2)
+    _, witnesses = campaigns._sample_c4(config, [RngStream(42, index) for index in range(40)])
+    x1, h1, x2, h2 = (np.stack([w[key] for w in witnesses]) for key in ("x1", "h1", "x2", "h2"))
+
+    def scale(*mats):
+        return 1.0 + sum(np.linalg.norm(m, axis=(-2, -1)) for m in mats)
+
+    g1, g2 = campaigns._lowest_directions(T_LOG_T, x1, h1, x2, h2)
+    assert (_q_midpoint_margin(T_LOG_T, x1, g1, x2, g2) >= -1e-14 * scale(x1, g1, x2, g2)).all()
+    null = _q_midpoint_margin(T_LOG_T, x1, x1, x2, x2)
+    assert (np.abs(null) <= 1e-14 * scale(x1, x1, x2, x2)).all()
+    # From the null direction the first residual is rounding alone.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g1, g2 = campaigns._lowest_directions(T_LOG_T, x1, x1, x2, x2)
+    assert (_q_midpoint_margin(T_LOG_T, x1, g1, x2, g2) >= -1e-14 * scale(x1, g1, x2, g2)).all()
+
+
+def test_c9_routine_survives_an_exactly_invariant_start():
+    # With x1 == x2 and h1 == h2 the drawn pair is a null vector bit for bit:
+    # the first residual is exactly zero and the Krylov space is exhausted.
+    x = random_pd(4, [RngStream(3, 0)])
+    h = random_hermitian(4, [RngStream(3, 1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g1, g2 = campaigns._lowest_directions(CUBE, x, h, x, h)
+    assert np.isfinite(np.stack([g1, g2])).all()
+    assert _q_midpoint_margin(CUBE, x, g1, x, g2)[0] == 0.0
 
 
 def test_c9_margin_detects_a_constructed_violation():
@@ -628,7 +710,21 @@ def test_c9_margin_detects_a_constructed_violation():
     assert _q_midpoint_margin(CUBE, x1, h1, x2, h2) < -1.0
 
 
+@pytest.mark.parametrize("dim", [1, 2, 4, 9, 64])
+def test_c9_direct_sum_witness_violates_at_every_dimension(dim):
+    # The 1x1 counterexample x1 = 0.1, h1 = 1, x2 = 3, h2 = 0, whose margin
+    # is 0.3 - 6 * 1.55 / 4 = -2.025, padded with an identity block that
+    # the directions leave alone.
+    pad = np.ones(dim - 1)
+    x1, x2 = (np.diag(np.r_[value, pad]).astype(complex) for value in (0.1, 3.0))
+    h1 = np.diag(np.r_[1.0, 0.0 * pad]).astype(complex)
+    margin = _q_midpoint_margin(CUBE, x1, h1, x2, np.zeros_like(h1))
+    assert abs(margin + 2.025) <= 1e-14
+
+
 def test_c9_with_entropy_function_still_searches_cube():
     # The campaign pins f = cube regardless of the configured function.
     report = _run("C9", samples=5, function="t_log_t")
-    assert len(report.margins) == 6
+    assert report.config.function == "cube"
+    assert _bits(report.margins) == _bits(_run("C9", samples=5).margins)
+    assert report.violations == 5

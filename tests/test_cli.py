@@ -173,10 +173,24 @@ def test_settings_not_given_take_the_config_defaults():
 
 
 def test_c9_prints_inconclusive_note(capsys):
-    code = main(["--campaign", "C9", "--samples", "5"])
+    # Equal base points, the identity up to rounding: the form is positive
+    # semidefinite there, so no direction gives a violation.
+    code = main(["--campaign", "C9", "--samples", "5", "--eig-range", "1,1"])
     out = capsys.readouterr().out
     assert code == EXIT_PASS
     assert "inconclusive" in out
+
+
+@pytest.mark.parametrize("seed", ["42", "7", "1"])
+@pytest.mark.parametrize("dims,samples", [("1", []), ("2", []), ("3", []), ("4", []),
+                                          ("8", ["--samples", "3"])])
+def test_c9_finds_a_counterexample(capsys, seed, dims, samples):
+    # t^3 is no matrix entropy, and the lowest directions show it: 1x1 to 4x4
+    # at the default 200 samples, 8x8 at 3 to keep the suite short.
+    code = main(["--campaign", "C9", "--d1", dims, "--d2", dims, "--seed", seed, *samples])
+    out = capsys.readouterr().out
+    assert code == EXIT_VIOLATION
+    assert "inconclusive" not in out
 
 
 def test_unwritable_out_exits_two(capsys):

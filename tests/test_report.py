@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from entropygap import (
     CAMPAIGN_IDS,
     CHANNEL_FAMILIES,
+    CUBE,
     CampaignConfig,
     CampaignReport,
     ConditionalExpectation1,
@@ -21,10 +22,12 @@ from entropygap import (
     apply_channel,
     emit_report,
     emit_reports,
+    is_stored_hermitian,
     load_report,
     load_reports,
     matrix_from_json,
     matrix_to_json,
+    quad_form,
     random_hermitian,
     render_report,
     report_from_dict,
@@ -237,12 +240,6 @@ def test_every_channel_family_round_trips_bitwise(family, dims):
     report = _report(campaign="C3", d1=dims[0], d2=dims[1], channel_family=family)
     if family == "pinching" and dims != (1, 1):
         assert len(set(report.witness["channel"].labels.tolist())) > 1
-    _assert_same_witness(_through_text(report).witness, report.witness)
-
-
-def test_c9_descent_witness_round_trips_bitwise():
-    report = _report(campaign="C9", samples=3)
-    assert report.witness["sample"] == "descent"
     _assert_same_witness(_through_text(report).witness, report.witness)
 
 
@@ -541,3 +538,18 @@ def test_earlier_reports_cover_both_matrix_channels():
     assert families == {"pinching", "mixed"}
     frame_labels = load_report(DATA / "c3-pinching-2x2.json").witness["channel"].labels
     assert len(set(frame_labels.tolist())) > 1
+
+
+def test_reports_of_the_c9_descent_still_load():
+    # Written by verify --campaign C9 --samples 3 --out when C9 appended the
+    # margin of a greedy descent from its worst sample as one more entry.
+    report = load_report(DATA / "c9-2x2.json")
+    assert len(report.margins) == 4
+    assert report.witness["sample"] == "descent"
+    assert report.worst_margin == min(report.margins)
+    mats = [report.witness[key] for key in ("x1", "h1", "x2", "h2")]
+    assert all(m.shape == (4, 4) and m.dtype == complex and is_stored_hermitian(m) for m in mats)
+    # The matrices decode to the inputs of the worst margin.
+    average = 0.5 * quad_form(CUBE, mats[0], mats[1]) + 0.5 * quad_form(CUBE, mats[2], mats[3])
+    midpoint = quad_form(CUBE, (mats[0] + mats[2]) / 2.0, (mats[1] + mats[3]) / 2.0)
+    assert _bits([average - midpoint]) == _bits([report.worst_margin])
