@@ -18,7 +18,6 @@ from .linalg import (
 )
 from .calculus import (
     BUILTIN_NAMES,
-    CONFLUENT_THRESHOLD,
     CUBE,
     IDENTITY,
     LOG,

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -185,7 +186,12 @@ class CampaignConfig:
                             (float, ("tolerance", "p", "eig_low", "eig_high"))):
             for name in names:
                 object.__setattr__(self, name, _typed(name, getattr(self, name), kind))
-        object.__setattr__(self, "weights", tuple(_typed("weights", t, float) for t in self.weights))
+        try:  # a string is a sequence too, of one-character strings
+            if isinstance(self.weights, str) or not isinstance(self.weights, (Sequence, np.ndarray)):
+                raise ValueError
+            object.__setattr__(self, "weights", tuple(_typed("weights", t, float) for t in self.weights))
+        except (TypeError, ValueError):  # TypeError: iterating a 0-d array
+            raise ValueError(f"weights must be a sequence of reals, got {self.weights!r}") from None
         for name, names in (("campaign", CAMPAIGN_IDS), ("channel_family", CHANNEL_FAMILIES),
                             ("function", BUILTIN_NAMES)):
             if getattr(self, name) not in names:
@@ -411,7 +417,7 @@ def _sample_c8(config: CampaignConfig, streams):
     dim = config.space().dim
     lo, hi = _C8_PAIR_RANGE
     s, t = np.array([rng.gen.uniform(lo, hi, size=2) for rng in streams]).T
-    dd_gaps = np.abs(divided_difference(LOG.f, LOG.f1, s, t) - dd_log_quadrature(s, t))
+    dd_gaps = np.abs(divided_difference(LOG, "f", s, t) - dd_log_quadrature(s, t))
     a = _draw_pd(config, streams, dim)
     h = random_hermitian(dim, streams)
     references = np.array([log_quad_form_quadrature(ai, hi) for ai, hi in zip(a, h)])

@@ -76,7 +76,7 @@ def test_criterion_2_kernel_identities(verdict):
     rng = RngStream(1002, 0)
     pairs = rng.gen.uniform(0.1, 10.0, size=(1000, 2))
     worst_dd = max(
-        abs(divided_difference(LOG.f, LOG.f1, s, t) - dd_log_quadrature(s, t))
+        abs(divided_difference(LOG, "f", s, t) - dd_log_quadrature(s, t))
         for s, t in pairs
     )
     worst_qf = 0.0

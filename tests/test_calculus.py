@@ -1,6 +1,7 @@
 """Spectral calculus: scalar functions, divided differences, Frechet maps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from entropygap import (
     BUILTIN_NAMES,
-    CONFLUENT_THRESHOLD,
     CUBE,
     IDENTITY,
     LOG,
@@ -50,16 +50,28 @@ def _draws(dim: int, count: int, seed: int):
 # -- scalar functions ---------------------------------------------------------
 
 
+def _check_derivatives(func, points=(0.5, 1.0, 2.0, 5.0), tol: float = 1e-6) -> None:
+    # The confluent kernels f'(t) = dd(t, t) and f''(t) = dd1(t, t) against
+    # central differences of f and of f'.
+    def f1(t):
+        return func.dd(t, t)
+
+    for t in points:
+        h = 1e-6 * t
+        for got, parent in ((f1(t), func.f), (func.dd1(t, t), f1)):
+            approx = float(parent(t + h) - parent(t - h)) / (2.0 * h)
+            assert abs(got - approx) <= tol * max(1.0, abs(approx)), (func.name, t)
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtin_derivatives_consistent(name):
-    func = by_name(name, p=1.5)
-    func.check_derivatives()
+    _check_derivatives(by_name(name, p=1.5))
 
 
 @pytest.mark.parametrize("p", [1.0, 1.3, 1.5, 2.0])
 def test_power_family(p):
     func = power(p)
-    func.check_derivatives()
+    _check_derivatives(func)
     assert func.f(2.0) == pytest.approx(2.0**p)
 
 
@@ -79,66 +91,125 @@ def test_by_name_rejects_unknown():
 
 def test_builtin_values():
     assert T_LOG_T.f(math.e) == pytest.approx(math.e)
-    assert T_LOG_T.f1(1.0) == 1.0
-    assert T_LOG_T.f2(2.0) == 0.5
-    assert LOG.f2(2.0) == -0.25
-    assert CUBE.f2(2.0) == 12.0
-    assert IDENTITY.f2(7.0) == 0.0
+    assert T_LOG_T.dd(1.0, 1.0) == 1.0
+    assert T_LOG_T.dd1(2.0, 2.0) == 0.5
+    assert LOG.dd1(2.0, 2.0) == -0.25
+    assert CUBE.dd1(2.0, 2.0) == 12.0
+    assert IDENTITY.dd1(7.0, 7.0) == 0.0
 
 
 # -- divided differences ------------------------------------------------------
 
 
 def test_divided_difference_log_pair():
-    assert divided_difference(LOG.f, LOG.f1, 1.0, 2.0) == pytest.approx(LOG2, abs=1e-15)
+    assert divided_difference(LOG, "f", 1.0, 2.0) == pytest.approx(LOG2, abs=1e-15)
 
 
 def test_divided_difference_confluent_uses_derivative():
     # f' of t log t is log t + 1; its divided difference at (2, 2) is f''(2).
-    assert divided_difference(T_LOG_T.f1, T_LOG_T.f2, 2.0, 2.0) == 0.5
+    assert divided_difference(T_LOG_T, "f1", 2.0, 2.0) == 0.5
 
 
 def test_divided_difference_matches_quadrature():
-    assert abs(divided_difference(LOG.f, LOG.f1, 1.0, 3.0) - dd_log_quadrature(1.0, 3.0)) <= 1e-10
+    assert abs(divided_difference(LOG, "f", 1.0, 3.0) - dd_log_quadrature(1.0, 3.0)) <= 1e-10
 
 
 def test_divided_difference_rejects_nonpositive():
     with pytest.raises(DomainError):
-        divided_difference(LOG.f, LOG.f1, 0.0, 1.0)
+        divided_difference(LOG, "f", 0.0, 1.0)
     with pytest.raises(DomainError):
-        divided_difference(LOG.f, LOG.f1, 1.0, -2.0)
+        divided_difference(LOG, "f", 1.0, -2.0)
+    with pytest.raises(DomainError, match="which"):
+        divided_difference(LOG, "f2", 1.0, 2.0)
 
 
 def test_divided_difference_near_confluence_stays_accurate():
-    # Crossing the fallback threshold must not cost more than quadrature error.
+    # The quadrature is accurate to 1e-14 relative at every gap, 0 included.
     s = 1.0
-    for gap in (1e-3, 1e-4, 1e-5, 1e-6):
-        got = divided_difference(LOG.f, LOG.f1, s, s + gap)
-        assert abs(got - dd_log_quadrature(s, s + gap)) <= 1e-9
-    for gap in (1e-8, 1e-10, 0.0):
-        # Below the threshold the midpoint derivative is returned exactly.
-        got = divided_difference(LOG.f, LOG.f1, s, s + gap)
-        assert got == LOG.f1(s + gap / 2.0)
+    for gap in (1e-3, 1e-5, 1e-7, 1e-8, 1e-10, 1e-14, 0.0):
+        got = divided_difference(LOG, "f", s, s + gap)
+        assert abs(got - dd_log_quadrature(s, s + gap)) <= 1e-14 * got
+    assert divided_difference(LOG, "f", s, s) == 1.0 / s
 
 
-def test_confluent_threshold_is_relative():
-    # A gap of 1 between huge arguments is confluent in the relative sense.
-    s = 1e9
-    got = divided_difference(LOG.f, LOG.f1, s, s + 1.0)
-    assert got == LOG.f1(s + 0.5)
-    assert CONFLUENT_THRESHOLD == 1e-7
+def test_adjacent_floats_are_not_confluent():
+    # log(t) / (t - 1) at t = 1 + 2**-52 is 1 - 2**-53 to rounding; the
+    # derivative at the rounded midpoint, 1, would be one ulp off.
+    after = np.nextafter(1.0, 2.0)
+    assert divided_difference(LOG, "f", 1.0, after) == np.nextafter(1.0, 0.0)
+    assert divided_difference(T_LOG_T, "f1", after, 1.0) == np.nextafter(1.0, 0.0)
 
 
-@settings(max_examples=200, deadline=None)
+def test_power_kernel_reads_no_overflow_from_its_unused_form():
+    # At a ratio of 1e160 expm1(2 log1p(u)) would overflow; the plain
+    # quotient is read there, and the expm1 form sees u clipped to 1.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = divided_difference(power(2.0), "f", 1e-150, 1e10)
+    assert got == 1e10
+
+
+# Kernels of increasing functions are positive at every pair; those of
+# f' = 1 (identity, power(1)) vanish.
+_POSITIVE_KERNELS = {("log", "f"), ("t_log_t", "f1"), ("power", "f"), ("power", "f1"),
+                     ("identity", "f"), ("square", "f"), ("square", "f1"), ("cube", "f"),
+                     ("cube", "f1")}
+
+
+@settings(max_examples=300, deadline=None)
 @given(
-    s=st.floats(min_value=0.1, max_value=10.0),
-    t=st.floats(min_value=0.1, max_value=10.0),
+    name=st.sampled_from(BUILTIN_NAMES),
+    which=st.sampled_from(["f", "f1"]),
+    p=st.floats(min_value=1.0, max_value=2.0),
+    s=st.floats(min_value=1e-6, max_value=1e6),
+    t=st.floats(min_value=1e-6, max_value=1e6),
 )
-def test_divided_difference_symmetric_and_log_kernel_positive(s, t):
-    forward = divided_difference(LOG.f, LOG.f1, s, t)
-    backward = divided_difference(LOG.f, LOG.f1, t, s)
-    assert forward == backward
-    assert forward > 0.0
+def test_divided_difference_symmetric_and_increasing_kernels_positive(name, which, p, s, t):
+    func = by_name(name, p=p)
+    forward = divided_difference(func, which, s, t)
+    backward = divided_difference(func, which, t, s)
+    assert np.float64(forward).tobytes() == np.float64(backward).tobytes()
+    if (name, which) in _POSITIVE_KERNELS and not (name == "power" and which == "f1" and p == 1.0):
+        assert forward > 0.0
+
+
+# Reference kernels at 50 digits: (name, p) -> (f, f', f'') as mpmath callables.
+def _mp_derivatives(mpmath, name, p):
+    if name == "power":
+        q = mpmath.mpf(p)
+        return (lambda x: x**q, lambda x: q * x ** (q - 1), lambda x: q * (q - 1) * x ** (q - 2))
+    return {
+        "t_log_t": (lambda x: x * mpmath.log(x), lambda x: mpmath.log(x) + 1, lambda x: 1 / x),
+        "log": (mpmath.log, lambda x: 1 / x, lambda x: -1 / x**2),
+        "identity": (lambda x: x, lambda x: mpmath.mpf(1), lambda x: mpmath.mpf(0)),
+        "square": (lambda x: x**2, lambda x: 2 * x, lambda x: mpmath.mpf(2)),
+        "cube": (lambda x: x**3, lambda x: 3 * x**2, lambda x: 6 * x),
+    }[name]
+
+
+@pytest.mark.parametrize("which", ["f", "f1"])
+@pytest.mark.parametrize("name,p", [("t_log_t", None), ("log", None), ("identity", None),
+                                    ("square", None), ("cube", None), ("power", 1.0),
+                                    ("power", 1.5), ("power", 2.0)])
+def test_divided_difference_is_exact_at_every_gap(name, p, which):
+    # Against 50-digit arithmetic on the float pair itself, at relative gaps
+    # 0 and 1e-14 ... 1e10, in both argument orders.  The f kernel of t log t
+    # passes through zero near 1/e, where its bound is absolute.
+    mpmath = pytest.importorskip("mpmath")
+    func = by_name(name, p=p)
+    derivatives = _mp_derivatives(mpmath, name, p)
+    mp_f, mp_df = derivatives[1:] if which == "f1" else derivatives[:2]
+    absolute = (name, which) == ("t_log_t", "f")
+    with mpmath.workdps(50):
+        for base in (0.1, 0.37, 1.0, 2.9, 7.3):
+            for gap in [0.0] + [10.0**e for e in range(-14, 11)]:
+                far = base * (1.0 + gap)
+                for s, t in ((base, far), (far, base)):
+                    got = divided_difference(func, which, s, t)
+                    a, b = mpmath.mpf(s), mpmath.mpf(t)
+                    ref = mp_df(a) if a == b else (mp_f(b) - mp_f(a)) / (b - a)
+                    scale = max(1, abs(ref)) if absolute else abs(ref)
+                    assert abs(got - ref) <= 1e-15 * scale, (s, t, got, float(ref))
 
 
 # -- Loewner matrices ---------------------------------------------------------
@@ -184,17 +255,15 @@ def test_loewner_rejects_unknown_selector():
         loewner(LOG, "f2", dec.eigenvalues)
 
 
-# Relative gaps on both sides of CONFLUENT_THRESHOLD, with t = s * (1 + gap).
-_GAPS = (0.0, 1e-10, 0.99e-7, 1.01e-7, 1e-5, 1e-3, 1.0)
+# Relative gaps, with t = s * (1 + gap): confluent, close, and beyond the
+# ratio 2 where the power kernels change form.
+_GAPS = (0.0, 1e-14, 1e-10, 1e-7, 1e-5, 1e-3, 1.0, 3.0, 1e6)
 
 
 def _pairs():
     """Pairs with s < t and with s > t at every gap, as two arrays."""
     low = np.array([0.3, 1.0, 7.5])[:, None] * np.ones(len(_GAPS))
     high = low * (1.0 + np.array(_GAPS))
-    relative = (high - low) / high
-    assert ((relative > 0.0) & (relative <= CONFLUENT_THRESHOLD)).any()
-    assert ((relative > CONFLUENT_THRESHOLD) & (relative < 1.1e-7)).any()
     return np.concatenate([low.ravel(), high.ravel()]), np.concatenate([high.ravel(), low.ravel()])
 
 
@@ -204,14 +273,13 @@ def test_divided_difference_is_the_loewner_kernel_bitwise(name, which):
     # One rule: the kernel on a spectrum [s, t], the array call and the scalar
     # calls give the same bits for every pair.
     func = by_name(name, p=1.5)
-    g, dg = (func.f, func.f1) if which == "f" else (func.f1, func.f2)
     s, t = _pairs()
-    values = divided_difference(g, dg, s, t)
+    values = divided_difference(func, which, s, t)
     kernels = loewner(func, which, np.stack([s, t], axis=-1))
-    one_at_a_time = [divided_difference(g, dg, float(a), float(b)) for a, b in zip(s, t)]
+    one_at_a_time = [divided_difference(func, which, float(a), float(b)) for a, b in zip(s, t)]
     assert values.tobytes() == kernels[:, 1, 0].tobytes()
-    assert divided_difference(g, dg, t, s).tobytes() == kernels[:, 0, 1].tobytes()
-    assert np.array_equal(kernels[:, 0, 1], values)  # symmetric up to the sign of a zero
+    assert divided_difference(func, which, t, s).tobytes() == kernels[:, 0, 1].tobytes()
+    assert kernels[:, 0, 1].tobytes() == values.tobytes()  # symmetric bitwise
     assert values.tobytes() == np.array(one_at_a_time).tobytes()
     assert all(isinstance(v, float) for v in one_at_a_time)
 
@@ -298,7 +366,7 @@ def test_frechet_trace_identity(name, p):
             h = random_hermitian(dim, rng)
             lhs = np.trace(frechet_derivative(func, "f", a, h)).real
             dec = eigh(a)
-            fprime = (dec.basis * func.f1(dec.eigenvalues)) @ dec.basis.conj().T
+            fprime = (dec.basis * func.dd(dec.eigenvalues, dec.eigenvalues)) @ dec.basis.conj().T
             rhs = np.trace(fprime @ h).real
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 

@@ -1,5 +1,6 @@
 """Campaign runner: determinism, per-statement margins, error capture."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -76,6 +77,12 @@ def test_config_names_a_float_field_of_the_wrong_type(name, value):
         CampaignConfig("C1", **{name: value})
     with pytest.raises(ValueError, match="weights"):
         CampaignConfig("C1", weights=(0.5, value))
+
+
+@pytest.mark.parametrize("value", [0.5, None, "0.5", (0.5, "0.25"), np.array(0.5), np.array([[0.5]])])
+def test_config_names_the_whole_weights_value(value):
+    with pytest.raises(ValueError, match=re.escape(f"weights must be a sequence of reals, got {value!r}")):
+        CampaignConfig("C1", weights=value)
 
 
 def test_config_stores_float_fields_as_float():
@@ -335,6 +342,11 @@ INVALID_SETTINGS = [
     {"tolerance": 10**400},
     {"weights": (0.5, True)},
     {"weights": ("0.5",)},
+    # Not a sequence of reals: a scalar, no value, a string, a set.
+    {"weights": 0.5},
+    {"weights": None},
+    {"weights": "0.5"},
+    {"weights": {0.5}},
 ]
 
 
@@ -381,6 +393,15 @@ def test_c8_kernel_gaps_below_tolerance():
     assert report.violations == 0
     assert min(report.margins) > -1e-8
     assert max(-m for m in report.margins) <= 1e-7
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("d,samples", [(1, 200), (2, 200), (3, 200), (4, 200), (8, 20)])
+def test_c8_kernel_agrees_with_its_quadratures_to_rounding(d, samples, seed):
+    # The closed-form kernels leave C8 only the quadratures' own rounding.
+    report = _run("C8", d1=d, d2=d, samples=samples, seed=seed)
+    assert report.errors == []
+    assert -report.worst_margin <= 5e-15
 
 
 @pytest.mark.parametrize("overrides", [
@@ -686,6 +707,24 @@ def test_c9_routine_finds_no_violation_for_t_log_t(d1, d2):
         warnings.simplefilter("error")
         g1, g2 = campaigns._lowest_directions(T_LOG_T, x1, x1, x2, x2)
     assert (_q_midpoint_margin(T_LOG_T, x1, g1, x2, g2) >= -1e-14 * scale(x1, g1, x2, g2)).all()
+
+
+@pytest.mark.parametrize("eig_range", [(0.1, 3.0), (1e-6, 1e3)])
+def test_c9_routine_keeps_its_basis_orthogonal_over_the_whole_space(eig_range):
+    # At dimension 2 the 8 Lanczos steps span the whole space of pairs, so
+    # with orthonormal vectors the lowest Ritz value is the form's minimum,
+    # 0 for t log t, and the witness keeps the drawn norm.  Once a Ritz value
+    # has converged, a basis orthogonalized against its last two vectors only
+    # loses both: its witness misses both by up to 1e-8 on these draws.
+    config = CampaignConfig("C4", d1=1, d2=2, eig_low=eig_range[0], eig_high=eig_range[1])
+    _, witnesses = campaigns._sample_c4(config, [RngStream(5, index) for index in range(40)])
+    x1, h1, x2, h2 = (np.stack([w[key] for w in witnesses]) for key in ("x1", "h1", "x2", "h2"))
+    g1, g2 = campaigns._lowest_directions(T_LOG_T, x1, h1, x2, h2)
+    drawn, lowest = np.stack([h1, h2], axis=1), np.stack([g1, g2], axis=1)
+    norms = campaigns._pair_inner(lowest, lowest) / campaigns._pair_inner(drawn, drawn)
+    assert np.abs(norms - 1.0).max() <= 1e-14
+    scale = 1.0 + sum(np.linalg.norm(m, axis=(-2, -1)) for m in (x1, g1, x2, g2))
+    assert (np.abs(_q_midpoint_margin(T_LOG_T, x1, g1, x2, g2)) <= 1e-14 * scale).all()
 
 
 def test_c9_routine_survives_an_exactly_invariant_start():

@@ -516,6 +516,21 @@ DATA = Path(__file__).parent / "data"
 EARLIER_REPORTS = ["c1-2x2.json", "c3-pinching-2x2.json", "c3-mixed-2x2.json", "all-samples-3.json"]
 
 
+# The largest move of a margin, relative to 1 + |margin|, over 1x1-8x8 and
+# seeds 42 and 7 when the divided differences became closed forms; only the
+# campaigns that read a kernel moved.
+KERNEL_MARGIN_MOVES = {"C2": 1.5e-13, "C3": 2.2e-12, "C4": 2.1e-13, "C8": 7.5e-13, "C9": 1.3e-12}
+
+
+def _assert_rerun_margins(campaign, margins, rerun):
+    budget = KERNEL_MARGIN_MOVES.get(campaign)
+    if budget is None:
+        assert _bits(margins) == _bits(rerun)
+    else:
+        assert len(margins) == len(rerun)
+        assert all(abs(a - b) <= budget * (1.0 + abs(a)) for a, b in zip(margins, rerun))
+
+
 @pytest.mark.parametrize("name", EARLIER_REPORTS)
 def test_reports_with_nested_pair_matrices_still_load_bit_for_bit(name):
     text = (DATA / name).read_text(encoding="utf-8")
@@ -527,7 +542,7 @@ def test_reports_with_nested_pair_matrices_still_load_bit_for_bit(name):
     for campaign, report in loaded.items():
         rerun = run_campaign(report.config)
         assert report.config == rerun.config
-        assert _bits(report.margins) == _bits(rerun.margins)
+        _assert_rerun_margins(campaign, report.margins, rerun.margins)
         assert report.violations == rerun.violations
         _assert_same_witness(report.witness, rerun.witness)
 
@@ -549,7 +564,8 @@ def test_reports_of_the_c9_descent_still_load():
     assert report.worst_margin == min(report.margins)
     mats = [report.witness[key] for key in ("x1", "h1", "x2", "h2")]
     assert all(m.shape == (4, 4) and m.dtype == complex and is_stored_hermitian(m) for m in mats)
-    # The matrices decode to the inputs of the worst margin.
+    # The matrices decode to the inputs of the worst margin, which the
+    # closed-form kernels recompute within C9's budget.
     average = 0.5 * quad_form(CUBE, mats[0], mats[1]) + 0.5 * quad_form(CUBE, mats[2], mats[3])
     midpoint = quad_form(CUBE, (mats[0] + mats[2]) / 2.0, (mats[1] + mats[3]) / 2.0)
-    assert _bits([average - midpoint]) == _bits([report.worst_margin])
+    _assert_rerun_margins("C9", [report.worst_margin], [average - midpoint])
