@@ -68,6 +68,9 @@ class ScalarFunction:
     dd1: Callable
 
 
+_TINY = np.finfo(float).tiny
+
+
 def _over(numerator, d, confluent):
     # numerator / d, and the confluent value where d == 0, that is, s == t.
     return np.divide(numerator, d, out=np.array(confluent, dtype=float), where=d != 0)
@@ -78,20 +81,45 @@ def _constant(c: float) -> Callable:
 
 
 def _log_dd(lo, hi):
-    # (log hi - log lo) / (hi - lo), without the difference of logarithms.
+    # (log hi - log lo) / (hi - lo), without the difference of logarithms
+    # where it would cancel.  Where d / lo overflows, hi / lo is beyond the
+    # float range and the difference cannot cancel, so it is taken there; 1 / lo
+    # overflows only at a subnormal lo, and its value is read only where s == t.
     d = hi - lo
-    return _over(np.log1p(d / lo), d, 1.0 / lo)
+    with np.errstate(over="ignore"):
+        u = d / lo
+        value = _over(np.log1p(u), d, 1.0 / lo)
+        far = np.isinf(u)
+        if far.any():
+            np.divide(np.log(hi) - np.log(lo), d, out=value, where=far)
+    return value
 
 
 def _power_dd(q: float) -> Callable:
     # Divided difference of t**q: the expm1 form up to hi = 2 lo, where the
     # plain quotient would cancel, and the plain quotient beyond, where it
     # cannot and expm1's argument, so its rounding, grows with the gap.
-    def dd(lo, hi):
+    def quotient(lo, hi):
         d = hi - lo
         lo_q = np.power(lo, q)
-        near = lo_q * np.expm1(q * np.log1p(np.minimum(d / lo, 1.0)))  # d <= lo where read
+        near = lo_q * np.expm1(q * np.log1p(np.minimum(d, lo) / lo))  # d <= lo where read
         return _over(np.where(hi <= 2.0 * lo, near, np.power(hi, q) - lo_q), d, q * lo_q / lo)
+
+    def dd(lo, hi):
+        # For q > 1, t**q overflows above t = 1.8e308**(1/q), 1.3e154 at
+        # q = 2.  Where that leaves the quotient infinite or NaN, t**q being
+        # homogeneous, it is taken as hi**(q - 1) times the kernel at
+        # (lo / hi, 1), with lo / hi kept at least the smallest normal float,
+        # below which its q-th power is lost to rounding.  The discarded
+        # confluent value q lo**(q - 1) overflows at a subnormal lo for q
+        # near 0; it is read only where s == t.
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = quotient(lo, hi)
+            over = ~np.isfinite(value)
+            if over.any():
+                scaled = quotient(np.maximum(lo / hi, _TINY), 1.0)
+                value = np.where(over, np.power(hi, q - 1.0) * scaled, value)
+        return value
     return dd
 
 

@@ -43,7 +43,8 @@ its campaign reads it, else its default (for ``function``, the preset).
 C1-C3, C5 and C6 use the bipartite split (d1, d2); C4 and C7-C9 use only the
 dimension d1 * d2.  Per-sample randomness comes from ``RngStream(seed, sample_index)``,
 so dropping a sample never changes the draws of the others and margin lists
-are reproducible bit-for-bit for a fixed config.
+are reproducible bit-for-bit for a fixed config.  A chunk's streams are built
+by ``RngStream.chunk``, which seeds them all in one pass with the same words.
 
 Samples are evaluated in chunks of up to :data:`CHUNK_BYTES` of matrices.
 Every sample of a chunk draws from its own stream, making the generator calls
@@ -453,7 +454,7 @@ def _evaluate(config: CampaignConfig, indices, errors: list) -> list:
     If the chunk raises, each sample is evaluated again as a chunk of one,
     and each failure is appended to ``errors`` against its own sample.
     """
-    streams = [RngStream(config.seed, index) for index in indices]
+    streams = RngStream.chunk(config.seed, indices)
     try:
         margins, witnesses = _SAMPLERS[config.campaign](config, streams)
         for margin in margins:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DomainError, NumericError
 
@@ -34,22 +35,87 @@ class SpectralDecomposition(NamedTuple):
     basis: np.ndarray
 
 
+# The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
+# Each hashmix call XORs its word with the running constant, steps the
+# constant by a multiplication, and multiplies the word by the new value;
+# the constants do not depend on the data, so they are tabulated.  The seed's
+# pool takes the first 16 calls, then each 32-bit word of a spawn key takes
+# four, one per pool word.  The output hash steps its own constant likewise.
+_HASH_A = [0x43B0D7E5 * pow(0x931E8875, n, 1 << 32) % (1 << 32) for n in range(25)]
+_HASH_B = [0x8B51F9DD * pow(0x58F38DED, n, 1 << 32) % (1 << 32) for n in range(9)]
+_KEY_XOR = np.array([_HASH_A[16:20], _HASH_A[20:24]], dtype=np.uint32)
+_KEY_MUL = np.array([_HASH_A[17:21], _HASH_A[21:25]], dtype=np.uint32)
+_OUT_XOR = np.array([_HASH_B[0:4], _HASH_B[4:8]], dtype=np.uint32)
+_OUT_MUL = np.array([_HASH_B[1:5], _HASH_B[5:9]], dtype=np.uint32)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    z = _MIX_L * x - _MIX_R * y
+    return z ^ (z >> 16)
+
+
+def _stream_words(seed: int, streams: list[int]) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(stream,)).generate_state(4, uint64)``
+    for each of ``streams``, one row each, computed in one pass.
+
+    The pool of ``SeedSequence(seed)`` is the seed's part of the mixing; each
+    stream's 32-bit words, one below 2**32 and two from there on, are mixed
+    into it, and the pool is hashed out to PCG64's four 64-bit words.
+    """
+    for name, values in (("seed", [seed]), ("stream", streams)):
+        for value in (min(values, default=0), max(values, default=0)):
+            if not 0 <= value < 2**64:
+                raise DomainError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
+    # Arrays throughout, so the 32-bit products wrap without a warning.
+    keys = np.array(streams, dtype="<u8").view("<u4").reshape(-1, 2)
+    hashed = (keys[:, :, None] ^ _KEY_XOR) * _KEY_MUL
+    hashed ^= hashed >> 16
+    pool = _mix(np.random.SeedSequence(seed).pool, hashed[:, 0])
+    wide = keys[:, 1] != 0
+    if wide.any():
+        pool[wide] = _mix(pool[wide], hashed[wide, 1])
+    out = (pool[:, None, :] ^ _OUT_XOR) * _OUT_MUL
+    out ^= out >> 16
+    return out.reshape(-1, 8).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _SeedWords(ISeedSequence):
+    # PCG64 asks its seed sequence for four uint64 words, once.
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 class RngStream:
     """Reproducible random stream keyed by ``(seed, stream)``.
 
     Two streams built from the same pair replay the same draw sequence, so a
     computation is rerun exactly by rebuilding its stream.  A stream is
     stateful: derive one stream per independent computation.
+
+    The generator is PCG64 seeded as by ``SeedSequence(seed,
+    spawn_key=(stream,))``.  Its seed words are computed in one numpy pass for
+    a whole :meth:`chunk` of streams; a stream built alone is a chunk of one.
     """
 
-    def __init__(self, seed: int, stream: int = 0):
-        for name, value in (("seed", seed), ("stream", stream)):
-            if not 0 <= int(value) < 2**64:
-                raise DomainError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
+    def __init__(self, seed: int, stream: int = 0, *, _words: np.ndarray | None = None):
+        # ``_words`` is passed by chunk(), which has hashed them already.
         self.seed = int(seed)
         self.stream = int(stream)
-        key = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
-        self.gen = np.random.Generator(np.random.PCG64(key))
+        if _words is None:
+            (_words,) = _stream_words(self.seed, [self.stream])
+        self.gen = np.random.Generator(np.random.PCG64(_SeedWords(_words)))
+
+    @classmethod
+    def chunk(cls, seed: int, streams) -> list[RngStream]:
+        """``[RngStream(seed, stream) for stream in streams]``, with the seed
+        words of all the streams computed in one pass."""
+        seed, streams = int(seed), [int(stream) for stream in streams]
+        words = _stream_words(seed, streams)
+        return [cls(seed, stream, _words=row) for stream, row in zip(streams, words)]
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream={self.stream})"
@@ -173,12 +239,15 @@ def random_unitary(dim: int, rng: Streams) -> np.ndarray:
 
     The R factor's diagonal phases are divided out, which makes the
     factorization unique and the law exactly Haar.  A sequence of streams
-    gives a stack, one unitary per stream.
+    gives a stack, one unitary per stream.  Each matrix draws its real parts,
+    then its imaginary parts, in one generator call, so a stream repeated
+    ``k`` times in the sequence gives the same stack as ``k`` consecutive
+    draws.
     """
     if dim < 1:
         raise DomainError(f"dim must be positive, got {dim}")
-    z = _draw(rng, lambda gen: gen.standard_normal((dim, dim))
-              + 1j * gen.standard_normal((dim, dim)))
+    parts = _draw(rng, lambda gen: gen.standard_normal((2, dim, dim)))
+    z = parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
     q, r = np.linalg.qr(z / np.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0

@@ -149,6 +149,55 @@ def test_power_kernel_reads_no_overflow_from_its_unused_form():
     assert got == 1e10
 
 
+# Pairs whose ratio hi / lo overflows, or whose hi**2 does.
+_HUGE_RATIO_PAIRS = ((1e-300, 1e10), (5e-324, 1.0), (1e-200, 1e200))
+
+
+@pytest.mark.parametrize("which", ["f", "f1"])
+@pytest.mark.parametrize("name,p", [("log", None), ("t_log_t", None), ("power", 1.0),
+                                    ("power", 1.5), ("power", 2.0)])
+def test_kernels_hold_where_the_spectral_ratio_overflows(name, p, which):
+    # Against 50-digit arithmetic, as scalars in both orders and as one array,
+    # with every warning an error.  The f kernel of t log t is bounded as in
+    # test_divided_difference_is_exact_at_every_gap.  A value beyond the float
+    # range, f' of log at (5e-324, 1), must read as infinite.
+    mpmath = pytest.importorskip("mpmath")
+    func = by_name(name, p=p)
+    derivatives = _mp_derivatives(mpmath, name, p)
+    mp_f = derivatives[1] if which == "f1" else derivatives[0]
+    absolute = (name, which) == ("t_log_t", "f")
+    representable = []
+    with mpmath.workdps(50):
+        for s, t in _HUGE_RATIO_PAIRS:
+            a, b = mpmath.mpf(s), mpmath.mpf(t)
+            ref = (mp_f(b) - mp_f(a)) / (b - a)
+            if abs(ref) > np.finfo(float).max:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    assert divided_difference(func, which, s, t) == math.copysign(math.inf, ref)
+                continue
+            representable.append((s, t))
+            scale = max(1, abs(ref)) if absolute else abs(ref)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for got in (divided_difference(func, which, s, t),
+                            divided_difference(func, which, t, s)):
+                    assert abs(got - ref) <= 1e-15 * scale, (s, t, got, float(ref))
+    lo, hi = np.array(representable).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = divided_difference(func, which, lo, hi)
+        singles = [divided_difference(func, which, s, t) for s, t in zip(lo, hi)]
+    assert stacked.tobytes() == np.array(singles).tobytes()
+
+
+def test_log_kernel_takes_the_log_difference_only_where_d_over_lo_overflows():
+    # log1p(d / lo) / d wherever d / lo is finite, at ratios up to 1e308.
+    for lo, hi in ((1e-290, 1e10), (1e-300, 1e8), (2.0, 7.0)):
+        d = hi - lo
+        assert divided_difference(LOG, "f", lo, hi) == np.log1p(d / lo) / d
+
+
 # Kernels of increasing functions are positive at every pair; those of
 # f' = 1 (identity, power(1)) vanish.
 _POSITIVE_KERNELS = {("log", "f"), ("t_log_t", "f1"), ("power", "f"), ("power", "f1"),

@@ -18,6 +18,7 @@ from entropygap import (
     random_pd,
     random_unitary,
 )
+from entropygap.linalg import _stream_words
 
 
 def test_hermitize_is_bitwise_symmetric():
@@ -192,6 +193,48 @@ def test_random_hermitian_keeps_its_draws(dim):
     assert stack.tobytes() == expected.tobytes()
 
 
+def _two_call_unitary(dim: int, gens) -> np.ndarray:
+    # random_unitary with two generator calls per matrix, all real parts,
+    # then all imaginary parts; a sequence of generators gives a stack.
+    def gaussian(gen):
+        return gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+    if isinstance(gens, np.random.Generator):
+        z = gaussian(gens)
+    else:
+        z = np.stack([gaussian(gen) for gen in gens])
+    q, r = np.linalg.qr(z / np.sqrt(2.0))
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    d[d == 0] = 1.0
+    return q * (d / np.abs(d))[..., None, :]
+
+
+@pytest.mark.parametrize("dim", HERMITIAN_DIMS)
+def test_random_unitary_keeps_its_draws(dim):
+    # Single and distinct-stream draws give the bits of the two-call draw and
+    # leave each stream where the two calls leave it.
+    single_rng, reference = RngStream(12, 3), RngStream(12, 3).gen
+    single = random_unitary(dim, single_rng)
+    assert single.tobytes() == _two_call_unitary(dim, reference).tobytes()
+    assert single_rng.gen.random() == reference.random()
+    streams = RngStream.chunk(12, range(3))
+    references = [RngStream(12, i).gen for i in range(3)]
+    stack = random_unitary(dim, streams)
+    assert stack.tobytes() == _two_call_unitary(dim, references).tobytes()
+    assert [stream.gen.random() for stream in streams] == [gen.random() for gen in references]
+
+
+@pytest.mark.parametrize("dim", HERMITIAN_DIMS)
+def test_random_unitary_repeated_stream_equals_consecutive_draws(dim):
+    # As random_mixed_unitary draws its terms: one stream repeated per term.
+    rng, reference = RngStream(6, 1), RngStream(6, 1).gen
+    stacked = random_unitary(dim, [rng] * 4)
+    assert stacked.tobytes() == _two_call_unitary(dim, [reference] * 4).tobytes()
+    assert rng.gen.random() == reference.random()
+    rng = RngStream(6, 1)
+    singles = np.stack([random_unitary(dim, rng) for _ in range(4)])
+    assert stacked.tobytes() == singles.tobytes()
+
+
 def test_random_unitary_is_unitary():
     rng = RngStream(4, 0)
     for dim in (1, 2, 5):
@@ -204,6 +247,53 @@ def test_rng_stream_validates_inputs():
         RngStream(-1, 0)
     with pytest.raises(DomainError):
         RngStream(0, 2**64)
+    with pytest.raises(DomainError, match="seed"):
+        RngStream.chunk(-1, [0])
+    with pytest.raises(DomainError, match="seed"):
+        RngStream.chunk(2**64, [0])
+    with pytest.raises(DomainError, match="stream .* got -1"):
+        RngStream.chunk(0, [3, -1, 5])
+    with pytest.raises(DomainError, match="stream .* got 18446744073709551616"):
+        RngStream.chunk(0, [3, 2**64, 5])
+
+
+def _seed_sequence_words(seed: int, streams) -> np.ndarray:
+    return np.stack([np.random.SeedSequence(seed, spawn_key=(stream,)).generate_state(4, np.uint64)
+                     for stream in streams])
+
+
+HASH_SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1]
+# Indices 0-599, 400 random ones below 2**32, and indices of two 32-bit words.
+HASH_STREAMS = (list(range(600)) + np.random.default_rng(0).integers(0, 2**32, 400).tolist()
+                + [2**32, 2**32 + 1, 2**40 + 7, 2**64 - 1])
+
+
+@pytest.mark.parametrize("seed", HASH_SEEDS)
+def test_stream_words_are_the_seed_sequence_words(seed):
+    words = _stream_words(seed, HASH_STREAMS)
+    assert words.dtype == np.uint64
+    assert words.tobytes() == _seed_sequence_words(seed, HASH_STREAMS).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1),
+       streams=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=6))
+def test_stream_words_match_seed_sequence_on_any_64_bit_pair(seed, streams):
+    assert _stream_words(seed, streams).tobytes() == _seed_sequence_words(seed, streams).tobytes()
+
+
+def test_chunk_streams_draw_as_single_streams():
+    indices = [0, 7, 7, 2**32, 2**40 + 7, 2**64 - 1]
+    chunk = RngStream.chunk(42, indices)
+    assert [repr(stream) for stream in chunk] == [repr(RngStream(42, index)) for index in indices]
+    for stream, index in zip(chunk, indices):
+        single = RngStream(42, index).gen
+        numpy_own = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(42, spawn_key=(index,))))
+        draws = stream.gen.standard_normal(5).tobytes()
+        assert draws == single.standard_normal(5).tobytes()
+        assert draws == numpy_own.standard_normal(5).tobytes()
+    assert RngStream.chunk(42, []) == []
 
 
 @settings(max_examples=50, deadline=None)
