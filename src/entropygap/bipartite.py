@@ -95,6 +95,16 @@ def conditional_expectation_1(rho, space: BipartiteSpace) -> np.ndarray:
     return embed_1(partial_trace_2(rho, space), space) / space.d2
 
 
+def _mix_unitaries(weights: np.ndarray, unitaries: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # sum_i w_i u_i^H x u_i, summed term by term in order, with weights
+    # (..., m) and unitaries (..., m, n, n) broadcasting against x (..., n, n).
+    out = np.zeros(np.broadcast_shapes(unitaries.shape[:-3] + x.shape[-2:], x.shape), dtype=complex)
+    for i in range(weights.shape[-1]):
+        u = unitaries[..., i, :, :]
+        out += weights[..., i, None, None] * (_adjoint(u) @ x @ u)
+    return out
+
+
 def _pinch(frame: np.ndarray, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
     # v (M o (v^H x v)) v^H with the block mask M[i, j] = (labels[i] == labels[j]);
     # frames, labels and inputs broadcast over their leading axes.
@@ -188,9 +198,7 @@ def apply_channel(
     elif isinstance(channel, ConditionalExpectation1):
         out = conditional_expectation_1(x, channel.space)
     else:
-        out = np.zeros(x.shape, dtype=complex)
-        for wi, ui in zip(channel.weights, channel.unitaries):
-            out += wi * (ui.conj().T @ x @ ui)
+        out = _mix_unitaries(channel.weights, channel.unitaries, x)
     hermitian = (x == _adjoint(x)).all(axis=(-2, -1))
     return np.where(hermitian[..., None, None], hermitize(out), out)
 
@@ -215,11 +223,15 @@ def random_pinching(dim: int, rng: RngStream) -> Pinching:
     return Pinching(random_unitary(dim, rng), labels)
 
 
+def _random_weights(rng: RngStream, n_terms: int) -> np.ndarray:
+    # The weights of a random mixed-unitary channel, drawn before its unitaries.
+    raw = rng.gen.uniform(0.1, 1.0, size=n_terms)
+    return raw / raw.sum()
+
+
 def random_mixed_unitary(dim: int, rng: RngStream, n_terms: int) -> MixedUnitaryChannel:
     """Generic mixed-unitary channel with random weights and Haar unitaries."""
     if n_terms < 1:
         raise DomainError(f"term count must be positive, got {n_terms}")
-    raw = rng.gen.uniform(0.1, 1.0, size=n_terms)
-    weights = raw / raw.sum()
-    unitaries = random_unitary(dim, [rng] * n_terms)
-    return MixedUnitaryChannel(weights, unitaries)
+    weights = _random_weights(rng, n_terms)
+    return MixedUnitaryChannel(weights, random_unitary(dim, [rng] * n_terms))

@@ -123,10 +123,26 @@ def _power_dd(q: float) -> Callable:
     return dd
 
 
-T_LOG_T = ScalarFunction("t_log_t", f=lambda t: t * np.log(t),
-                         dd=lambda lo, hi: hi * _log_dd(lo, hi) + np.log(lo), dd1=_log_dd)
+def _t_log_t_dd(lo, hi):
+    # hi times the log kernel plus log lo.  At s == t below the smallest
+    # normal float the log kernel's confluent value 1 / lo overflows, and the
+    # confluent value 1 + log lo is taken there instead.
+    value = hi * _log_dd(lo, hi) + np.log(lo)
+    return np.where(np.isinf(value) & (lo == hi), 1.0 + np.log(lo), value)
 
-LOG = ScalarFunction("log", f=np.log, dd=_log_dd, dd1=lambda lo, hi: -1.0 / (lo * hi))
+
+def _log_dd1(lo, hi):
+    # -1 / (lo hi).  Where the product overflows, hi is above 1.3e154 and lo
+    # above 1, so it is taken in two divisions, (-1 / hi) / lo, neither of
+    # which overflows.
+    with np.errstate(over="ignore"):
+        product = lo * hi
+    return np.where(np.isinf(product), -1.0 / hi / lo, -1.0 / product)
+
+
+T_LOG_T = ScalarFunction("t_log_t", f=lambda t: t * np.log(t), dd=_t_log_t_dd, dd1=_log_dd)
+
+LOG = ScalarFunction("log", f=np.log, dd=_log_dd, dd1=_log_dd1)
 
 IDENTITY = ScalarFunction("identity", f=lambda t: np.asarray(t, dtype=float) * 1.0,
                           dd=_constant(1.0), dd1=_constant(0.0))
@@ -245,11 +261,14 @@ def quad_form(func: ScalarFunction, a, h) -> float | np.ndarray:
     return _per_matrix(_quad_form(func, a, h))
 
 
-def _quad_form(func: ScalarFunction, a: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _quad_form(func: ScalarFunction, a: np.ndarray, h: np.ndarray, spectral=None) -> np.ndarray:
     # quad_form without the checks of its arguments, for stored-Hermitian
-    # inputs of equal shape; one value per matrix.
-    dec = _eigh(a)
-    kernel = loewner(func, "f1", dec.eigenvalues)
-    rotated = _adjoint(dec.basis) @ h @ dec.basis
+    # inputs of equal shape; one value per matrix.  ``spectral`` is the
+    # Loewner kernel of f' and the eigenbasis of ``a``, where the caller has them.
+    if spectral is None:
+        dec = _eigh(a)
+        spectral = loewner(func, "f1", dec.eigenvalues), dec.basis
+    kernel, basis = spectral
+    rotated = _adjoint(basis) @ h @ basis
     weights = rotated.real**2 + rotated.imag**2
     return np.sum(weights * kernel, axis=(-2, -1))

@@ -54,9 +54,11 @@ gets alone, so margins do not depend on the chunk size.  A sampler makes for
 its chunk the calls that one sample would make alone, in the same order, so a
 chunk of one sample raises what that sample raises.
 
-C3 applies its channels a family at a time: pinchings (frames drawn as one
-stack) and the conditional expectation on stacks, each mixed-unitary channel,
-whose term count is its own, to its sample alone.
+C3 applies its channels a family at a time, each family on stacks: the
+pinchings, the conditional expectation, and the mixed-unitary channels a
+term count at a time.  The frames of the pinchings and the unitaries of the
+mixed-unitary channels, each stream's last draws, are drawn as one stack per
+family.  C8's resolvent reference takes the chunk as one stack.
 """
 
 from __future__ import annotations
@@ -72,12 +74,13 @@ import numpy as np
 from .bipartite import (
     BipartiteSpace,
     ConditionalExpectation1,
+    MixedUnitaryChannel,
     Pinching,
+    _mix_unitaries,
     _pinch,
     _random_labels,
-    apply_channel,
+    _random_weights,
     conditional_expectation_1,
-    random_mixed_unitary,
 )
 from .calculus import (
     BUILTIN_NAMES,
@@ -93,6 +96,7 @@ from .calculus import (
 from .entropy import EntropyGapSpec, _entropy_gap, entropy_gap, second_differential_spectral
 from .errors import DomainError, NumericError
 from .linalg import (
+    CHUNK_BYTES,
     RngStream,
     _adjoint,
     _eigh,
@@ -126,14 +130,13 @@ _READ = {
 # spectrum range.
 _C8_PAIR_RANGE = (0.1, 10.0)
 
-# Memory budget of one chunk of samples.  A sample is budgeted as
-# _SAMPLE_MATRICES complex matrices of the campaign's dimension, more than a
-# stacked sampler holds per sample at once except C9, whose Lanczos basis
+# A chunk of samples holds up to CHUNK_BYTES of matrices, a sample budgeted
+# as _SAMPLE_MATRICES complex matrices of the campaign's dimension, more than
+# a stacked sampler holds per sample at once except C9, whose Lanczos basis
 # takes it to about 50; at dimension 64 a chunk holds 2 samples, at dimension
 # 4 it holds 512.  That covers the channel each C3 sample keeps until its
 # chunk is done: one frame for a pinching, at most five unitaries for a
 # mixed-unitary channel.
-CHUNK_BYTES = 1 << 22
 _SAMPLE_MATRICES = 32
 
 # What a failed sample may raise and have recorded; anything else propagates.
@@ -297,12 +300,14 @@ def _sample_c3(config: CampaignConfig, streams):
         family = config.channel_family
         if family == "uniform":
             family = ("pinching", "expectation", "mixed")[int(rng.gen.integers(0, 3))]
-        if family == "pinching":  # its frame, the stream's last draw, comes below
+        # A pinching's frame and a mixed channel's unitaries, the stream's
+        # last draws, come below.
+        if family == "pinching":
             channel = _random_labels(space.dim, rng)
         elif family == "expectation":
             channel = ConditionalExpectation1(space)
         else:
-            channel = random_mixed_unitary(space.dim, rng, int(rng.gen.integers(2, 6)))
+            channel = _random_weights(rng, int(rng.gen.integers(2, 6)))
         witnesses.append({"x": xi, "h": hi, "family": family, "channel": channel})
     families = np.array([w["family"] for w in witnesses])
     pinched = np.flatnonzero(families == "pinching")
@@ -311,26 +316,48 @@ def _sample_c3(config: CampaignConfig, streams):
         labels = np.stack([witnesses[j]["channel"] for j in pinched])
         for j, frame, block_labels in zip(pinched, frames, labels):
             witnesses[j]["channel"] = Pinching(frame, block_labels)
+    mixed = np.flatnonzero(families == "mixed")
+    if mixed.size:
+        # Each channel's terms, consecutive in one stack: its weights, then
+        # its unitaries drawn from its stream repeated once per term.
+        weights = np.concatenate([witnesses[j]["channel"] for j in mixed])
+        counts = np.array([len(witnesses[j]["channel"]) for j in mixed])
+        unitaries = random_unitary(space.dim, [streams[j] for j in np.repeat(mixed, counts)])
+        starts = np.cumsum(counts) - counts
+        for j, w, u in zip(mixed, np.split(weights, starts[1:]), np.split(unitaries, starts[1:])):
+            witnesses[j]["channel"] = MixedUnitaryChannel(w, u)
     before = quad_form(func, x, h)
     pair = np.stack([x, h])  # replaced by the channel outputs, a family at a time
     if pinched.size:
         pair[:, pinched] = hermitize(_pinch(frames, labels, pair[:, pinched]))
     expected = families == "expectation"
     pair[:, expected] = conditional_expectation_1(pair[:, expected], space)
-    for j in np.flatnonzero(families == "mixed"):
-        pair[:, j] = apply_channel(witnesses[j]["channel"], pair[:, j])
+    if mixed.size:
+        for m in np.unique(counts):  # the channels of m terms as one stack
+            terms = starts[counts == m, None] + np.arange(m)
+            group = mixed[counts == m]
+            pair[:, group] = hermitize(_mix_unitaries(weights[terms], unitaries[terms],
+                                                      pair[:, group]))
     return (before - quad_form(func, pair[0], pair[1])).tolist(), witnesses
 
 
-def _q_midpoint_margin(func, x1, h1, x2, h2):
+def _q_midpoint_margin(func, x1, h1, x2, h2, spectral=None):
     """(Q(x1, h1) + Q(x2, h2)) / 2 - Q(midpoint, midpoint), per matrix.
 
-    The three forms are evaluated as one stack.  The inputs must be stored
-    Hermitian already; they are not checked again.
+    The three forms are evaluated as one stack, from ``spectral`` (see
+    :func:`_midpoint_spectral`) where the caller has it.  The inputs must be
+    stored Hermitian already; they are not checked again.
     """
     q = _quad_form(func, np.stack([x1, x2, (x1 + x2) / 2.0]),
-                   np.stack([h1, h2, (h1 + h2) / 2.0]))
+                   np.stack([h1, h2, (h1 + h2) / 2.0]), spectral)
     return (0.5 * q[0] + 0.5 * q[1]) - q[2]
+
+
+def _midpoint_spectral(func, x1, x2):
+    # The Loewner kernels of f' and the eigenbases of x1, x2 and their
+    # midpoint, stacked on the first axis.
+    dec = _eigh(np.stack([x1, x2, (x1 + x2) / 2.0]))
+    return loewner(func, "f1", dec.eigenvalues), dec.basis
 
 
 def _pair_inner(a, b) -> np.ndarray:
@@ -338,37 +365,47 @@ def _pair_inner(a, b) -> np.ndarray:
     return np.sum(a.real * b.real + a.imag * b.imag, axis=(-3, -2, -1))
 
 
-def _lowest_directions(func, x1, h1, x2, h2):
+def _lowest_directions(func, x1, h1, x2, h2, spectral=None):
     """C9's directions: the lowest Ritz vector, of the drawn pair's norm, of
     the midpoint margin ``<v, A v>`` in ``v = (h1, h2)``, where
     ``A v = (L1 h1 - Lm g, L2 h2 - Lm g) / 2``, ``g = (h1 + h2) / 2`` and
     ``L_x h = U (K o U^H h U) U^H`` with ``K`` the Loewner kernel of ``f'``.
 
-    Lanczos takes ``min(8, 2 n^2)`` steps from the drawn pair, orthogonalizing
-    each vector twice against all earlier ones.  ``A v`` is hermitized, so each
-    vector, a real combination of stored-Hermitian pairs, is stored Hermitian.
+    Lanczos takes ``min(8, 2 n^2)`` steps from the drawn pair.  The basis is
+    one array, read in the real coordinates of the pairs, and each new vector
+    is orthogonalized twice against all of it at once (classical Gram-Schmidt
+    twice, as stable as orthogonalizing against one vector after another).
+    ``A v`` is hermitized, and so is the Ritz vector, so the witness is stored
+    Hermitian.  ``spectral`` is :func:`_midpoint_spectral`, where the caller
+    has it.
     """
-    eigenvalues, u = _eigh(np.stack([x1, x2, (x1 + x2) / 2.0], axis=1))
-    kernel, uh = loewner(func, "f1", eigenvalues), _adjoint(u)
-    steps = min(8, 2 * x1.shape[-1] ** 2)
-    t = np.zeros((len(x1), steps, steps))  # tridiagonal; eigh reads its lower triangle
+    kernel, u = _midpoint_spectral(func, x1, x2) if spectral is None else spectral
+    kernel, u = np.moveaxis(kernel, 0, 1), np.moveaxis(u, 0, 1)  # sample first
+    uh = _adjoint(u)
+    count, steps = len(x1), min(8, 2 * x1.shape[-1] ** 2)
+    t = np.zeros((count, steps, steps))  # tridiagonal; eigh reads its lower triangle
+    basis = np.zeros((count, steps, 2) + x1.shape[1:], dtype=complex)
+    real = basis.view(float).reshape(count, steps, -1)  # the same memory
     drawn = np.stack([h1, h2], axis=1)
     norm = np.sqrt(_pair_inner(drawn, drawn))[:, None, None, None]
-    basis = [drawn / norm]
+    basis[:, 0] = drawn / norm
     for j in range(steps):
-        q = basis[j]
+        q = basis[:, j]
         g = np.stack([q[:, 0], q[:, 1], (q[:, 0] + q[:, 1]) / 2.0], axis=1)
         lg = u @ (kernel * (uh @ g @ u)) @ uh
-        w = hermitize(0.5 * (lg[:, :2] - lg[:, 2:]))
-        t[:, j, j] = _pair_inner(q, w)
-        if j + 1 < steps:
-            for b in basis * 2:
-                w = w - _pair_inner(b, w)[:, None, None, None] * b
-            t[:, j + 1, j] = beta = np.sqrt(_pair_inner(w, w))
-            # A zero w has exhausted the Krylov space; it stays zero.
-            basis.append(w / np.where(beta > 0, beta, 1.0)[:, None, None, None])
-    ritz = _eigh(t).basis[..., 0]  # the coefficients of the lowest Ritz vector
-    v = norm * sum(c[:, None, None, None] * b for c, b in zip(ritz.T, basis))
+        w = hermitize(0.5 * (lg[:, :2] - lg[:, 2:])).view(float).reshape(count, 1, -1)
+        block = real[:, :j + 1]
+        overlaps = w @ block.swapaxes(1, 2)
+        t[:, j, j] = overlaps[:, 0, j]
+        if j + 1 == steps:
+            break
+        w -= overlaps @ block
+        w -= (w @ block.swapaxes(1, 2)) @ block
+        t[:, j + 1, j] = beta = np.sqrt(np.sum(w * w, axis=(1, 2)))
+        # A zero w has exhausted the Krylov space; it stays zero.
+        real[:, j + 1] = w[:, 0] / np.where(beta > 0, beta, 1.0)[:, None]
+    ritz = _eigh(t).basis[:, None, :, 0]  # the coefficients of the lowest Ritz vector
+    v = hermitize(norm * (ritz @ real).view(complex).reshape(drawn.shape))
     return v[:, 0], v[:, 1]
 
 
@@ -381,9 +418,11 @@ def _sample_c4(config: CampaignConfig, streams, lowest: bool = False):
     for m, name in ((x1, "matrix"), (h1, "direction"), (x2, "matrix"), (h2, "direction")):
         check_hermitian(m, name)
     func = config.scalar_function()
-    if lowest:
-        h1, h2 = _lowest_directions(func, x1, h1, x2, h2)
-    margins = _q_midpoint_margin(func, x1, h1, x2, h2)
+    spectral = None
+    if lowest:  # the margin reuses the base points' decompositions
+        spectral = _midpoint_spectral(func, x1, x2)
+        h1, h2 = _lowest_directions(func, x1, h1, x2, h2, spectral)
+    margins = _q_midpoint_margin(func, x1, h1, x2, h2, spectral)
     return margins.tolist(), [dict(zip(("x1", "h1", "x2", "h2"), m)) for m in zip(x1, h1, x2, h2)]
 
 
@@ -421,7 +460,7 @@ def _sample_c8(config: CampaignConfig, streams):
     dd_gaps = np.abs(divided_difference(LOG, "f", s, t) - dd_log_quadrature(s, t))
     a = _draw_pd(config, streams, dim)
     h = random_hermitian(dim, streams)
-    references = np.array([log_quad_form_quadrature(ai, hi) for ai, hi in zip(a, h)])
+    references = log_quad_form_quadrature(a, h)
     qf_gaps = np.abs(quad_form(T_LOG_T, a, h) - references) / np.abs(references)
     witnesses = [{"s": si, "t": ti, "a": ai, "h": hi}
                  for si, ti, ai, hi in zip(s.tolist(), t.tolist(), a, h)]

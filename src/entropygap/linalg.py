@@ -26,6 +26,10 @@ from .errors import DomainError, NumericError
 # Largest composite dimension the dense routines accept.
 MAX_DIM = 64
 
+# Memory budget of one stacked computation: a campaign's chunk of samples, or
+# the pencils of one stacked solve of the resolvent quadrature.
+CHUNK_BYTES = 1 << 22
+
 
 class SpectralDecomposition(NamedTuple):
     """Ascending eigenvalues and unitary eigenbasis of a Hermitian matrix

@@ -21,7 +21,7 @@ import numpy as np
 
 from .calculus import ScalarFunction, matrix_function
 from .errors import DomainError, NumericError
-from .linalg import _eigvalsh, _per_matrix, check_hermitian, check_positive
+from .linalg import CHUNK_BYTES, _eigvalsh, _per_matrix, check_hermitian, check_positive
 
 
 DD_LOG_NODES = 64  # nodes of the log divided-difference rule
@@ -73,9 +73,11 @@ def dd_log_quadrature(s, t) -> float | np.ndarray:
 # Node counts the resolvent rule rounds up to: 8 * 2**(k/2), so that a run
 # memoizes a handful of rules whatever spectra it draws.
 RESOLVENT_NODES = tuple(math.ceil(8 * 2 ** (k / 2)) for k in range(17))
+_RUNGS = np.array(RESOLVENT_NODES)
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
-def resolvent_nodes(smallest: float, largest: float) -> int:
+def resolvent_nodes(smallest, largest) -> int | np.ndarray:
     """Gauss-Legendre node count of :func:`log_quad_form_quadrature` for a
     spectrum in [smallest, largest], both positive.
 
@@ -86,21 +88,27 @@ def resolvent_nodes(smallest: float, largest: float) -> int:
     rho**(-2n).  The count is 1.25 times the n of rho**(-2n) = 1e-16, rounded
     up the ladder :data:`RESOLVENT_NODES`.  Above its last rung (kappa beyond
     about 1e9) this raises ``NumericError``: the rule would not be accurate,
-    and a gap it reported would be false.
+    and a gap it reported would be false.  The bounds broadcast against each
+    other, one count per pair; scalar bounds give an int.
     """
+    smallest, largest = np.asarray(smallest, dtype=float), np.asarray(largest, dtype=float)
     # kappa**-0.25 through logarithms, which neither overflow nor underflow.
-    q = math.exp(0.25 * (math.log(smallest) - math.log(largest)))
-    needed = 0.0 if q >= 1.0 else 1.25 * math.log(1e16) / (4.0 * math.atanh(q))
-    for nodes in RESOLVENT_NODES:
-        if nodes >= needed:
-            return nodes
-    raise NumericError(
-        f"resolvent quadrature needs {math.ceil(needed)} nodes at condition number "
-        f"{largest / smallest:.3g}; at most {RESOLVENT_NODES[-1]} are allowed"
-    )
+    # Just below q = 1 the count is already the first rung, as it is at q = 1
+    # (kappa = 1), where atanh would be infinite.
+    q = np.minimum(np.exp(0.25 * (np.log(smallest) - np.log(largest))), _BELOW_ONE)
+    needed = 1.25 * math.log(1e16) / (4.0 * np.arctanh(q))
+    rungs = np.searchsorted(_RUNGS, needed)  # the first count >= needed
+    if rungs.max() == len(_RUNGS):
+        worst = np.argmax(needed)
+        raise NumericError(
+            f"resolvent quadrature needs {math.ceil(needed.flat[worst])} nodes at condition "
+            f"number {(largest / smallest).flat[worst]:.3g}; at most {RESOLVENT_NODES[-1]} are allowed"
+        )
+    nodes = _RUNGS[rungs]
+    return int(nodes) if nodes.ndim == 0 else nodes
 
 
-def log_quad_form_quadrature(a, h) -> float:
+def log_quad_form_quadrature(a, h) -> float | np.ndarray:
     """Resolvent integral form of the log-kernel curvature form.
 
     Evaluates integral_0^inf tr[h (a + l)^-1 h (a + l)^-1] dl by
@@ -113,26 +121,40 @@ def log_quad_form_quadrature(a, h) -> float:
     pencil is built when no allowed count is accurate.  The eigenvalues only
     place the nodes; the integrand comes from batched linear solves alone, so
     this route stays independent of the eigendecomposition it checks.
+
+    Takes one matrix or a stack of them, shape ``(..., n, n)``, with ``h`` of
+    the same shape, and returns one value per matrix: a float for a single
+    matrix.  The matrices whose spectra take the same node count are solved
+    together, in stacks of at most about :data:`CHUNK_BYTES` of pencils, and
+    each matrix gets the bits it gets alone.
     """
     a = check_hermitian(a, "base point")
-    if a.ndim != 2:
-        raise DomainError(f"base point must be a single matrix, got shape {a.shape}")
     h = check_hermitian(h, "direction")
     if h.shape != a.shape:
         raise DomainError(f"direction shape {h.shape} does not match base point {a.shape}")
+    shape, n = a.shape[:-2], a.shape[-1]
+    a, h = a.reshape(-1, n, n), h.reshape(-1, n, n)
     spectrum = _eigvalsh(a)
     check_positive(spectrum, "resolvent integral needs a positive definite base point")
-    lo, hi = float(spectrum[0]), float(spectrum[-1])
-    x, w = gauss_legendre_unit(resolvent_nodes(lo, hi))
-    c = math.sqrt(lo) * math.sqrt(hi)
-    pencil = (1.0 - x)[:, None, None] * a
-    diagonal = np.arange(a.shape[0])
-    pencil[:, diagonal, diagonal] += (c * x)[:, None]
-    # solve broadcasts h over the nodes; the leading axis keeps numpy < 2 from
-    # reading a 2-D right-hand side as a stack of vectors.
-    solved = np.linalg.solve(pencil, h[None])
-    values = np.einsum("nij,nji->n", solved, solved).real
-    return c * float(np.sum(w * values))
+    lo, hi = spectrum[:, 0], spectrum[:, -1]
+    nodes = resolvent_nodes(lo, hi)
+    c = np.sqrt(lo) * np.sqrt(hi)
+    values = np.empty(len(a))
+    for count in sorted(set(nodes.tolist())):
+        x, w = gauss_legendre_unit(count)
+        group = np.flatnonzero(nodes == count)
+        size = max(1, CHUNK_BYTES // (16 * n * n * count))
+        for first in range(0, len(group), size):
+            part = group[first:first + size]
+            pencil = (1.0 - x)[:, None, None] * a[part, None]
+            # The diagonal, a stride n + 1 view of each pencil's entries.
+            pencil.reshape(len(part), count, n * n)[..., ::n + 1] += (c[part, None] * x)[..., None]
+            # solve broadcasts h over the nodes; the node axis keeps numpy < 2
+            # from reading a right-hand side as a stack of vectors.
+            solved = np.linalg.solve(pencil, h[part, None]).reshape(-1, n, n)
+            traces = np.einsum("nij,nji->n", solved, solved).real.reshape(len(part), -1)
+            values[part] = c[part] * np.sum(w * traces, axis=-1)
+    return _per_matrix(values.reshape(shape))
 
 
 def frechet_central_difference(func: ScalarFunction, a, h, step: float = 1e-5) -> np.ndarray:

@@ -413,6 +413,28 @@ def test_channels_apply_to_stacks_as_to_single_matrices(family):
     assert not np.array_equal(got[1], got[1].conj().T)
 
 
+def _term_loop(channel: MixedUnitaryChannel, x) -> np.ndarray:
+    # apply_channel's mixed branch as it was written before the stacked
+    # routine: one term at a time, re-symmetrized where the input is stored
+    # Hermitian.
+    out = np.zeros(x.shape, dtype=complex)
+    for wi, ui in zip(channel.weights, channel.unitaries):
+        out += wi * (ui.conj().T @ x @ ui)
+    hermitian = (x == x.conj().swapaxes(-1, -2)).all(axis=(-2, -1))
+    return np.where(hermitian[..., None, None], hermitize(out), out)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 6, 9, 16, 64])
+def test_apply_mixed_unitary_matches_the_term_loop_bitwise(dim):
+    for n_terms in range(1, 6):
+        rng = RngStream(154, 10 * dim + n_terms)
+        channel = random_mixed_unitary(dim, rng, n_terms)
+        stack = np.stack([random_hermitian(dim, rng) for _ in range(3)] + [random_pd(dim, rng)])
+        stack[1] = stack[1] + 1j * np.eye(dim)  # not Hermitian: kept as computed
+        for x in (stack[0], stack[1], stack, stack.reshape(2, 2, dim, dim)):
+            assert apply_channel(channel, x).tobytes() == _term_loop(channel, x).tobytes()
+
+
 def test_random_mixed_unitary_draws_terms_in_order():
     # One stacked draw of the terms replays n_terms consecutive draws.
     channel = random_mixed_unitary(4, RngStream(153, 0), 3)

@@ -29,6 +29,7 @@ from entropygap import (
     random_hermitian,
     random_pd,
 )
+from entropygap import oracles
 from entropygap.oracles import (
     RESOLVENT_NODES,
     dd_log_quadrature,
@@ -189,6 +190,43 @@ def test_kernels_hold_where_the_spectral_ratio_overflows(name, p, which):
         stacked = divided_difference(func, which, lo, hi)
         singles = [divided_difference(func, which, s, t) for s, t in zip(lo, hi)]
     assert stacked.tobytes() == np.array(singles).tobytes()
+
+
+def test_log_derivative_kernel_holds_where_the_product_overflows():
+    # -1 / (s t) at products beyond the float range, against 50-digit
+    # arithmetic, in both orders and as one array, with every warning an
+    # error; below that range the value is -1 / (lo * hi) bit for bit.
+    mpmath = pytest.importorskip("mpmath")
+    pairs = ((1e154, 1e155), (1e200, 3.0), (1.5, 1e308), (1e300, 1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mpmath.workdps(50):
+            for s, t in pairs:
+                ref = -1 / (mpmath.mpf(s) * mpmath.mpf(t))
+                for got in (divided_difference(LOG, "f1", s, t), divided_difference(LOG, "f1", t, s)):
+                    assert math.copysign(1.0, got) == -1.0
+                    # A subnormal value is exact to half its spacing only.
+                    assert abs(got - ref) <= 1e-15 * abs(ref) + 5e-324, (s, t, got, float(ref))
+        lo, hi = np.array(pairs).T
+        stacked = divided_difference(LOG, "f1", lo, hi)
+        singles = [divided_difference(LOG, "f1", s, t) for s, t in pairs]
+        for s, t in ((0.3, 7.0), (1e150, 1e150), (2.5, 2.5)):
+            assert divided_difference(LOG, "f1", s, t) == -1.0 / (s * t)
+    assert stacked.tobytes() == np.array(singles).tobytes()
+
+
+def test_t_log_t_kernel_is_finite_at_subnormal_confluence():
+    # At s == t the kernel is f'(t) = log t + 1, also where 1 / t overflows;
+    # elsewhere hi * (log kernel) + log lo is kept bit for bit.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1e-310, 5e-324, 2e-308):
+            assert divided_difference(T_LOG_T, "f", t, t) == 1.0 + math.log(t)
+        t = np.array([1e-310, 0.5, 5e-324])
+        assert divided_difference(T_LOG_T, "f", t, t).tobytes() == \
+            np.array([1.0 + math.log(1e-310), T_LOG_T.dd(0.5, 0.5), 1.0 + math.log(5e-324)]).tobytes()
+    assert divided_difference(T_LOG_T, "f", 2.2e-308, 2.2e-308) == \
+        2.2e-308 * (1.0 / 2.2e-308) + math.log(2.2e-308)
 
 
 def test_log_kernel_takes_the_log_difference_only_where_d_over_lo_overflows():
@@ -530,6 +568,67 @@ def test_resolvent_quadrature_refuses_an_ill_conditioned_base_point():
     a = np.diag([1e-20, 1.0]).astype(complex)
     with pytest.raises(NumericError, match="at most 2048 are allowed"):
         log_quad_form_quadrature(a, np.eye(2, dtype=complex))
+
+
+def _stack_across_rungs(dim: int):
+    # Three draws each from spectra in [1, 1.01], [0.1, 3] and [1e-4, 1], as
+    # a 3 x 3 stack, so that its matrices take at least two node counts.
+    a, h = [], []
+    for index, spectrum in enumerate([(1.0, 1.01), (0.1, 3.0), (1e-4, 1.0)] * 3):
+        rng = RngStream(101, 10 * dim + index)
+        a.append(random_pd(dim, rng, spectrum))
+        h.append(random_hermitian(dim, rng))
+    return np.stack(a).reshape(3, 3, dim, dim), np.stack(h).reshape(3, 3, dim, dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("per_solve", [None, 1, 2], ids=["default", "one-per-solve", "two-per-solve"])
+def test_resolvent_quadrature_of_a_stack_is_its_single_values_bitwise(monkeypatch, dim, per_solve):
+    a, h = _stack_across_rungs(dim)
+    spectra = np.linalg.eigvalsh(a)
+    nodes = resolvent_nodes(spectra[..., 0], spectra[..., -1])
+    assert nodes.shape == (3, 3)
+    if dim > 1:
+        assert len(set(nodes.flat)) >= 2
+    singles = np.array([log_quad_form_quadrature(ai, hi) for ai, hi in zip(a.reshape(9, dim, dim),
+                                                                            h.reshape(9, dim, dim))])
+    assert nodes.reshape(9).tolist() == [resolvent_nodes(lam[0], lam[-1])
+                                         for lam in spectra.reshape(9, dim)]
+    if per_solve is not None:  # the budget of that many matrices' pencils at the top rung
+        monkeypatch.setattr(oracles, "CHUNK_BYTES", per_solve * 16 * dim * dim * int(nodes.max()))
+    got = log_quad_form_quadrature(a, h)
+    assert got.shape == (3, 3)
+    assert got.tobytes() == singles.reshape(3, 3).tobytes()
+    assert type(log_quad_form_quadrature(a[0, 0], h[0, 0])) is float
+
+
+def test_resolvent_quadrature_refuses_a_stack_with_one_ill_conditioned_matrix():
+    a, h = _stack_across_rungs(2)
+    a = a.reshape(9, 2, 2).copy()
+    a[5] = np.diag([1e-12, 1.0])
+    with pytest.raises(NumericError, match="condition number 1e\\+12"):
+        log_quad_form_quadrature(a, h.reshape(9, 2, 2))
+    # Of several, the message names the worst.
+    with pytest.raises(NumericError, match="condition number 1e\\+20"):
+        resolvent_nodes(np.array([0.1, 1e-12, 1e-20, 1e-15]), np.array([3.0, 1.0, 1.0, 1.0]))
+
+
+def test_resolvent_quadrature_checks_its_stacks():
+    a, h = _stack_across_rungs(2)
+    with pytest.raises(DomainError, match="does not match"):
+        log_quad_form_quadrature(a, h[0])
+    with pytest.raises(DomainError, match="does not match"):
+        log_quad_form_quadrature(a[0], h[0, 0])
+    skewed = h.copy()
+    skewed[1, 2, 0, 1] += 1e-3
+    with pytest.raises(DomainError, match="direction is not stored Hermitian"):
+        log_quad_form_quadrature(a, skewed)
+    with pytest.raises(DomainError, match="base point is not stored Hermitian"):
+        log_quad_form_quadrature(skewed, a)
+    indefinite = a.copy()
+    indefinite[2, 1] = np.diag([-1.0, 1.0])
+    with pytest.raises(DomainError, match="positive definite base point"):
+        log_quad_form_quadrature(indefinite, h)
 
 
 def test_quad_form_is_trace_of_derivative():

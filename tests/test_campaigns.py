@@ -417,6 +417,36 @@ def test_c8_reports_no_false_violation_on_wide_or_small_spectra(overrides):
     assert report.violations == 0
 
 
+@pytest.mark.parametrize("d1,d2", [(1, 2), (2, 2), (2, 3)])
+def test_c8_records_an_ill_conditioned_sample_against_itself(monkeypatch, d1, d2):
+    # Sample 4's base point gets condition number 1e12, beyond the resolvent
+    # rule's last rung; its chunk raises and the sample alone is recorded,
+    # whatever the chunk size.
+    original = campaigns.random_pd
+
+    def drawn(dim, streams, eig_range):
+        m = original(dim, streams, eig_range)
+        for j, stream in enumerate(streams):
+            if stream.stream == 4:
+                m[j] = np.diag(np.geomspace(1e-12, 1.0, dim))
+        return m
+
+    monkeypatch.setattr(campaigns, "random_pd", drawn)
+    default = campaigns.CHUNK_BYTES
+    reports = []
+    for chunk in (1, 3, None):
+        _with_chunk(monkeypatch, d1 * d2, chunk)
+        reports.append(_run("C8", d1=d1, d2=d2, samples=7))
+        monkeypatch.setattr(campaigns, "CHUNK_BYTES", default)
+    first = reports[0]
+    assert [(e["sample"], e["type"]) for e in first.errors] == [(4, "NumericError")]
+    assert "condition number 1e+12" in first.errors[0]["message"]
+    assert len(first.margins) == 6 and first.violations == 0
+    for other in reports[1:]:
+        assert _bits(other.margins) == _bits(first.margins)
+        assert other.errors == first.errors
+
+
 @pytest.mark.parametrize("offset,violated", [(0.5, False), (1.5, True)])
 def test_c8_flags_a_gap_above_the_tolerance(monkeypatch, offset, violated):
     # A reference off by `offset` tolerances gives a gap of about that size;
@@ -523,6 +553,40 @@ def test_c3_matches_its_mixed_unitary_form(d1, d2, relative):
         assert mixed.witness["channel"].unitaries.tobytes() == channel.unitaries.tobytes()
     if d1 * d2 > 1:
         assert families == {"pinching", "expectation", "mixed"}
+
+
+def test_c3_mixed_channels_of_every_term_count_match_across_chunk_sizes(monkeypatch):
+    # 40 mixed channels at 2x2 share one default chunk and draw every term
+    # count from 2 to 5; chunks of 1 and 3 give each sample the same bits.
+    config = CampaignConfig("C3", d1=2, d2=2, samples=40, channel_family="mixed")
+
+    def sample(indices):
+        return campaigns._sample_c3(config, RngStream.chunk(config.seed, indices))
+
+    margins, witnesses = sample(range(40))
+    assert {len(w["channel"].weights) for w in witnesses} == {2, 3, 4, 5}
+    assert campaigns._chunk_samples(4) >= 40
+    for size in (1, 3):
+        chunked = [sample(range(first, min(first + size, 40))) for first in range(0, 40, size)]
+        assert _bits([m for part, _ in chunked for m in part]) == _bits(margins)
+        for got, want in zip([w for _, part in chunked for w in part], witnesses):
+            for key in ("x", "h"):
+                assert got[key].tobytes() == want[key].tobytes()
+            for key in ("weights", "unitaries"):
+                assert getattr(got["channel"], key).tobytes() == \
+                    getattr(want["channel"], key).tobytes()
+    default = campaigns.CHUNK_BYTES
+    reports = []
+    for chunk in (1, 3, None):
+        _with_chunk(monkeypatch, 4, chunk)
+        reports.append(run_campaign(config))
+        monkeypatch.setattr(campaigns, "CHUNK_BYTES", default)
+    assert _bits(reports[0].margins) == _bits(margins)
+    for other in reports[1:]:
+        assert _bits(other.margins) == _bits(margins)
+        assert other.witness["sample"] == reports[0].witness["sample"]
+        assert other.witness["channel"].unitaries.tobytes() == \
+            reports[0].witness["channel"].unitaries.tobytes()
 
 
 # -- config variants --------------------------------------------------------------
