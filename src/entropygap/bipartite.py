@@ -17,7 +17,9 @@ from .errors import DomainError
 from .linalg import (
     MAX_DIM,
     RngStream,
+    Streams,
     _adjoint,
+    _draw,
     hermitize,
     random_unitary,
 )
@@ -112,12 +114,33 @@ def _pinch(frame: np.ndarray, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
     return frame @ (mask * (_adjoint(frame) @ x @ frame)) @ _adjoint(frame)
 
 
+def _check_unitary(u: np.ndarray, what: str) -> None:
+    # Every matrix of the stack u, shape (..., n, n), unitary to 1e-10.
+    defect = np.linalg.norm(_adjoint(u) @ u - np.eye(u.shape[-1]), axis=(-2, -1)).max(initial=0.0)
+    if not defect <= 1e-10:  # also catches NaN
+        raise DomainError(f"{what} (max defect {defect:.3e})")
+
+
+class _Stackable:
+    # One channel, or a stack of them along the leading axes of every field.
+
+    def __getitem__(self, k):
+        """Member ``k`` of a stack of channels, not checked again."""
+        arrays = vars(self)
+        if min(value.ndim for value in arrays.values()) < 2:
+            raise TypeError(f"a single {type(self).__name__} has no members")
+        member = object.__new__(type(self))
+        vars(member).update({name: value[k] for name, value in arrays.items()})
+        return member
+
+
 @dataclass(frozen=True, eq=False)
-class Pinching:
+class Pinching(_Stackable):
     """Pinching ``x -> sum_k P_k x P_k``, ``P_k`` the projection onto the
     columns ``i`` of the unitary ``frame`` with ``labels[i] == k``.
 
-    Idempotent, trace preserving and unital by construction.
+    Idempotent, trace preserving and unital by construction.  A stack of
+    pinchings has frames ``(..., n, n)`` and labels ``(..., n)``.
     """
 
     frame: np.ndarray
@@ -126,19 +149,17 @@ class Pinching:
     def __post_init__(self):
         v = np.asarray(self.frame, dtype=complex)
         labels = np.asarray(self.labels)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
+        if v.ndim < 2 or v.shape[-2] != v.shape[-1]:
             raise DomainError(f"frame must be a square unitary, got shape {v.shape}")
-        if labels.shape != (v.shape[0],) or labels.dtype.kind not in "iu":
-            raise DomainError(f"labels must be {v.shape[0]} integers, one per frame column")
-        defect = float(np.linalg.norm(_adjoint(v) @ v - np.eye(v.shape[0])))
-        if defect > 1e-10:
-            raise DomainError(f"frame is not unitary (defect {defect:.3e})")
+        if labels.shape != v.shape[:-1] or labels.dtype.kind not in "iu":
+            raise DomainError(f"labels must be {v.shape[-1]} integers, one per frame column")
+        _check_unitary(v, "frame is not unitary")
         object.__setattr__(self, "frame", v)
         object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
-        return self.frame.shape[0]
+        return self.frame.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -153,8 +174,12 @@ class ConditionalExpectation1:
 
 
 @dataclass(frozen=True, eq=False)
-class MixedUnitaryChannel:
-    """Convex combination of unitary conjugations ``x -> sum_i p_i u_i^H x u_i``."""
+class MixedUnitaryChannel(_Stackable):
+    """Convex combination of unitary conjugations ``x -> sum_i p_i u_i^H x u_i``.
+
+    A stack of channels of ``m`` terms each has weights ``(..., m)`` and
+    unitaries ``(..., m, n, n)``.
+    """
 
     weights: np.ndarray
     unitaries: np.ndarray
@@ -162,76 +187,77 @@ class MixedUnitaryChannel:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         u = np.asarray(self.unitaries, dtype=complex)
-        if w.ndim != 1 or u.ndim != 3 or u.shape[0] != w.shape[0] or u.shape[1] != u.shape[2]:
+        if w.ndim < 1 or u.shape[:-2] != w.shape or u.shape[-1] != u.shape[-2]:
             raise DomainError("terms must pair m weights with m square unitaries")
-        if w.size == 0:
+        if w.shape[-1] == 0:
             raise DomainError("a channel needs at least one term")
-        if float(w.min()) < 0 or abs(float(w.sum()) - 1.0) > 1e-12:
+        if not ((w >= 0).all() and (abs(w.sum(axis=-1) - 1.0) <= 1e-12).all()):
             raise DomainError("weights must be nonnegative and sum to one")
-        defect = float(np.linalg.norm(_adjoint(u) @ u - np.eye(u.shape[1]), axis=(1, 2)).max())
-        if defect > 1e-10:
-            raise DomainError(f"terms are not unitary (max defect {defect:.3e})")
+        _check_unitary(u, "terms are not unitary")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "unitaries", u)
 
     @property
     def dim(self) -> int:
-        return self.unitaries.shape[1]
-
-    @property
-    def terms(self) -> list[tuple[float, np.ndarray]]:
-        return list(zip(self.weights.tolist(), self.unitaries))
+        return self.unitaries.shape[-1]
 
 
-def apply_channel(
-    channel: Pinching | ConditionalExpectation1 | MixedUnitaryChannel, x
-) -> np.ndarray:
+def apply_channel(channel: Pinching | ConditionalExpectation1 | MixedUnitaryChannel, x) -> np.ndarray:
     """Apply a channel to one matrix or a stack of them, shape ``(..., dim, dim)``.
 
-    Every channel here is trace preserving and unital.  Hermitian input
-    yields Hermitian output; a stored-Hermitian input matrix is
-    re-symmetrized so its output is stored Hermitian as well.
+    A stack of channels broadcasts against the inputs, each matrix getting
+    the bits its own channel gives it alone.  Every channel here is trace
+    preserving and unital.  A stored-Hermitian input matrix gives a
+    stored-Hermitian output: re-symmetrized, except the conditional
+    expectation's, which is stored Hermitian as computed.
     """
     x = _check_dim(x, channel.dim)
+    if isinstance(channel, ConditionalExpectation1):
+        return conditional_expectation_1(x, channel.space)
     if isinstance(channel, Pinching):
         out = _pinch(channel.frame, channel.labels, x)
-    elif isinstance(channel, ConditionalExpectation1):
-        out = conditional_expectation_1(x, channel.space)
     else:
         out = _mix_unitaries(channel.weights, channel.unitaries, x)
     hermitian = (x == _adjoint(x)).all(axis=(-2, -1))
     return np.where(hermitian[..., None, None], hermitize(out), out)
 
 
-def _random_labels(dim: int, rng: RngStream) -> np.ndarray:
-    # The block labels of a random pinching: a uniform block count, one
-    # index per block at random, the rest assigned uniformly.
-    count = int(rng.gen.integers(1, min(dim, MAX_PINCHING_BLOCKS) + 1))
-    perm = rng.gen.permutation(dim)
-    labels = np.empty(dim, dtype=int)
-    labels[perm[:count]] = np.arange(count)  # one index per block, none empty
-    if dim > count:
-        labels[perm[count:]] = rng.gen.integers(0, count, size=dim - count)
-    return labels
+def random_pinching(dim: int, rng: Streams) -> Pinching:
+    """Pinching onto a random block partition in a random unitary frame.
 
-
-def random_pinching(dim: int, rng: RngStream) -> Pinching:
-    """Pinching onto a random block partition in a random unitary frame."""
+    Each stream draws its labels, then its frame; a sequence of streams
+    gives a stack, one pinching per stream.
+    """
     if dim < 1:
         raise DomainError(f"dim must be positive, got {dim}")
-    labels = _random_labels(dim, rng)
+
+    def draw_labels(gen):  # a uniform block count, then a random partition into that many
+        count = int(gen.integers(1, min(dim, MAX_PINCHING_BLOCKS) + 1))
+        perm = gen.permutation(dim)
+        labels = np.empty(dim, dtype=int)
+        labels[perm[:count]] = np.arange(count)  # one index per block, none empty
+        if dim > count:
+            labels[perm[count:]] = gen.integers(0, count, size=dim - count)
+        return labels
+
+    labels = _draw(rng, draw_labels)
     return Pinching(random_unitary(dim, rng), labels)
 
 
-def _random_weights(rng: RngStream, n_terms: int) -> np.ndarray:
-    # The weights of a random mixed-unitary channel, drawn before its unitaries.
-    raw = rng.gen.uniform(0.1, 1.0, size=n_terms)
-    return raw / raw.sum()
+def random_mixed_unitary(dim: int, rng: Streams, n_terms: int) -> MixedUnitaryChannel:
+    """Generic mixed-unitary channel with random weights and Haar unitaries.
 
-
-def random_mixed_unitary(dim: int, rng: RngStream, n_terms: int) -> MixedUnitaryChannel:
-    """Generic mixed-unitary channel with random weights and Haar unitaries."""
+    Each stream draws its weights, then its unitaries; a sequence of
+    streams gives a stack, one channel per stream.
+    """
     if n_terms < 1:
         raise DomainError(f"term count must be positive, got {n_terms}")
-    weights = _random_weights(rng, n_terms)
-    return MixedUnitaryChannel(weights, random_unitary(dim, [rng] * n_terms))
+
+    def draw_weights(gen):
+        raw = gen.uniform(0.1, 1.0, size=n_terms)
+        return raw / raw.sum()
+
+    weights = _draw(rng, draw_weights)
+    streams = [rng] if isinstance(rng, RngStream) else rng
+    unitaries = random_unitary(dim, [stream for stream in streams for _ in range(n_terms)])
+    return MixedUnitaryChannel(weights, unitaries.reshape(weights.shape + (dim, dim)))

@@ -18,7 +18,9 @@ Each built-in function carries ``dd`` and ``dd1``, the divided differences of
 log lo`` for t log t, ``-1 / (lo hi)`` for ``f'`` of log, polynomials for t,
 t**2 and t**3, and for t**q ``lo**q expm1(q log1p(u)) / d`` up to ``hi = 2 lo``
 and the plain quotient beyond (Higham, Functions of Matrices, sec. 4.6;
-Higham and Lin, SIMAX 2011).  A quotient by ``d`` takes its confluent value
+Higham and Lin, SIMAX 2011).  Where ``hi**q`` is no normal float, or t log
+t's form overflows at tiny pairs, the kernel comes from its value at
+``(lo / hi, 1)`` by homogeneity.  A quotient by ``d`` takes its confluent value
 where ``s == t`` exactly and nowhere else.  Against 50-digit arithmetic the
 error is at most 3.8e-16 relative at gaps from 0 to 1e10 (absolute near the
 zero of t log t's kernel at 1/e), and C8's largest gap at 1x1-8x8, seeds 42
@@ -99,36 +101,40 @@ def _power_dd(q: float) -> Callable:
     # Divided difference of t**q: the expm1 form up to hi = 2 lo, where the
     # plain quotient would cancel, and the plain quotient beyond, where it
     # cannot and expm1's argument, so its rounding, grows with the gap.
-    def quotient(lo, hi):
+    def quotient(lo, hi, hi_q):
         d = hi - lo
         lo_q = np.power(lo, q)
         near = lo_q * np.expm1(q * np.log1p(np.minimum(d, lo) / lo))  # d <= lo where read
-        return _over(np.where(hi <= 2.0 * lo, near, np.power(hi, q) - lo_q), d, q * lo_q / lo)
+        return _over(np.where(hi <= 2.0 * lo, near, hi_q - lo_q), d, q * lo_q / lo)
 
     def dd(lo, hi):
-        # For q > 1, t**q overflows above t = 1.8e308**(1/q), 1.3e154 at
-        # q = 2.  Where that leaves the quotient infinite or NaN, t**q being
-        # homogeneous, it is taken as hi**(q - 1) times the kernel at
-        # (lo / hi, 1), with lo / hi kept at least the smallest normal float,
-        # below which its q-th power is lost to rounding.  The discarded
-        # confluent value q lo**(q - 1) overflows at a subnormal lo for q
-        # near 0; it is read only where s == t.
+        # Where hi**q is no normal float (above 1.3e154 or below 1.5e-154 at
+        # q = 2, where the quotient is infinite or loses digits) or the
+        # quotient is not finite (q lo**(q - 1) overflows at a subnormal lo
+        # for q near 0), t**q being homogeneous, the kernel is hi**(q - 1)
+        # times its value at (lo / hi, 1), with lo / hi kept at least the
+        # smallest normal float, below which its q-th power is lost.
         with np.errstate(over="ignore", invalid="ignore"):
-            value = quotient(lo, hi)
-            over = ~np.isfinite(value)
-            if over.any():
-                scaled = quotient(np.maximum(lo / hi, _TINY), 1.0)
-                value = np.where(over, np.power(hi, q - 1.0) * scaled, value)
+            hi_q = np.power(hi, q)
+            value = quotient(lo, hi, hi_q)
+            rescue = ~np.isfinite(value) | (hi_q < _TINY)
+            if rescue.any():
+                scaled = quotient(np.maximum(lo / hi, _TINY), 1.0, 1.0)
+                value = np.where(rescue, np.power(hi, q - 1.0) * scaled, value)
         return value
     return dd
 
 
 def _t_log_t_dd(lo, hi):
-    # hi times the log kernel plus log lo.  At s == t below the smallest
-    # normal float the log kernel's confluent value 1 / lo overflows, and the
-    # confluent value 1 + log lo is taken there instead.
+    # hi times the log kernel plus log lo.  Where that overflows with the log
+    # kernel, at pairs below about 1e-306, it is taken at (lo / hi, 1) plus
+    # log hi, t log t's homogeneity (1 + log lo at s == t).
     value = hi * _log_dd(lo, hi) + np.log(lo)
-    return np.where(np.isinf(value) & (lo == hi), 1.0 + np.log(lo), value)
+    over = np.isinf(value)
+    if over.any():
+        ratio = lo / hi
+        value = np.where(over, (_log_dd(ratio, 1.0) + np.log(ratio)) + np.log(hi), value)
+    return value
 
 
 def _log_dd1(lo, hi):

@@ -54,11 +54,12 @@ gets alone, so margins do not depend on the chunk size.  A sampler makes for
 its chunk the calls that one sample would make alone, in the same order, so a
 chunk of one sample raises what that sample raises.
 
-C3 applies its channels a family at a time, each family on stacks: the
-pinchings, the conditional expectation, and the mixed-unitary channels a
-term count at a time.  The frames of the pinchings and the unitaries of the
-mixed-unitary channels, each stream's last draws, are drawn as one stack per
-family.  C8's resolvent reference takes the chunk as one stack.
+C1, C5 and C6 take the gaps of both states and every mixture in one
+``entropy_gap`` call.  C3 groups a chunk's samples by channel family and term
+count; each group's channels are one stack from one ``random_pinching`` or
+``random_mixed_unitary`` call (frames and unitaries being the streams' last
+draws), applied in one ``apply_channel`` call.  C8's resolvent reference
+takes the chunk as one stack.
 """
 
 from __future__ import annotations
@@ -74,13 +75,9 @@ import numpy as np
 from .bipartite import (
     BipartiteSpace,
     ConditionalExpectation1,
-    MixedUnitaryChannel,
-    Pinching,
-    _mix_unitaries,
-    _pinch,
-    _random_labels,
-    _random_weights,
-    conditional_expectation_1,
+    apply_channel,
+    random_mixed_unitary,
+    random_pinching,
 )
 from .calculus import (
     BUILTIN_NAMES,
@@ -93,7 +90,7 @@ from .calculus import (
     power,
     quad_form,
 )
-from .entropy import EntropyGapSpec, _entropy_gap, entropy_gap, second_differential_spectral
+from .entropy import EntropyGapSpec, entropy_gap, second_differential_spectral
 from .errors import DomainError, NumericError
 from .linalg import (
     CHUNK_BYTES,
@@ -105,7 +102,6 @@ from .linalg import (
     hermitize,
     random_hermitian,
     random_pd,
-    random_unitary,
 )
 from .oracles import dd_log_quadrature, log_quad_form_quadrature
 
@@ -271,9 +267,9 @@ def _sample_c1(config: CampaignConfig, streams):
     rho = _draw_pd(config, streams, space.dim)
     sigma = _draw_pd(config, streams, space.dim)
     t = np.array(config.weights)[:, None]  # one row per weight
-    chord = t * entropy_gap(rho, gap) + (1.0 - t) * entropy_gap(sigma, gap)
     mixed = t[..., None, None] * rho + (1.0 - t[..., None, None]) * sigma
-    slack = chord - _entropy_gap(mixed, gap)
+    gaps = entropy_gap(np.concatenate([rho[None], sigma[None], mixed]), gap)
+    slack = (t * gaps[0] + (1.0 - t) * gaps[1]) - gaps[2:]
     worst = slack.argmin(axis=0)  # the first weight of the smallest slack
     margins = slack[worst, np.arange(len(rho))]
     witnesses = [{"rho": r, "sigma": s, "weight": config.weights[k]}
@@ -292,53 +288,31 @@ def _sample_c2(config: CampaignConfig, streams):
 
 def _sample_c3(config: CampaignConfig, streams):
     space = config.space()
-    func = config.scalar_function()
     x = _draw_pd(config, streams, space.dim)
     h = random_hermitian(space.dim, streams)
-    witnesses = []
-    for rng, xi, hi in zip(streams, x, h):
+    witnesses, groups = [], {}  # the samples of each (family, term count)
+    for j, (rng, xi, hi) in enumerate(zip(streams, x, h)):
         family = config.channel_family
         if family == "uniform":
             family = ("pinching", "expectation", "mixed")[int(rng.gen.integers(0, 3))]
-        # A pinching's frame and a mixed channel's unitaries, the stream's
-        # last draws, come below.
+        terms = int(rng.gen.integers(2, 6)) if family == "mixed" else 0
+        groups.setdefault((family, terms), []).append(j)
+        witnesses.append({"x": xi, "h": hi, "family": family})
+    pair = np.stack([x, h])
+    outputs = np.empty_like(pair)
+    for (family, terms), group in groups.items():  # each stream's last draws
+        members = [streams[j] for j in group]
         if family == "pinching":
-            channel = _random_labels(space.dim, rng)
-        elif family == "expectation":
-            channel = ConditionalExpectation1(space)
+            channel = random_pinching(space.dim, members)
+        elif family == "mixed":
+            channel = random_mixed_unitary(space.dim, members, terms)
         else:
-            channel = _random_weights(rng, int(rng.gen.integers(2, 6)))
-        witnesses.append({"x": xi, "h": hi, "family": family, "channel": channel})
-    families = np.array([w["family"] for w in witnesses])
-    pinched = np.flatnonzero(families == "pinching")
-    if pinched.size:
-        frames = random_unitary(space.dim, [streams[j] for j in pinched])
-        labels = np.stack([witnesses[j]["channel"] for j in pinched])
-        for j, frame, block_labels in zip(pinched, frames, labels):
-            witnesses[j]["channel"] = Pinching(frame, block_labels)
-    mixed = np.flatnonzero(families == "mixed")
-    if mixed.size:
-        # Each channel's terms, consecutive in one stack: its weights, then
-        # its unitaries drawn from its stream repeated once per term.
-        weights = np.concatenate([witnesses[j]["channel"] for j in mixed])
-        counts = np.array([len(witnesses[j]["channel"]) for j in mixed])
-        unitaries = random_unitary(space.dim, [streams[j] for j in np.repeat(mixed, counts)])
-        starts = np.cumsum(counts) - counts
-        for j, w, u in zip(mixed, np.split(weights, starts[1:]), np.split(unitaries, starts[1:])):
-            witnesses[j]["channel"] = MixedUnitaryChannel(w, u)
-    before = quad_form(func, x, h)
-    pair = np.stack([x, h])  # replaced by the channel outputs, a family at a time
-    if pinched.size:
-        pair[:, pinched] = hermitize(_pinch(frames, labels, pair[:, pinched]))
-    expected = families == "expectation"
-    pair[:, expected] = conditional_expectation_1(pair[:, expected], space)
-    if mixed.size:
-        for m in np.unique(counts):  # the channels of m terms as one stack
-            terms = starts[counts == m, None] + np.arange(m)
-            group = mixed[counts == m]
-            pair[:, group] = hermitize(_mix_unitaries(weights[terms], unitaries[terms],
-                                                      pair[:, group]))
-    return (before - quad_form(func, pair[0], pair[1])).tolist(), witnesses
+            channel = ConditionalExpectation1(space)
+        outputs[:, group] = apply_channel(channel, pair[:, group])
+        for k, j in enumerate(group):
+            witnesses[j]["channel"] = channel if family == "expectation" else channel[k]
+    q = quad_form(config.scalar_function(), np.stack([x, outputs[0]]), np.stack([h, outputs[1]]))
+    return (q[0] - q[1]).tolist(), witnesses
 
 
 def _q_midpoint_margin(func, x1, h1, x2, h2, spectral=None):

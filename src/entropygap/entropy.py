@@ -55,19 +55,12 @@ def entropy_gap(rho, spec: EntropyGapSpec) -> float | np.ndarray:
     space = spec.space
     if rho.shape[-2:] != (space.dim, space.dim):
         raise DomainError(f"state must have shape ({space.dim}, {space.dim}), got {rho.shape}")
-    return _per_matrix(_entropy_gap(rho, spec))
-
-
-def _entropy_gap(rho: np.ndarray, spec: EntropyGapSpec) -> np.ndarray:
-    # entropy_gap without the checks of its argument, for stored-Hermitian
-    # states of the space's shape; one value per state.
-    f = spec.function.f
-    d2 = spec.space.d2
     vals = _eigvalsh(rho)
     check_positive(vals, "state must be positive definite")
-    marginal_vals = _eigvalsh(partial_trace_2(rho, spec.space))
+    marginal_vals = _eigvalsh(partial_trace_2(rho, space))
     check_positive(marginal_vals, "partial trace of the state must be positive definite")
-    return np.sum(f(d2 * vals), axis=-1) / d2 - np.sum(f(marginal_vals), axis=-1)
+    f, d2 = spec.function.f, space.d2
+    return _per_matrix(np.sum(f(d2 * vals), axis=-1) / d2 - np.sum(f(marginal_vals), axis=-1))
 
 
 def second_differential_spectral(rho, h, spec: EntropyGapSpec) -> float | np.ndarray:

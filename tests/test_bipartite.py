@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entropygap import (
     MAX_PINCHING_BLOCKS,
@@ -15,6 +17,7 @@ from entropygap import (
     conditional_expectation_1,
     embed_1,
     hermitize,
+    is_stored_hermitian,
     kron,
     partial_trace_1,
     partial_trace_2,
@@ -285,10 +288,8 @@ def test_structural_channels_are_idempotent_trace_preserving_and_unital(family, 
 def test_projection_channel_trivial_factor():
     space = BipartiteSpace(3, 1)
     channel = weyl_expectation(space)
-    assert len(channel.terms) == 1
-    weight, unitary = channel.terms[0]
-    assert weight == 1.0
-    assert np.array_equal(unitary, np.eye(3))
+    assert channel.weights.tolist() == [1.0]
+    assert np.array_equal(channel.unitaries, [np.eye(3)])
     x = random_hermitian(3, RngStream(131, 0))
     assert np.array_equal(apply_channel(ConditionalExpectation1(space), x), x)
 
@@ -311,8 +312,8 @@ def test_projection_channel_matches_map_on_matrix_units(d1, d2):
 
 def test_projection_channel_weights_uniform():
     channel = weyl_expectation(SPACE)
-    assert len(channel.terms) == 9
-    for weight, unitary in channel.terms:
+    assert len(channel.weights) == 9
+    for weight, unitary in zip(channel.weights, channel.unitaries):
         assert weight == pytest.approx(1.0 / 9.0, abs=1e-15)
         assert np.linalg.norm(unitary.conj().T @ unitary - np.eye(6)) <= 1e-12
 
@@ -445,11 +446,93 @@ def test_random_mixed_unitary_draws_terms_in_order():
     assert channel.unitaries.tobytes() == expected.tobytes()
 
 
+# -- stacks of channels -------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 6, 16])
+def test_channel_factories_on_streams_replay_their_single_calls(dim):
+    # Frames, labels, weights and unitaries, each stream's next draw after
+    # them, and each member of the stack, as one call per stream gives them.
+    streams, singles = RngStream.chunk(161, range(4)), [RngStream(161, i) for i in range(4)]
+    pinchings = random_pinching(dim, streams)
+    mixed = random_mixed_unitary(dim, streams, 3)
+    alone = [(random_pinching(dim, rng), random_mixed_unitary(dim, rng, 3)) for rng in singles]
+    assert [stream.gen.random() for stream in streams] == [rng.gen.random() for rng in singles]
+    for k, (pinching, channel) in enumerate(alone):
+        for stack, single, names in ((pinchings, pinching, ("frame", "labels")),
+                                     (mixed, channel, ("weights", "unitaries"))):
+            assert type(stack[k]) is type(single)
+            for name in names:
+                assert getattr(stack, name)[k].tobytes() == getattr(single, name).tobytes()
+                assert getattr(stack[k], name).tobytes() == getattr(single, name).tobytes()
+    assert len(list(mixed)) == 4
+    with pytest.raises(IndexError):
+        mixed[4]
+    with pytest.raises(TypeError):
+        alone[0][1][0]  # a single channel has no members
+
+
+@pytest.mark.parametrize("family", ["pinching", "mixed"])
+def test_apply_channel_on_a_stack_of_channels_equals_one_call_per_channel(family):
+    streams = RngStream.chunk(162, range(5))
+    channels = (random_pinching(6, streams) if family == "pinching"
+                else random_mixed_unitary(6, streams, 3))
+    rng = RngStream(162, 99)
+    x = np.stack([random_hermitian(6, rng) for _ in range(5)])
+    x[2] = x[2] + 1j * np.eye(6)  # not Hermitian: kept as computed
+    inputs = np.stack([x, x[::-1]])  # (2, 5, 6, 6), broadcast against the 5 channels
+    got = apply_channel(channels, inputs)
+    for k in range(5):
+        for j in range(2):
+            assert got[j, k].tobytes() == apply_channel(channels[k], inputs[j, k]).tobytes()
+    assert not is_stored_hermitian(got[0, 2])
+    assert is_stored_hermitian(got[0, 1])
+
+
+def test_channel_stacks_reject_one_bad_member():
+    frames = np.stack([np.eye(3, dtype=complex)] * 3)
+    frames[1, 0, 0] = 2.0
+    with pytest.raises(DomainError, match="unitary"):
+        Pinching(frames, np.zeros((3, 3), dtype=int))
+    with pytest.raises(DomainError, match="labels"):
+        Pinching(np.stack([np.eye(3, dtype=complex)] * 3), np.zeros((2, 3), dtype=int))
+    unitaries = np.stack([np.eye(2, dtype=complex)] * 6).reshape(3, 2, 2, 2)
+    weights = np.full((3, 2), 0.5)
+    MixedUnitaryChannel(weights, unitaries)
+    bad = unitaries.copy()
+    bad[2, 1] = np.diag([2.0, 1.0])
+    with pytest.raises(DomainError, match="unitary"):
+        MixedUnitaryChannel(weights, bad)
+    for row in ([0.5, 0.4], [1.5, -0.5], [np.nan, 0.5]):
+        bad = weights.copy()
+        bad[1] = row
+        with pytest.raises(DomainError, match="sum to one"):
+            MixedUnitaryChannel(bad, unitaries)
+    with pytest.raises(DomainError, match="pair"):
+        MixedUnitaryChannel(weights[:2], unitaries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d1=st.integers(1, 4), d2=st.integers(1, 4), data=st.data())
+def test_conditional_expectation_output_is_stored_hermitian(d1, d2, data):
+    # apply_channel returns the conditional expectation as computed, without
+    # re-symmetrizing it: it is stored Hermitian already wherever its input is.
+    space = BipartiteSpace(d1, d2)
+    n = space.dim
+    entries = data.draw(st.lists(st.floats(-1e300, 1e300), min_size=4 * n * n, max_size=4 * n * n))
+    z = np.array(entries).reshape(2, 2, n, n)
+    x = hermitize(z[0] + 1j * z[1])
+    out = apply_channel(ConditionalExpectation1(space), x)
+    assert out.tobytes() == conditional_expectation_1(x, space).tobytes()
+    assert is_stored_hermitian(out)
+    assert np.array_equal(hermitize(out), out)
+
+
 def test_random_mixed_unitary_structure():
     channel = random_mixed_unitary(4, RngStream(157, 0), 5)
-    assert len(channel.terms) == 5
-    assert abs(sum(w for w, _ in channel.terms) - 1.0) <= 1e-12
-    assert all(w > 0 for w, _ in channel.terms)
+    assert channel.weights.shape == (5,) and channel.unitaries.shape == (5, 4, 4)
+    assert abs(channel.weights.sum() - 1.0) <= 1e-12
+    assert (channel.weights > 0).all()
 
 
 def test_channel_rejects_bad_weights():

@@ -192,6 +192,68 @@ def test_kernels_hold_where_the_spectral_ratio_overflows(name, p, which):
     assert stacked.tobytes() == np.array(singles).tobytes()
 
 
+# Both ends of each pair from the smallest subnormal float to 1e-150: the
+# subnormal range, the smallest normal float and its neighbours, and the
+# magnitudes where t**2 and t**1.5 underflow.
+_TINY_POINTS = (5e-324, 1e-320, 3e-318, 1e-315, 2e-310, 1e-308, 2.2250738585072014e-308,
+                3e-308, 1e-305, 1e-300, 3e-300, 1e-250, 2e-250, 1e-200, 1e-160, 2e-160,
+                1e-155, 1e-150)
+
+
+# Known defect: for q = p - 1 near 0 the plain quotient of the f1 kernel of
+# t**p cancels beyond hi = 2 lo, where (hi / lo)**q is still near 1; at
+# (2e-310, 1e-308) power(1.01) errs by 1.8e-15 relative, and at (2.9, 7.25)
+# by 2.2e-14.
+_SMALL_Q_FAR_FORM = pytest.mark.xfail(strict=True, reason="t**q's plain quotient cancels at q near 0")
+
+
+@pytest.mark.parametrize("name,p,which", [
+    *((name, None, which) for name in ("t_log_t", "log", "identity", "square", "cube")
+      for which in ("f", "f1")),
+    *(("power", p, which) for p in (1.0, 1.01, 1.5, 1.99, 2.0) for which in ("f", "f1")
+      if (p, which) != (1.01, "f1")),
+    pytest.param("power", 1.01, "f1", marks=_SMALL_Q_FAR_FORM),
+])
+def test_kernels_hold_at_tiny_magnitudes(name, p, which):
+    # Against 50-digit arithmetic at every pair of _TINY_POINTS, confluent
+    # pairs included, as scalars in both orders and as one array, with every
+    # warning an error.  A normal value is bounded as in
+    # test_divided_difference_is_exact_at_every_gap, a subnormal one by one
+    # subnormal step; a value beyond the float range must read as infinite.
+    mpmath = pytest.importorskip("mpmath")
+    func = by_name(name, p=p)
+    derivatives = _mp_derivatives(mpmath, name, p)
+    mp_f, mp_df = derivatives[1:] if which == "f1" else derivatives[:2]
+    absolute = (name, which) == ("t_log_t", "f")
+    representable = []
+    with mpmath.workdps(50):
+        for i, s in enumerate(_TINY_POINTS):
+            for t in _TINY_POINTS[i:]:
+                a, b = mpmath.mpf(s), mpmath.mpf(t)
+                ref = mp_df(a) if a == b else (mp_f(b) - mp_f(a)) / (b - a)
+                if abs(ref) > np.finfo(float).max:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        assert divided_difference(func, which, s, t) == math.copysign(math.inf, ref)
+                    continue
+                representable.append((s, t))
+                if abs(ref) >= np.finfo(float).tiny:
+                    bound = 1e-15 * (max(1, abs(ref)) if absolute else abs(ref))
+                else:
+                    bound = 5e-324
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    for got in (divided_difference(func, which, s, t),
+                                divided_difference(func, which, t, s)):
+                        assert abs(got - ref) <= bound, (s, t, got, float(ref))
+    lo, hi = np.array(representable).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = divided_difference(func, which, lo, hi)
+        singles = [divided_difference(func, which, s, t) for s, t in zip(lo, hi)]
+    assert stacked.tobytes() == np.array(singles).tobytes()
+
+
 def test_log_derivative_kernel_holds_where_the_product_overflows():
     # -1 / (s t) at products beyond the float range, against 50-digit
     # arithmetic, in both orders and as one array, with every warning an
@@ -217,7 +279,7 @@ def test_log_derivative_kernel_holds_where_the_product_overflows():
 
 def test_t_log_t_kernel_is_finite_at_subnormal_confluence():
     # At s == t the kernel is f'(t) = log t + 1, also where 1 / t overflows;
-    # elsewhere hi * (log kernel) + log lo is kept bit for bit.
+    # wherever hi * (log kernel) + log lo is finite it is kept bit for bit.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for t in (1e-310, 5e-324, 2e-308):
