@@ -20,6 +20,7 @@ from .linalg import (
     Streams,
     _adjoint,
     _draw,
+    _schur,
     hermitize,
     random_unitary,
 )
@@ -108,10 +109,9 @@ def _mix_unitaries(weights: np.ndarray, unitaries: np.ndarray, x: np.ndarray) ->
 
 
 def _pinch(frame: np.ndarray, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # v (M o (v^H x v)) v^H with the block mask M[i, j] = (labels[i] == labels[j]);
-    # frames, labels and inputs broadcast over their leading axes.
-    mask = labels[..., :, None] == labels[..., None, :]
-    return frame @ (mask * (_adjoint(frame) @ x @ frame)) @ _adjoint(frame)
+    # Schur multiplication in the frame by the block mask M[i, j] = (labels[i]
+    # == labels[j]); frames, labels and inputs broadcast over their leading axes.
+    return _schur(frame, labels[..., :, None] == labels[..., None, :], x)
 
 
 def _check_unitary(u: np.ndarray, what: str) -> None:

@@ -47,6 +47,7 @@ from .linalg import (
     _adjoint,
     _eigh,
     _per_matrix,
+    _schur,
     check_hermitian,
     check_positive,
     eigh,
@@ -248,10 +249,7 @@ def frechet_derivative(func: ScalarFunction, which: str, a, h) -> np.ndarray:
     h = check_hermitian(h, "direction")
     if h.shape != dec.basis.shape:
         raise DomainError(f"direction shape {h.shape} does not match base point")
-    kernel = loewner(func, which, dec.eigenvalues)
-    u = dec.basis
-    rotated = _adjoint(u) @ h @ u
-    return hermitize(u @ (kernel * rotated) @ _adjoint(u))
+    return hermitize(_schur(dec.basis, loewner(func, which, dec.eigenvalues), h))
 
 
 def quad_form(func: ScalarFunction, a, h) -> float | np.ndarray:
@@ -264,17 +262,20 @@ def quad_form(func: ScalarFunction, a, h) -> float | np.ndarray:
     h = check_hermitian(h, "direction")
     if h.shape != a.shape:
         raise DomainError(f"direction shape {h.shape} does not match base point")
-    return _per_matrix(_quad_form(func, a, h))
+    return _per_matrix(_quad_form(*_curvature(func, a), h))
 
 
-def _quad_form(func: ScalarFunction, a: np.ndarray, h: np.ndarray, spectral=None) -> np.ndarray:
-    # quad_form without the checks of its arguments, for stored-Hermitian
-    # inputs of equal shape; one value per matrix.  ``spectral`` is the
-    # Loewner kernel of f' and the eigenbasis of ``a``, where the caller has them.
-    if spectral is None:
-        dec = _eigh(a)
-        spectral = loewner(func, "f1", dec.eigenvalues), dec.basis
-    kernel, basis = spectral
+def _curvature(func: ScalarFunction, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The curvature operator L_a = Df'(a) of f at stored-Hermitian ``a`` (each
+    # matrix of a stack): the Loewner kernel of f' and the eigenbasis of ``a``,
+    # L_a h being _schur(basis, kernel, h).
+    dec = _eigh(a)
+    return loewner(func, "f1", dec.eigenvalues), dec.basis
+
+
+def _quad_form(kernel: np.ndarray, basis: np.ndarray, h: np.ndarray) -> np.ndarray:
+    # tr h^H L h for the curvature operator L given by _curvature, without
+    # checks of ``h``; one value per matrix.
     rotated = _adjoint(basis) @ h @ basis
     weights = rotated.real**2 + rotated.imag**2
     return np.sum(weights * kernel, axis=(-2, -1))

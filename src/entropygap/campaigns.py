@@ -58,8 +58,13 @@ C1, C5 and C6 take the gaps of both states and every mixture in one
 ``entropy_gap`` call.  C3 groups a chunk's samples by channel family and term
 count; each group's channels are one stack from one ``random_pinching`` or
 ``random_mixed_unitary`` call (frames and unitaries being the streams' last
-draws), applied in one ``apply_channel`` call.  C8's resolvent reference
-takes the chunk as one stack.
+draws), applied in one ``apply_channel`` call.  C4 takes the curvature
+operators of both base points and their midpoint as one stack from one
+``eigh`` call, and C9 reuses that stack for its Lanczos steps and its margin.
+The pinching and C9's Lanczos step apply the one Schur multiplier,
+``linalg._schur``, that ``frechet_derivative`` applies, and every curvature
+form is its quadratic form.  C8's resolvent reference takes the chunk as one
+stack.
 """
 
 from __future__ import annotations
@@ -83,10 +88,10 @@ from .calculus import (
     BUILTIN_NAMES,
     LOG,
     T_LOG_T,
+    _curvature,
     _quad_form,
     by_name,
     divided_difference,
-    loewner,
     power,
     quad_form,
 )
@@ -98,6 +103,7 @@ from .linalg import (
     _adjoint,
     _eigh,
     _eigvalsh,
+    _schur,
     check_hermitian,
     hermitize,
     random_hermitian,
@@ -315,23 +321,11 @@ def _sample_c3(config: CampaignConfig, streams):
     return (q[0] - q[1]).tolist(), witnesses
 
 
-def _q_midpoint_margin(func, x1, h1, x2, h2, spectral=None):
-    """(Q(x1, h1) + Q(x2, h2)) / 2 - Q(midpoint, midpoint), per matrix.
-
-    The three forms are evaluated as one stack, from ``spectral`` (see
-    :func:`_midpoint_spectral`) where the caller has it.  The inputs must be
-    stored Hermitian already; they are not checked again.
-    """
-    q = _quad_form(func, np.stack([x1, x2, (x1 + x2) / 2.0]),
-                   np.stack([h1, h2, (h1 + h2) / 2.0]), spectral)
-    return (0.5 * q[0] + 0.5 * q[1]) - q[2]
-
-
-def _midpoint_spectral(func, x1, x2):
-    # The Loewner kernels of f' and the eigenbases of x1, x2 and their
-    # midpoint, stacked on the first axis.
-    dec = _eigh(np.stack([x1, x2, (x1 + x2) / 2.0]))
-    return loewner(func, "f1", dec.eigenvalues), dec.basis
+def _q_midpoint_margin(kernel, basis, h1, h2):
+    """(Q(x1, h1) + Q(x2, h2)) / 2 - Q(midpoint, midpoint), per matrix, from
+    the curvature stack of ``(x1, x2, (x1 + x2) / 2)`` on axis -3."""
+    q = _quad_form(kernel, basis, np.stack([h1, h2, (h1 + h2) / 2.0], axis=-3))
+    return (0.5 * q[..., 0] + 0.5 * q[..., 1]) - q[..., 2]
 
 
 def _pair_inner(a, b) -> np.ndarray:
@@ -339,34 +333,30 @@ def _pair_inner(a, b) -> np.ndarray:
     return np.sum(a.real * b.real + a.imag * b.imag, axis=(-3, -2, -1))
 
 
-def _lowest_directions(func, x1, h1, x2, h2, spectral=None):
+def _lowest_directions(kernel, basis, h1, h2):
     """C9's directions: the lowest Ritz vector, of the drawn pair's norm, of
     the midpoint margin ``<v, A v>`` in ``v = (h1, h2)``, where
     ``A v = (L1 h1 - Lm g, L2 h2 - Lm g) / 2``, ``g = (h1 + h2) / 2`` and
-    ``L_x h = U (K o U^H h U) U^H`` with ``K`` the Loewner kernel of ``f'``.
+    ``L_x`` is the curvature operator at ``x``, from the curvature stack of
+    :func:`_q_midpoint_margin`.
 
-    Lanczos takes ``min(8, 2 n^2)`` steps from the drawn pair.  The basis is
+    Lanczos takes ``min(8, 2 n^2)`` steps from the drawn pair.  Its basis is
     one array, read in the real coordinates of the pairs, and each new vector
     is orthogonalized twice against all of it at once (classical Gram-Schmidt
     twice, as stable as orthogonalizing against one vector after another).
     ``A v`` is hermitized, and so is the Ritz vector, so the witness is stored
-    Hermitian.  ``spectral`` is :func:`_midpoint_spectral`, where the caller
-    has it.
+    Hermitian.
     """
-    kernel, u = _midpoint_spectral(func, x1, x2) if spectral is None else spectral
-    kernel, u = np.moveaxis(kernel, 0, 1), np.moveaxis(u, 0, 1)  # sample first
-    uh = _adjoint(u)
-    count, steps = len(x1), min(8, 2 * x1.shape[-1] ** 2)
+    count, steps = len(h1), min(8, 2 * h1.shape[-1] ** 2)
     t = np.zeros((count, steps, steps))  # tridiagonal; eigh reads its lower triangle
-    basis = np.zeros((count, steps, 2) + x1.shape[1:], dtype=complex)
-    real = basis.view(float).reshape(count, steps, -1)  # the same memory
+    lanczos = np.zeros((count, steps, 2) + h1.shape[1:], dtype=complex)
+    real = lanczos.view(float).reshape(count, steps, -1)  # the same memory
     drawn = np.stack([h1, h2], axis=1)
     norm = np.sqrt(_pair_inner(drawn, drawn))[:, None, None, None]
-    basis[:, 0] = drawn / norm
+    lanczos[:, 0] = drawn / norm
     for j in range(steps):
-        q = basis[:, j]
-        g = np.stack([q[:, 0], q[:, 1], (q[:, 0] + q[:, 1]) / 2.0], axis=1)
-        lg = u @ (kernel * (uh @ g @ u)) @ uh
+        q = lanczos[:, j]
+        lg = _schur(basis, kernel, np.stack([q[:, 0], q[:, 1], (q[:, 0] + q[:, 1]) / 2.0], axis=1))
         w = hermitize(0.5 * (lg[:, :2] - lg[:, 2:])).view(float).reshape(count, 1, -1)
         block = real[:, :j + 1]
         overlaps = w @ block.swapaxes(1, 2)
@@ -391,12 +381,10 @@ def _sample_c4(config: CampaignConfig, streams, lowest: bool = False):
     h2 = random_hermitian(dim, streams)
     for m, name in ((x1, "matrix"), (h1, "direction"), (x2, "matrix"), (h2, "direction")):
         check_hermitian(m, name)
-    func = config.scalar_function()
-    spectral = None
-    if lowest:  # the margin reuses the base points' decompositions
-        spectral = _midpoint_spectral(func, x1, x2)
-        h1, h2 = _lowest_directions(func, x1, h1, x2, h2, spectral)
-    margins = _q_midpoint_margin(func, x1, h1, x2, h2, spectral)
+    curvature = _curvature(config.scalar_function(), np.stack([x1, x2, (x1 + x2) / 2.0], axis=-3))
+    if lowest:
+        h1, h2 = _lowest_directions(*curvature, h1, h2)
+    margins = _q_midpoint_margin(*curvature, h1, h2)
     return margins.tolist(), [dict(zip(("x1", "h1", "x2", "h2"), m)) for m in zip(x1, h1, x2, h2)]
 
 

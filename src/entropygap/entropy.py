@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bipartite import BipartiteSpace, partial_trace_2
-from .calculus import ScalarFunction, _quad_form
+from .calculus import ScalarFunction, _curvature, _quad_form
 from .errors import DomainError
 from .linalg import _eigvalsh, _per_matrix, check_hermitian, check_positive, eigh
 
@@ -75,8 +75,9 @@ def second_differential_spectral(rho, h, spec: EntropyGapSpec) -> float | np.nda
     if rho.shape[-2:] != (space.dim, space.dim) or h.shape != rho.shape:
         raise DomainError("state and direction must both live on the composite space")
     d2 = space.d2
-    composite = d2 * _quad_form(spec.function, d2 * rho, h)
-    marginal = _quad_form(spec.function, partial_trace_2(rho, space), partial_trace_2(h, space))
+    func = spec.function
+    composite = d2 * _quad_form(*_curvature(func, d2 * rho), h)
+    marginal = _quad_form(*_curvature(func, partial_trace_2(rho, space)), partial_trace_2(h, space))
     return _per_matrix(composite - marginal)
 
 

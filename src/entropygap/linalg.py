@@ -141,6 +141,14 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def _schur(basis: np.ndarray, kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Schur multiplication by ``kernel`` in the unitary frame ``basis``:
+    ``basis (kernel o (basis^H x basis)) basis^H``, broadcasting over the
+    leading axes of all three."""
+    adjoint = _adjoint(basis)
+    return basis @ (kernel * (adjoint @ x @ basis)) @ adjoint
+
+
 def _per_matrix(values) -> float | np.ndarray:
     """One value per matrix: a float for a single matrix, else the array."""
     return float(values) if np.ndim(values) == 0 else values
@@ -267,8 +275,8 @@ def random_pd(dim: int, rng: Streams, eig_range: tuple[float, float] = (0.1, 3.0
     lo, hi = float(eig_range[0]), float(eig_range[1])
     if not lo > 0:
         raise DomainError(f"lower eigenvalue bound must be positive, got {lo}")
-    if hi < lo:
-        raise DomainError(f"eigenvalue range is empty: ({lo}, {hi})")
+    if not lo <= hi < np.inf:  # also catches NaN
+        raise DomainError(f"upper eigenvalue bound must be finite and at least {lo}, got {hi}")
     u = random_unitary(dim, rng)
     vals = _draw(rng, lambda gen: gen.uniform(lo, hi, size=dim))
     return hermitize((u * vals[..., None, :]) @ _adjoint(u))

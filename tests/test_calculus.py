@@ -322,6 +322,15 @@ def test_divided_difference_symmetric_and_increasing_kernels_positive(name, whic
         assert forward > 0.0
 
 
+@_SMALL_Q_FAR_FORM
+def test_power_derivative_kernel_at_the_smallest_exponent_above_one():
+    # A pair the test above can draw: at q = 2**-52 the plain quotient's
+    # hi**q - lo**q rounds to exactly zero, where the kernel is 5.7357e-22 at
+    # 50 digits.
+    got = divided_difference(power(1.0 + 2.0**-52), "f1", 268338.0, 536677.0)
+    assert abs(got - 5.7356554806592765e-22) <= 1e-15 * 5.7356554806592765e-22
+
+
 # Reference kernels at 50 digits: (name, p) -> (f, f', f'') as mpmath callables.
 def _mp_derivatives(mpmath, name, p):
     if name == "power":

@@ -1,5 +1,6 @@
 """Campaign runner: determinism, per-statement margins, error capture."""
 
+import hashlib
 import re
 import warnings
 from dataclasses import replace
@@ -25,10 +26,12 @@ from entropygap import (
     random_hermitian,
     random_pd,
     random_unitary,
+    render_report,
     run_campaign,
     second_differential_spectral,
 )
 from entropygap import campaigns
+from entropygap.calculus import _curvature
 from entropygap.campaigns import _SAMPLERS, _q_midpoint_margin
 from test_bipartite import sign_unitary_pinching, term_by_term, weyl_expectation
 
@@ -120,6 +123,47 @@ def test_samples_are_independent_streams(campaign):
     long = _run(campaign, samples=20)
     assert _bits(long.margins[:10]) == _bits(short.margins)
     assert len(long.margins) == 20
+
+
+# SHA-256 of the rendered report of each campaign that reads a curvature form
+# or a Schur multiplier, at seed 42 and 20 samples: C2-C4 with t log t and
+# t**2, C3 once per channel family, C8 and C9 with their presets.  The earlier
+# reports in tests/data rerun these campaigns only within KERNEL_MARGIN_MOVES,
+# so a change that moves their last bits fails here and nowhere else.
+CURVATURE_PINS = {
+    "C2 t_log_t 2x2": "114f87f495cc249200b940876e92098fab7f0d14f1b62851b89cb5ccd5fbde7a",
+    "C3 pinching t_log_t 2x2": "d67676ccb554ab50cf0c8581f4b118c991c912a582338588b6d9bc2fda5b0e71",
+    "C3 expectation t_log_t 2x2": "806d80b5d2f3750897dbf26928ccba1318d1f88f3f7589c2a3eac1d8dd0e82f0",
+    "C3 mixed t_log_t 2x2": "70795b58b86b85afc88f811d1b8f2430dce0dda65a40dc0ea346df091dff9777",
+    "C4 t_log_t 2x2": "125a965f3fa37bc5bd3286a36d58f3d792d206e68fb54c7f3547ac47439bdb53",
+    "C2 square 2x2": "6f451c03d76e05611774354c140cb48eaa1f6129ea6ba19dbc10188ea634d45a",
+    "C3 pinching square 2x2": "f0a1881b82e562538d43fa40fa11cf8990a752884aacd12f93575771ea42cb74",
+    "C3 expectation square 2x2": "d0e07e63e7cc1f607f94ee8920db508747305371b2fb29d83fa1454647160a39",
+    "C3 mixed square 2x2": "e1cb72f5175b3dc5d2a2dbc84a623b353ad3880d0c98b557564ee9b4585de79f",
+    "C4 square 2x2": "d166c0bdf53b3e0d1ba63a930e6e5c882c8df33e11836897d2056e0664f90607",
+    "C8 t_log_t 2x2": "0e396624f14af5f368b84911b94d8d074b45f1ecef83a34a1372139fc524bb78",
+    "C9 cube 2x2": "9971cd6040c8432c66a4e6bd391fc9f825f9dec26213e949ea2420c96d976b58",
+    "C2 t_log_t 1x3": "a167116e5d165999f8caf6e2b73ada6a6a6491d2f4760819a7a024555a3ea60e",
+    "C3 pinching t_log_t 1x3": "aae835223a89405bdfc99adf70544ee40101592822bc86b0804db46ecaf3f329",
+    "C3 expectation t_log_t 1x3": "bdf30e697700c099532665e82523ef60df3dbc74e594858af2c8aa26201d43f1",
+    "C3 mixed t_log_t 1x3": "c5f7491e6f73984b4965048df4677a7ac00373ae656fa6702872155336393ea4",
+    "C4 t_log_t 1x3": "56cb25f3943361837aab881b64aaded82c3c2f77a698b7ce927973034d0dc03f",
+    "C2 square 1x3": "0f24c7e930adb3cf93611c1291f39f9fee5878acd53ea38a472708509b1f3045",
+    "C3 pinching square 1x3": "5e3c3f8d7a263e58860a4d32b0883dc505f9714b6ee41a554cf5c2d18fd65cce",
+    "C3 expectation square 1x3": "725559a9345b01895405802f0b32a4517173ad0f449323c81b8e2fa9a64baffa",
+    "C3 mixed square 1x3": "5695f072b26e255d51bf4a900efd0d901c8dbd56b0fc3cbbb673bd3f00dea2fe",
+    "C4 square 1x3": "30bfbf6f018c45c3793ebd90c57f1351bc385739d0814b8fa392698c27a35c38",
+    "C8 t_log_t 1x3": "79c3b57fbd107102dbcf007b26e47dbfc6cbb0f6d85251e9c1849a09354a84a4",
+    "C9 cube 1x3": "78e9f965c6ee9773377c8dd19adc9a8607035dcf483f236cb68a2498bab9f99b",
+}
+
+
+@pytest.mark.parametrize("label", CURVATURE_PINS)
+def test_curvature_campaign_reports_keep_their_bits(label):
+    campaign, *family, function, shape = label.split()
+    d1, d2 = (int(d) for d in shape.split("x"))
+    report = _run(campaign, d1=d1, d2=d2, function=function, channel_family=(family or ["uniform"])[0])
+    assert hashlib.sha256(render_report(report).encode("utf-8")).hexdigest() == CURVATURE_PINS[label]
 
 
 # -- chunked evaluation -----------------------------------------------------------
@@ -751,6 +795,11 @@ def test_c9_keeps_the_c4_draws_and_lowers_their_margins(d1, d2):
         assert a.gen.integers(2**63) == b.gen.integers(2**63)
 
 
+def _midpoint_curvature(func, x1, x2):
+    # The curvature stack of C4 and C9: x1, x2 and their midpoint on axis -3.
+    return _curvature(func, np.stack([x1, x2, (x1 + x2) / 2.0], axis=-3))
+
+
 @pytest.mark.parametrize("d1,d2", [(2, 2), (3, 3)])
 def test_c9_routine_finds_no_violation_for_t_log_t(d1, d2):
     # t log t is a matrix entropy, so its midpoint form is positive
@@ -762,15 +811,16 @@ def test_c9_routine_finds_no_violation_for_t_log_t(d1, d2):
     def scale(*mats):
         return 1.0 + sum(np.linalg.norm(m, axis=(-2, -1)) for m in mats)
 
-    g1, g2 = campaigns._lowest_directions(T_LOG_T, x1, h1, x2, h2)
-    assert (_q_midpoint_margin(T_LOG_T, x1, g1, x2, g2) >= -1e-14 * scale(x1, g1, x2, g2)).all()
-    null = _q_midpoint_margin(T_LOG_T, x1, x1, x2, x2)
+    curvature = _midpoint_curvature(T_LOG_T, x1, x2)
+    g1, g2 = campaigns._lowest_directions(*curvature, h1, h2)
+    assert (_q_midpoint_margin(*curvature, g1, g2) >= -1e-14 * scale(x1, g1, x2, g2)).all()
+    null = _q_midpoint_margin(*curvature, x1, x2)
     assert (np.abs(null) <= 1e-14 * scale(x1, x1, x2, x2)).all()
     # From the null direction the first residual is rounding alone.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g1, g2 = campaigns._lowest_directions(T_LOG_T, x1, x1, x2, x2)
-    assert (_q_midpoint_margin(T_LOG_T, x1, g1, x2, g2) >= -1e-14 * scale(x1, g1, x2, g2)).all()
+        g1, g2 = campaigns._lowest_directions(*curvature, x1, x2)
+    assert (_q_midpoint_margin(*curvature, g1, g2) >= -1e-14 * scale(x1, g1, x2, g2)).all()
 
 
 @pytest.mark.parametrize("eig_range", [(0.1, 3.0), (1e-6, 1e3)])
@@ -783,12 +833,13 @@ def test_c9_routine_keeps_its_basis_orthogonal_over_the_whole_space(eig_range):
     config = CampaignConfig("C4", d1=1, d2=2, eig_low=eig_range[0], eig_high=eig_range[1])
     _, witnesses = campaigns._sample_c4(config, [RngStream(5, index) for index in range(40)])
     x1, h1, x2, h2 = (np.stack([w[key] for w in witnesses]) for key in ("x1", "h1", "x2", "h2"))
-    g1, g2 = campaigns._lowest_directions(T_LOG_T, x1, h1, x2, h2)
+    curvature = _midpoint_curvature(T_LOG_T, x1, x2)
+    g1, g2 = campaigns._lowest_directions(*curvature, h1, h2)
     drawn, lowest = np.stack([h1, h2], axis=1), np.stack([g1, g2], axis=1)
     norms = campaigns._pair_inner(lowest, lowest) / campaigns._pair_inner(drawn, drawn)
     assert np.abs(norms - 1.0).max() <= 1e-14
     scale = 1.0 + sum(np.linalg.norm(m, axis=(-2, -1)) for m in (x1, g1, x2, g2))
-    assert (np.abs(_q_midpoint_margin(T_LOG_T, x1, g1, x2, g2)) <= 1e-14 * scale).all()
+    assert (np.abs(_q_midpoint_margin(*curvature, g1, g2)) <= 1e-14 * scale).all()
 
 
 def test_c9_routine_survives_an_exactly_invariant_start():
@@ -798,9 +849,9 @@ def test_c9_routine_survives_an_exactly_invariant_start():
     h = random_hermitian(4, [RngStream(3, 1)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g1, g2 = campaigns._lowest_directions(CUBE, x, h, x, h)
+        g1, g2 = campaigns._lowest_directions(*_midpoint_curvature(CUBE, x, x), h, h)
     assert np.isfinite(np.stack([g1, g2])).all()
-    assert _q_midpoint_margin(CUBE, x, g1, x, g2)[0] == 0.0
+    assert _q_midpoint_margin(*_midpoint_curvature(CUBE, x, x), g1, g2)[0] == 0.0
 
 
 def test_c9_margin_detects_a_constructed_violation():
@@ -810,7 +861,7 @@ def test_c9_margin_detects_a_constructed_violation():
     h1 = np.diag([0.506, 0.506]).astype(complex)
     x2 = np.diag([0.2, 0.2]).astype(complex)
     h2 = np.diag([1.494, 1.494]).astype(complex)
-    assert _q_midpoint_margin(CUBE, x1, h1, x2, h2) < -1.0
+    assert _q_midpoint_margin(*_midpoint_curvature(CUBE, x1, x2), h1, h2) < -1.0
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 9, 64])
@@ -821,7 +872,7 @@ def test_c9_direct_sum_witness_violates_at_every_dimension(dim):
     pad = np.ones(dim - 1)
     x1, x2 = (np.diag(np.r_[value, pad]).astype(complex) for value in (0.1, 3.0))
     h1 = np.diag(np.r_[1.0, 0.0 * pad]).astype(complex)
-    margin = _q_midpoint_margin(CUBE, x1, h1, x2, np.zeros_like(h1))
+    margin = _q_midpoint_margin(*_midpoint_curvature(CUBE, x1, x2), h1, np.zeros_like(h1))
     assert abs(margin + 2.025) <= 1e-14
 
 

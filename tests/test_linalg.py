@@ -133,6 +133,14 @@ def test_random_pd_rejects_nonpositive_low():
         random_pd(2, RngStream(0, 0), (2.0, 1.0))
 
 
+@pytest.mark.parametrize("hi", [np.nan, np.inf])
+def test_random_pd_rejects_a_non_finite_high(hi):
+    # Neither compares below the lower bound; numpy's uniform would raise
+    # OverflowError on either.
+    with pytest.raises(DomainError, match="upper eigenvalue bound"):
+        random_pd(2, RngStream(0, 0), (0.1, hi))
+
+
 def test_random_pd_deterministic_per_stream():
     a = random_pd(4, RngStream(7, 5), (0.1, 3.0))
     b = random_pd(4, RngStream(7, 5), (0.1, 3.0))
