@@ -207,17 +207,16 @@ def divided_difference(func: ScalarFunction, which: str, s, t) -> float | np.nda
     derivative (``which="f1"``) at ``(s, t)`` on (0, inf).
 
     ``s`` and ``t`` broadcast against each other; scalar arguments give a
-    float.  The kernel is evaluated on the ordered pair, so the value is
-    symmetric in ``s`` and ``t`` bitwise.
+    float, and an argument outside (0, inf) raises ``DomainError``.  The
+    kernel is evaluated on the ordered pair, so the value is symmetric in
+    ``s`` and ``t`` bitwise.
     """
     if which not in ("f", "f1"):
         raise DomainError(f"which must be 'f' or 'f1', got {which!r}")
     s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
-    lo = np.minimum(s, t)
-    smallest = float(np.min(lo))
-    if not smallest > 0:
-        raise DomainError(f"divided difference needs positive arguments; smallest is {smallest:.6g}")
-    return _per_matrix((func.dd if which == "f" else func.dd1)(lo, np.maximum(s, t)))
+    for arg in (s, t):
+        check_positive(arg, "divided difference needs positive finite arguments", "argument")
+    return _per_matrix((func.dd if which == "f" else func.dd1)(np.minimum(s, t), np.maximum(s, t)))
 
 
 def loewner(func: ScalarFunction, which: str, eigenvalues) -> np.ndarray:

@@ -52,7 +52,8 @@ it would make alone, and a sampler then computes the margins of the whole
 chunk on stacks of matrices.  Stacked routines give each matrix the bits it
 gets alone, so margins do not depend on the chunk size.  A sampler makes for
 its chunk the calls that one sample would make alone, in the same order, so a
-chunk of one sample raises what that sample raises.
+chunk of one sample raises what that sample raises.  It returns one array of
+margins and per-sample stacks of inputs, and only the worst witness is built.
 
 C1, C5 and C6 take the gaps of both states and every mixture in one
 ``entropy_gap`` call.  C3 groups a chunk's samples by channel family and term
@@ -73,6 +74,7 @@ import math
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -101,6 +103,7 @@ from .linalg import (
     CHUNK_BYTES,
     RngStream,
     _adjoint,
+    _draw,
     _eigh,
     _eigvalsh,
     _schur,
@@ -249,9 +252,10 @@ class CampaignReport:
     wall_time: float
 
 
-# A sampler takes the config and one stream per sample of a chunk, and
-# returns the chunk's margins and one witness dict per sample; the witness
-# holds the inputs of the sample's margin, its matrices first in drawing order.
+# A sampler takes the config and one stream per sample of a chunk and returns
+# its margins as one float array and its inputs as per-sample stacks by name,
+# matrices first in drawing order: a (count, n, n) array of matrices, a list of
+# anything else.  Sample k's witness is {name: stack[k]}.
 
 
 def _draw_pd(config: CampaignConfig, streams, dim: int) -> np.ndarray:
@@ -261,10 +265,11 @@ def _draw_pd(config: CampaignConfig, streams, dim: int) -> np.ndarray:
     return m
 
 
-def _norms(witness: dict) -> float:
-    # 1 + the Frobenius norms of the witness matrices, one norm per matrix.
-    return 1.0 + sum(float(np.linalg.norm(v)) for v in witness.values()
-                     if isinstance(v, np.ndarray))
+def _scales(inputs: dict) -> np.ndarray:
+    # 1 + each sample's Frobenius norms, one matrix at a time: a stacked norm differs in bits.
+    stacks = [v for v in inputs.values() if isinstance(v, np.ndarray)]
+    return np.array([1.0 + sum(float(np.linalg.norm(m)) for m in matrices)
+                     for matrices in zip(*stacks)])
 
 
 def _sample_c1(config: CampaignConfig, streams):
@@ -278,9 +283,7 @@ def _sample_c1(config: CampaignConfig, streams):
     slack = (t * gaps[0] + (1.0 - t) * gaps[1]) - gaps[2:]
     worst = slack.argmin(axis=0)  # the first weight of the smallest slack
     margins = slack[worst, np.arange(len(rho))]
-    witnesses = [{"rho": r, "sigma": s, "weight": config.weights[k]}
-                 for r, s, k in zip(rho, sigma, worst)]
-    return margins.tolist(), witnesses
+    return margins, {"rho": rho, "sigma": sigma, "weight": t[worst, 0].tolist()}
 
 
 def _sample_c2(config: CampaignConfig, streams):
@@ -288,22 +291,22 @@ def _sample_c2(config: CampaignConfig, streams):
     gap = EntropyGapSpec(config.scalar_function(), space)
     rho = _draw_pd(config, streams, space.dim)
     h = random_hermitian(space.dim, streams)
-    margins = second_differential_spectral(rho, h, gap)
-    return margins.tolist(), [{"rho": r, "h": d} for r, d in zip(rho, h)]
+    return second_differential_spectral(rho, h, gap), {"rho": rho, "h": h}
 
 
 def _sample_c3(config: CampaignConfig, streams):
     space = config.space()
     x = _draw_pd(config, streams, space.dim)
     h = random_hermitian(space.dim, streams)
-    witnesses, groups = [], {}  # the samples of each (family, term count)
-    for j, (rng, xi, hi) in enumerate(zip(streams, x, h)):
+    families, channels = [], [None] * len(streams)
+    groups = {}  # the samples of each (family, term count)
+    for j, rng in enumerate(streams):
         family = config.channel_family
         if family == "uniform":
             family = ("pinching", "expectation", "mixed")[int(rng.gen.integers(0, 3))]
         terms = int(rng.gen.integers(2, 6)) if family == "mixed" else 0
         groups.setdefault((family, terms), []).append(j)
-        witnesses.append({"x": xi, "h": hi, "family": family})
+        families.append(family)
     pair = np.stack([x, h])
     outputs = np.empty_like(pair)
     for (family, terms), group in groups.items():  # each stream's last draws
@@ -316,9 +319,9 @@ def _sample_c3(config: CampaignConfig, streams):
             channel = ConditionalExpectation1(space)
         outputs[:, group] = apply_channel(channel, pair[:, group])
         for k, j in enumerate(group):
-            witnesses[j]["channel"] = channel if family == "expectation" else channel[k]
+            channels[j] = channel if family == "expectation" else channel[k]
     q = quad_form(config.scalar_function(), np.stack([x, outputs[0]]), np.stack([h, outputs[1]]))
-    return (q[0] - q[1]).tolist(), witnesses
+    return q[0] - q[1], {"x": x, "h": h, "family": families, "channel": channels}
 
 
 def _q_midpoint_margin(kernel, basis, h1, h2):
@@ -384,12 +387,7 @@ def _sample_c4(config: CampaignConfig, streams, lowest: bool = False):
     curvature = _curvature(config.scalar_function(), np.stack([x1, x2, (x1 + x2) / 2.0], axis=-3))
     if lowest:
         h1, h2 = _lowest_directions(*curvature, h1, h2)
-    margins = _q_midpoint_margin(*curvature, h1, h2)
-    return margins.tolist(), [dict(zip(("x1", "h1", "x2", "h2"), m)) for m in zip(x1, h1, x2, h2)]
-
-
-def _sample_c9(config: CampaignConfig, streams):
-    return _sample_c4(config, streams, lowest=True)
+    return _q_midpoint_margin(*curvature, h1, h2), {"x1": x1, "h1": h1, "x2": x2, "h2": h2}
 
 
 def _congruence_inverse(a, b) -> np.ndarray:
@@ -410,23 +408,19 @@ def _sample_c7(config: CampaignConfig, streams):
         + 0.5 * _congruence_inverse(a2, b2)
         - _congruence_inverse((a1 + a2) / 2.0, (b1 + b2) / 2.0)
     )
-    margins = _eigvalsh(defect).min(axis=-1)
-    witnesses = [{"a1": m1, "b1": n1, "a2": m2, "b2": n2} for m1, n1, m2, n2 in zip(a1, b1, a2, b2)]
-    return margins.tolist(), witnesses
+    return _eigvalsh(defect).min(axis=-1), {"a1": a1, "b1": b1, "a2": a2, "b2": b2}
 
 
 def _sample_c8(config: CampaignConfig, streams):
     dim = config.space().dim
     lo, hi = _C8_PAIR_RANGE
-    s, t = np.array([rng.gen.uniform(lo, hi, size=2) for rng in streams]).T
+    s, t = _draw(streams, lambda gen: gen.uniform(lo, hi, size=2)).T
     dd_gaps = np.abs(divided_difference(LOG, "f", s, t) - dd_log_quadrature(s, t))
     a = _draw_pd(config, streams, dim)
     h = random_hermitian(dim, streams)
     references = log_quad_form_quadrature(a, h)
     qf_gaps = np.abs(quad_form(T_LOG_T, a, h) - references) / np.abs(references)
-    witnesses = [{"s": si, "t": ti, "a": ai, "h": hi}
-                 for si, ti, ai, hi in zip(s.tolist(), t.tolist(), a, h)]
-    return (-np.maximum(dd_gaps, qf_gaps)).tolist(), witnesses
+    return -np.maximum(dd_gaps, qf_gaps), {"s": s.tolist(), "t": t.tolist(), "a": a, "h": h}
 
 
 _SAMPLERS = {
@@ -438,7 +432,7 @@ _SAMPLERS = {
     "C6": _sample_c1,
     "C7": _sample_c7,
     "C8": _sample_c8,
-    "C9": _sample_c9,
+    "C9": partial(_sample_c4, lowest=True),
 }
 
 
@@ -447,60 +441,57 @@ def _chunk_samples(dim: int) -> int:
 
 
 def _evaluate(config: CampaignConfig, indices, errors: list) -> list:
-    """``(index, margin, witness)`` of each sample in ``indices`` that succeeds.
-
-    The samples are evaluated as one chunk; a non-finite margin counts as a
-    ``NumericError`` (the samplers validate their draws, so this is a net for
-    what their checks miss).
-    If the chunk raises, each sample is evaluated again as a chunk of one,
-    and each failure is appended to ``errors`` against its own sample.
+    """``(indices, margins, inputs)`` blocks, as a sampler returns them, of
+    the samples in ``indices`` that succeed: one for the chunk or, if it
+    raises, one per sample evaluated again as a chunk of one, each failure
+    appended to ``errors`` against its own sample.  A non-finite margin is a
+    ``NumericError``, a net for what the samplers' checks of their draws miss.
     """
     streams = RngStream.chunk(config.seed, indices)
     try:
-        margins, witnesses = _SAMPLERS[config.campaign](config, streams)
-        for margin in margins:
-            if not math.isfinite(margin):
-                raise NumericError(f"margin is not finite: {margin!r}")
+        margins, inputs = _SAMPLERS[config.campaign](config, streams)
+        finite = np.isfinite(margins)
+        if not finite.all():
+            raise NumericError(f"margin is not finite: {float(margins[~finite][0])!r}")
     except _SAMPLE_ERRORS as exc:
         if len(indices) > 1:
-            return [outcome for index in indices
-                    for outcome in _evaluate(config, [index], errors)]
+            return [block for index in indices for block in _evaluate(config, [index], errors)]
         kind = type(exc).__name__
         errors.append({"sample": indices[0], "type": kind, "message": f"{kind}: {exc}"})
         return []
-    return list(zip(indices, margins, witnesses))
+    return [(indices, margins, inputs)]
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Run one campaign and assemble its report.
 
-    Samples are evaluated chunk by chunk and recorded in sample order.  A
+    Samples are evaluated chunk by chunk, each chunk's margins scaled,
+    counted and searched as one block, and recorded in sample order.  A
     sample whose evaluation raises a domain, numeric or LAPACK error is
     recorded under ``errors`` and the campaign continues.
     """
     start = perf_counter()
     margins: list[float] = []
     errors: list[dict] = []
-    worst = None  # (margin, sample, witness) of the first smallest margin
+    violations, worst, witness = 0, None, None  # worst: the first smallest margin
     size = _chunk_samples(config.space().dim)
     for first in range(0, config.samples, size):
         indices = range(first, min(first + size, config.samples))
-        for index, margin, witness in _evaluate(config, indices, errors):
+        for block, values, inputs in _evaluate(config, indices, errors):
             if config.relative:
-                margin = margin / _norms(witness)
-            margins.append(margin)
-            if worst is None or margin < worst[0]:
-                worst = (margin, index, witness)
-
-    witness = None
-    if worst is not None:
-        witness = dict(worst[2])
-        witness["sample"] = worst[1]
+                values = values / _scales(inputs)
+            margins.extend(values.tolist())
+            violations += int(np.count_nonzero(values < -config.tolerance))
+            k = int(values.argmin())
+            if worst is None or values[k] < worst:
+                worst = float(values[k])
+                witness = {name: stack[k] for name, stack in inputs.items()}
+                witness["sample"] = block[k]
     return CampaignReport(
         config=config,
         margins=margins,
-        violations=int(sum(1 for m in margins if m < -config.tolerance)),
-        worst_margin=None if worst is None else worst[0],
+        violations=violations,
+        worst_margin=worst,
         witness=witness,
         errors=errors,
         wall_time=perf_counter() - start,

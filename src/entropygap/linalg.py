@@ -188,12 +188,16 @@ def check_hermitian(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def check_positive(eigenvalues, what: str) -> None:
-    """Raise ``DomainError("<what>; smallest eigenvalue is ...")`` unless every
-    eigenvalue is positive."""
-    smallest = float(np.min(eigenvalues))
+def check_positive(values, what: str, noun: str = "eigenvalue") -> None:
+    """Raise ``DomainError("<what>; smallest <noun> is ...")`` unless every
+    value is positive, and ``"<what>; largest <noun> is inf"`` unless every
+    value is finite: the one domain check of eigenvalues and scalar arguments."""
+    values = np.asarray(values)  # its methods cost half of np.min and np.max
+    smallest, largest = float(values.min()), float(values.max())
     if not smallest > 0:  # also catches NaN
-        raise DomainError(f"{what}; smallest eigenvalue is {smallest:.6g}")
+        raise DomainError(f"{what}; smallest {noun} is {smallest:.6g}")
+    if not largest < np.inf:
+        raise DomainError(f"{what}; largest {noun} is {largest:.6g}")
 
 
 def _eigh(a: np.ndarray) -> SpectralDecomposition:

@@ -57,12 +57,12 @@ def dd_log_quadrature(s, t) -> float | np.ndarray:
     its poles at u = -delta and u = 1 + delta, delta = 1 / (sqrt(t/s) - 1),
     as far from [0, 1] at one end as at the other.  ``s`` and ``t`` broadcast
     against each other, and each pair's nodes are summed along the last axis,
-    so a pair gets the bits it gets alone; scalar arguments give a float.
+    so a pair gets the bits it gets alone; scalar arguments give a float.  An
+    argument outside (0, inf) raises ``DomainError``.
     """
     s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
-    smallest = float(np.minimum(np.min(s), np.min(t)))
-    if not smallest > 0:
-        raise DomainError(f"integral kernel needs positive arguments; smallest is {smallest:.6g}")
+    for arg in (s, t):
+        check_positive(arg, "integral kernel needs positive finite arguments", "argument")
     x, w = gauss_legendre_unit(DD_LOG_NODES)
     s, t = s[..., None], t[..., None]
     c = np.sqrt(s * t)
@@ -79,7 +79,8 @@ _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 def resolvent_nodes(smallest, largest) -> int | np.ndarray:
     """Gauss-Legendre node count of :func:`log_quad_form_quadrature` for a
-    spectrum in [smallest, largest], both positive.
+    spectrum in [smallest, largest], both positive and finite with smallest
+    <= largest, else ``DomainError``.
 
     After the centred substitution the integrand's poles lie at u = -delta
     and u = 1 + delta, delta = 1 / (sqrt(kappa) - 1) for kappa = largest /
@@ -92,6 +93,12 @@ def resolvent_nodes(smallest, largest) -> int | np.ndarray:
     other, one count per pair; scalar bounds give an int.
     """
     smallest, largest = np.asarray(smallest, dtype=float), np.asarray(largest, dtype=float)
+    for bound in (smallest, largest):
+        check_positive(bound, "resolvent rule needs a positive finite spectrum", "bound")
+    flipped = smallest > largest
+    if flipped.any():
+        below, above = (np.broadcast_to(bound, flipped.shape)[flipped][0] for bound in (smallest, largest))
+        raise DomainError(f"resolvent rule needs smallest <= largest, got {below:.6g} > {above:.6g}")
     # kappa**-0.25 through logarithms, which neither overflow nor underflow.
     # Just below q = 1 the count is already the first rung, as it is at q = 1
     # (kappa = 1), where atanh would be infinite.

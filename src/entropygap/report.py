@@ -140,8 +140,16 @@ def emit_report(report: CampaignReport, path) -> None:
 
 
 def emit_reports(reports, path) -> None:
-    """Write several reports as one ``{"campaigns": {id: report, ...}}`` document."""
-    tree = {"campaigns": {r.config.campaign: report_to_dict(r) for r in reports}}
+    """Write several reports as one ``{"campaigns": {id: report, ...}}`` document.
+
+    The document keys each report by its campaign id, so two reports of one
+    campaign raise ``ValueError`` and nothing is written.
+    """
+    reports = list(reports)
+    ids = [r.config.campaign for r in reports]
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"a document holds one report per campaign, got campaigns {ids}")
+    tree = {"campaigns": {campaign: report_to_dict(r) for campaign, r in zip(ids, reports)}}
     _write(path, json.dumps(tree, indent=2) + "\n")
 
 

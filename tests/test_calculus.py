@@ -1,6 +1,7 @@
 """Spectral calculus: scalar functions, divided differences, Frechet maps."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -122,6 +123,31 @@ def test_divided_difference_rejects_nonpositive():
         divided_difference(LOG, "f", 1.0, -2.0)
     with pytest.raises(DomainError, match="which"):
         divided_difference(LOG, "f2", 1.0, 2.0)
+
+
+# Pairs with an argument outside (0, inf), where the kernels read NaN, inf or
+# 0 and the rules' arithmetic warns; each is a DomainError before any of it.
+OUTSIDE_THE_DOMAIN = [(1.0, math.inf), (math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan),
+                      (0.0, 1.0), (-1.0, 1.0), (1.0, -math.inf)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s,t", OUTSIDE_THE_DOMAIN)
+@pytest.mark.parametrize("which", ["f", "f1"])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_divided_difference_rejects_arguments_outside_its_domain(name, which, s, t):
+    func = by_name(name, p=1.5)
+    for pair in ((s, t), (np.array([2.0, s]), np.array([3.0, t]))):
+        with pytest.raises(DomainError, match="^divided difference needs positive finite arguments"):
+            divided_difference(func, which, *pair)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s,t", OUTSIDE_THE_DOMAIN)
+def test_log_quadrature_rejects_arguments_outside_its_domain(s, t):
+    for pair in ((s, t), (np.array([2.0, s]), np.array([3.0, t]))):
+        with pytest.raises(DomainError, match="^integral kernel needs positive finite arguments"):
+            dd_log_quadrature(*pair)
 
 
 def test_divided_difference_near_confluence_stays_accurate():
@@ -633,6 +659,22 @@ def test_resolvent_nodes_follow_the_condition_number():
     assert resolvent_nodes(1e-300, 1e-291) == resolvent_nodes(1.0, 1e9)
     with pytest.raises(NumericError, match="nodes at condition number 1e\\+10"):
         resolvent_nodes(1.0, 1e10)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("smallest,largest,message", [
+    (0.0, 1.0, "smallest bound is 0"), (-1.0, 1.0, "smallest bound is -1"),
+    (math.nan, 1.0, "smallest bound is nan"), (1.0, math.nan, "smallest bound is nan"),
+    (1.0, math.inf, "largest bound is inf"), (2.0, 1.0, "smallest <= largest, got 2 > 1"),
+])
+def test_resolvent_nodes_reject_a_spectrum_outside_their_domain(smallest, largest, message):
+    # Unchecked, (0, 1) and (1, inf) overflow the node count, (nan, 1) and
+    # (-1, 1) warn on the logarithms, and (2, 1) reads as a spectrum of
+    # condition number 1/2.
+    with pytest.raises(DomainError, match=re.escape(message)):
+        resolvent_nodes(smallest, largest)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        resolvent_nodes(np.array([0.1, smallest, 1.0]), np.array([3.0, largest, 1.0]))
 
 
 def test_resolvent_quadrature_refuses_an_ill_conditioned_base_point():

@@ -199,14 +199,18 @@ def _with_chunk(monkeypatch, dim: int, samples: int | None):
 @pytest.mark.parametrize("d1,d2", SHAPES)
 @pytest.mark.parametrize("campaign", CAMPAIGN_IDS)
 @pytest.mark.parametrize("poisoned", [False, True], ids=["clean", "poisoned"])
-def test_chunk_size_does_not_change_margins_or_errors(monkeypatch, campaign, d1, d2, poisoned):
+@pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+def test_chunk_size_does_not_change_margins_or_errors(monkeypatch, campaign, d1, d2, poisoned,
+                                                      relative):
+    # The relative scaling, the violation count and the worst-witness pick
+    # run once per chunk, so the whole report is compared.
     if poisoned:
         _poison(monkeypatch, 4)
     default = campaigns.CHUNK_BYTES
     reports = []
     for chunk in (1, 3, None):
         _with_chunk(monkeypatch, d1 * d2, chunk)
-        reports.append(_run(campaign, d1=d1, d2=d2, samples=7))
+        reports.append(_run(campaign, d1=d1, d2=d2, samples=7, relative=relative))
         monkeypatch.setattr(campaigns, "CHUNK_BYTES", default)
     assert campaigns._chunk_samples(d1 * d2) >= 7  # the default is one chunk here
     first = reports[0]
@@ -219,10 +223,7 @@ def test_chunk_size_does_not_change_margins_or_errors(monkeypatch, campaign, d1,
         assert first.errors == []
     for other in reports[1:]:
         assert _bits(other.margins) == _bits(first.margins)
-        assert other.errors == first.errors
-        assert _bits([other.worst_margin]) == _bits([first.worst_margin])
-        assert other.witness["sample"] == first.witness["sample"]
-        assert other.violations == first.violations
+        assert render_report(other) == render_report(first)
 
 
 def _recomputed_margin(report) -> float:
@@ -607,18 +608,20 @@ def test_c3_mixed_channels_of_every_term_count_match_across_chunk_sizes(monkeypa
     def sample(indices):
         return campaigns._sample_c3(config, RngStream.chunk(config.seed, indices))
 
-    margins, witnesses = sample(range(40))
-    assert {len(w["channel"].weights) for w in witnesses} == {2, 3, 4, 5}
+    margins, inputs = sample(range(40))
+    assert {len(channel.weights) for channel in inputs["channel"]} == {2, 3, 4, 5}
     assert campaigns._chunk_samples(4) >= 40
     for size in (1, 3):
         chunked = [sample(range(first, min(first + size, 40))) for first in range(0, 40, size)]
-        assert _bits([m for part, _ in chunked for m in part]) == _bits(margins)
-        for got, want in zip([w for _, part in chunked for w in part], witnesses):
-            for key in ("x", "h"):
-                assert got[key].tobytes() == want[key].tobytes()
+        assert _bits(np.concatenate([part for part, _ in chunked])) == _bits(margins)
+        for key in ("x", "h"):
+            stacked = np.concatenate([part[key] for _, part in chunked])
+            assert stacked.tobytes() == inputs[key].tobytes()
+        channels = [channel for _, part in chunked for channel in part["channel"]]
+        assert len(channels) == 40
+        for got, want in zip(channels, inputs["channel"]):
             for key in ("weights", "unitaries"):
-                assert getattr(got["channel"], key).tobytes() == \
-                    getattr(want["channel"], key).tobytes()
+                assert getattr(got, key).tobytes() == getattr(want, key).tobytes()
     default = campaigns.CHUNK_BYTES
     reports = []
     for chunk in (1, 3, None):
@@ -678,6 +681,26 @@ def test_sampler_errors_are_recorded_and_skipped(monkeypatch):
     assert report.errors == [{"sample": 2, "type": "DomainError",
                               "message": "DomainError: synthetic failure for testing"}]
     assert _bits(report.margins) == _bits(clean.margins[:2] + clean.margins[3:])
+
+
+@pytest.mark.parametrize("chunk", [1, None], ids=["single", "default"])
+@pytest.mark.parametrize("value,text", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
+def test_a_non_finite_margin_is_a_numeric_error_of_its_sample(monkeypatch, chunk, value, text):
+    clean = _run("C2", samples=6)
+    original = _SAMPLERS["C2"]
+
+    def broken(config, streams):
+        margins, inputs = original(config, streams)
+        margins[[stream.stream == 3 for stream in streams]] = value
+        return margins, inputs
+
+    monkeypatch.setitem(_SAMPLERS, "C2", broken)
+    _with_chunk(monkeypatch, 4, chunk)
+    report = _run("C2", samples=6)
+    assert report.errors == [{"sample": 3, "type": "NumericError",
+                              "message": f"NumericError: margin is not finite: {text}"}]
+    assert _bits(report.margins) == _bits(clean.margins[:3] + clean.margins[4:])
+    assert report.violations == clean.violations
 
 
 # -- the falsification campaign ------------------------------------------------------
@@ -781,14 +804,15 @@ def test_c9_keeps_the_c4_draws_and_lowers_their_margins(d1, d2):
     config = CampaignConfig("C9", d1=d1, d2=d2, samples=9)
     drawn_streams = [RngStream(42, index) for index in range(9)]
     lowest_streams = [RngStream(42, index) for index in range(9)]
-    drawn, drawn_witnesses = _SAMPLERS["C4"](replace(config, campaign="C4"), drawn_streams)
-    lowest, witnesses = _SAMPLERS["C9"](config, lowest_streams)
+    drawn, drawn_inputs = _SAMPLERS["C4"](replace(config, campaign="C4"), drawn_streams)
+    lowest, inputs = _SAMPLERS["C9"](config, lowest_streams)
     assert _bits(run_campaign(config).margins) == _bits(lowest)
-    for margin, bound, w, d in zip(lowest, drawn, witnesses, drawn_witnesses):
-        assert margin <= bound
-        assert w["x1"].tobytes() == d["x1"].tobytes() and w["x2"].tobytes() == d["x2"].tobytes()
+    assert (lowest <= drawn).all()
+    for key in ("x1", "x2"):
+        assert inputs[key].tobytes() == drawn_inputs[key].tobytes()
+    for k in range(9):
         # The witness directions keep the drawn pair's norm.
-        norms = [np.linalg.norm(np.stack([p["h1"], p["h2"]])) for p in (w, d)]
+        norms = [np.linalg.norm(np.stack([p["h1"][k], p["h2"][k]])) for p in (inputs, drawn_inputs)]
         assert abs(norms[0] - norms[1]) <= 1e-14 * norms[1]
     # No stream is drawn from beyond the draws of C4.
     for a, b in zip(drawn_streams, lowest_streams):
@@ -805,8 +829,8 @@ def test_c9_routine_finds_no_violation_for_t_log_t(d1, d2):
     # t log t is a matrix entropy, so its midpoint form is positive
     # semidefinite; (x1, x2) is a null direction, because Q(x, x) = tr x.
     config = CampaignConfig("C4", d1=d1, d2=d2)
-    _, witnesses = campaigns._sample_c4(config, [RngStream(42, index) for index in range(40)])
-    x1, h1, x2, h2 = (np.stack([w[key] for w in witnesses]) for key in ("x1", "h1", "x2", "h2"))
+    _, inputs = campaigns._sample_c4(config, [RngStream(42, index) for index in range(40)])
+    x1, h1, x2, h2 = (inputs[key] for key in ("x1", "h1", "x2", "h2"))
 
     def scale(*mats):
         return 1.0 + sum(np.linalg.norm(m, axis=(-2, -1)) for m in mats)
@@ -831,8 +855,8 @@ def test_c9_routine_keeps_its_basis_orthogonal_over_the_whole_space(eig_range):
     # has converged, a basis orthogonalized against its last two vectors only
     # loses both: its witness misses both by up to 1e-8 on these draws.
     config = CampaignConfig("C4", d1=1, d2=2, eig_low=eig_range[0], eig_high=eig_range[1])
-    _, witnesses = campaigns._sample_c4(config, [RngStream(5, index) for index in range(40)])
-    x1, h1, x2, h2 = (np.stack([w[key] for w in witnesses]) for key in ("x1", "h1", "x2", "h2"))
+    _, inputs = campaigns._sample_c4(config, [RngStream(5, index) for index in range(40)])
+    x1, h1, x2, h2 = (inputs[key] for key in ("x1", "h1", "x2", "h2"))
     curvature = _midpoint_curvature(T_LOG_T, x1, x2)
     g1, g2 = campaigns._lowest_directions(*curvature, h1, h2)
     drawn, lowest = np.stack([h1, h2], axis=1), np.stack([g1, g2], axis=1)

@@ -42,6 +42,12 @@ def test_check_positive_rejects_nan_and_nonpositive_eigenvalues(spectrum):
     check_positive(np.array([1e-300, 1.0]), "x")
 
 
+def test_check_positive_rejects_an_infinite_value():
+    with pytest.raises(DomainError, match="^x; largest argument is inf$"):
+        check_positive(np.array([1.0, np.inf]), "x", "argument")
+    check_positive(np.array([1.0, np.finfo(float).max]), "x")
+
+
 def test_check_hermitian_rejects_non_finite():
     a = np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(DomainError, match="finite"):

@@ -353,6 +353,18 @@ def test_emit_reports_matches_oracle(tmp_path):
     assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
+def test_emit_reports_rejects_two_reports_of_one_campaign(tmp_path):
+    # The document keys reports by campaign id; the second report of C2
+    # would replace the first.
+    reports = [_report(campaign="C2", seed=seed) for seed in (1, 2)]
+    path = tmp_path / "twice.json"
+    with pytest.raises(ValueError, match=r"one report per campaign, got campaigns \['C2', 'C2'\]"):
+        emit_reports(reports, path)
+    assert not path.exists()
+    emit_reports(iter([reports[0], _report(campaign="C3")]), path)
+    assert list(load_reports(path)) == ["C2", "C3"]
+
+
 def test_load_reports_reads_single_report_document(tmp_path):
     report = _report(campaign="C4")
     path = tmp_path / "c4.json"
