@@ -9,8 +9,12 @@ Both quadratures integrate over l in [0, inf) after the substitution
 l = c u / (1 - u), with c the geometric mean of the two scalars or of the
 extreme eigenvalues.  That centring puts the integrand's poles symmetrically
 about [0, 1], at a distance set by the condition number, which in turn sets
-the node count the resolvent integral needs (Trefethen, "Is Gauss quadrature
-better than Clenshaw-Curtis?", SIAM Rev. 2008).
+the node count both rules need (Trefethen, "Is Gauss quadrature better than
+Clenshaw-Curtis?", SIAM Rev. 2008): :func:`resolvent_nodes`, from an error
+constant fitted against 40-digit arithmetic.  Past the count, what limits
+either rule is the error of numpy's ``leggauss`` nodes and weights, which
+grows with the count: about 3e-13 relative at a condition number of 1e4 and
+2e-9 at 1e9.
 """
 
 from __future__ import annotations
@@ -47,50 +51,36 @@ def gauss_legendre_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def dd_log_quadrature(s, t) -> float | np.ndarray:
-    """Integral form of the log divided difference.
-
-    Evaluates integral_0^inf dl / ((s + l)(t + l)), which equals
-    (log t - log s) / (t - s) for positive s, t, with a DD_LOG_NODES-node
-    Gauss-Legendre rule after the substitution l = c u / (1 - u) centred at
-    c = sqrt(s t): the integrand c / (((1 - u) s + c u)((1 - u) t + c u)) has
-    its poles at u = -delta and u = 1 + delta, delta = 1 / (sqrt(t/s) - 1),
-    as far from [0, 1] at one end as at the other.  ``s`` and ``t`` broadcast
-    against each other, and each pair's nodes are summed along the last axis,
-    so a pair gets the bits it gets alone; scalar arguments give a float.  An
-    argument outside (0, inf) raises ``DomainError``.
-    """
-    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
-    for arg in (s, t):
-        check_positive(arg, "integral kernel needs positive finite arguments", "argument")
-    x, w = gauss_legendre_unit(DD_LOG_NODES)
-    s, t = s[..., None], t[..., None]
-    c = np.sqrt(s * t)
-    cx = c * x
-    return _per_matrix(np.sum(w * c / (((1.0 - x) * s + cx) * ((1.0 - x) * t + cx)), axis=-1))
-
-
-# Node counts the resolvent rule rounds up to: 8 * 2**(k/2), so that a run
+# Node counts the centred rules round up to: 8 * 2**(k/2), so that a run
 # memoizes a handful of rules whatever spectra it draws.
 RESOLVENT_NODES = tuple(math.ceil(8 * 2 ** (k / 2)) for k in range(17))
 _RUNGS = np.array(RESOLVENT_NODES)
-_BELOW_ONE = np.nextafter(1.0, 0.0)
+# C of the centred rule's relative truncation error C rho**(-2n), fitted
+# against 40-digit arithmetic at condition numbers from 1 to 1e9, where it
+# reaches 128.5 (tests/test_calculus.py); the count makes that error 1e-16.
+RESOLVENT_ERROR_CONSTANT = 130.0
+_LOG_TARGET = math.log(1e16 * RESOLVENT_ERROR_CONSTANT)
+# The largest log kappa each rung serves: the n of C rho**(-2n) = 1e-16 is
+# log(1e16 C) / (4 atanh(kappa**-0.25)), which is at most a rung's n up to
+# kappa = tanh(log(1e16 C) / (4n))**-4.
+_LOG_KAPPA_LIMITS = -4.0 * np.log(np.tanh(_LOG_TARGET / (4.0 * _RUNGS)))
 
 
 def resolvent_nodes(smallest, largest) -> int | np.ndarray:
-    """Gauss-Legendre node count of :func:`log_quad_form_quadrature` for a
-    spectrum in [smallest, largest], both positive and finite with smallest
-    <= largest, else ``DomainError``.
+    """Gauss-Legendre node count of the centred rules for a spectrum in
+    [smallest, largest], both positive and finite with smallest <= largest,
+    else ``DomainError``.
 
     After the centred substitution the integrand's poles lie at u = -delta
     and u = 1 + delta, delta = 1 / (sqrt(kappa) - 1) for kappa = largest /
     smallest, so it is analytic inside the Bernstein ellipse of [0, 1] with
     log rho = 2 atanh(kappa**-0.25), and an n-node rule errs by about
-    rho**(-2n).  The count is 1.25 times the n of rho**(-2n) = 1e-16, rounded
-    up the ladder :data:`RESOLVENT_NODES`.  Above its last rung (kappa beyond
-    about 1e9) this raises ``NumericError``: the rule would not be accurate,
-    and a gap it reported would be false.  The bounds broadcast against each
-    other, one count per pair; scalar bounds give an int.
+    C rho**(-2n) relative, C = :data:`RESOLVENT_ERROR_CONSTANT`.  The count is
+    the n of C rho**(-2n) = 1e-16, rounded up the ladder
+    :data:`RESOLVENT_NODES`.  Above its last rung (kappa beyond about 1e9)
+    this raises ``NumericError``: the rule would not be accurate, and a gap
+    it reported would be false.  The bounds broadcast against each other,
+    one count per pair; scalar bounds give an int.
     """
     smallest, largest = np.asarray(smallest, dtype=float), np.asarray(largest, dtype=float)
     for bound in (smallest, largest):
@@ -99,20 +89,62 @@ def resolvent_nodes(smallest, largest) -> int | np.ndarray:
     if flipped.any():
         below, above = (np.broadcast_to(bound, flipped.shape)[flipped][0] for bound in (smallest, largest))
         raise DomainError(f"resolvent rule needs smallest <= largest, got {below:.6g} > {above:.6g}")
-    # kappa**-0.25 through logarithms, which neither overflow nor underflow.
-    # Just below q = 1 the count is already the first rung, as it is at q = 1
-    # (kappa = 1), where atanh would be infinite.
-    q = np.minimum(np.exp(0.25 * (np.log(smallest) - np.log(largest))), _BELOW_ONE)
-    needed = 1.25 * math.log(1e16) / (4.0 * np.arctanh(q))
-    rungs = np.searchsorted(_RUNGS, needed)  # the first count >= needed
-    if rungs.max() == len(_RUNGS):
-        worst = np.argmax(needed)
-        raise NumericError(
-            f"resolvent quadrature needs {math.ceil(needed.flat[worst])} nodes at condition "
-            f"number {(largest / smallest).flat[worst]:.3g}; at most {RESOLVENT_NODES[-1]} are allowed"
-        )
-    nodes = _RUNGS[rungs]
+    nodes = _RUNGS[_rungs(smallest, largest)]
     return int(nodes) if nodes.ndim == 0 else nodes
+
+
+def _rungs(smallest, largest) -> np.ndarray:
+    # The index in RESOLVENT_NODES of each count resolvent_nodes gives bounds
+    # already checked, through logarithms, which neither overflow nor
+    # underflow.
+    log_kappa = np.log(largest) - np.log(smallest)
+    rungs = np.searchsorted(_LOG_KAPPA_LIMITS, log_kappa)  # the first rung that serves kappa
+    if rungs.max() == len(_RUNGS):
+        worst = np.argmax(log_kappa)
+        needed = _LOG_TARGET / (4.0 * np.arctanh(np.exp(-0.25 * log_kappa.flat[worst])))
+        raise NumericError(
+            f"resolvent quadrature needs {math.ceil(needed)} nodes at condition number "
+            f"{(largest / smallest).flat[worst]:.3g}; at most {RESOLVENT_NODES[-1]} are allowed"
+        )
+    return rungs
+
+
+def _concatenated_rules(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The nodes and weights of the rules of ``counts``, one after another, and
+    # where each rule starts.
+    x, w = (np.concatenate(part) for part in zip(*map(gauss_legendre_unit, counts.tolist())))
+    return x, w, np.cumsum(counts) - counts
+
+
+def dd_log_quadrature(s, t) -> float | np.ndarray:
+    """Integral form of the log divided difference.
+
+    Evaluates integral_0^inf dl / ((s + l)(t + l)), which equals
+    (log t - log s) / (t - s) for positive s, t, by Gauss-Legendre after the
+    substitution l = c u / (1 - u) centred at c = sqrt(s t): the integrand
+    c / (((1 - u) s + c u)((1 - u) t + c u)) has its poles at u = -delta and
+    u = 1 + delta, delta = 1 / (sqrt(t/s) - 1), as far from [0, 1] at one
+    end as at the other.  It is the resolvent integrand of the spectrum
+    {s, t}, so each pair takes :func:`resolvent_nodes` of its ratio, and a
+    ratio beyond about 1e9 raises ``NumericError``.  ``s`` and ``t``
+    broadcast against each other, and all pairs are evaluated in one pass,
+    each on its own rule, with each pair's terms summed as one segment, so a
+    pair gets the bits it gets alone, in either order; scalar arguments give
+    a float.  An argument outside (0, inf) raises ``DomainError``.
+    """
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    for arg in (s, t):
+        check_positive(arg, "integral kernel needs positive finite arguments", "argument")
+    lo, hi = np.minimum(s, t), np.maximum(s, t)
+    counts = _RUNGS[_rungs(lo, hi)]
+    shape, counts = counts.shape, counts.ravel()
+    x, w, starts = _concatenated_rules(counts)
+    lo, hi = np.repeat(lo.ravel(), counts), np.repeat(hi.ravel(), counts)
+    c, y = np.sqrt(lo * hi), 1.0 - x
+    cx = c * x
+    # reduceat sums each pair's terms in order, whatever pairs surround it.
+    terms = w * c / ((y * lo + cx) * (y * hi + cx))
+    return _per_matrix(np.add.reduceat(terms, starts).reshape(shape))
 
 
 def log_quad_form_quadrature(a, h) -> float | np.ndarray:
@@ -131,9 +163,10 @@ def log_quad_form_quadrature(a, h) -> float | np.ndarray:
 
     Takes one matrix or a stack of them, shape ``(..., n, n)``, with ``h`` of
     the same shape, and returns one value per matrix: a float for a single
-    matrix.  The matrices whose spectra take the same node count are solved
-    together, in stacks of at most about :data:`CHUNK_BYTES` of pencils, and
-    each matrix gets the bits it gets alone.
+    matrix.  Consecutive matrices are solved together, each on the rule of
+    its own node count, in stacks of at most about :data:`CHUNK_BYTES` of
+    pencils (one matrix at least), and each matrix gets the bits it gets
+    alone.
     """
     a = check_hermitian(a, "base point")
     h = check_hermitian(h, "direction")
@@ -144,23 +177,30 @@ def log_quad_form_quadrature(a, h) -> float | np.ndarray:
     spectrum = _eigvalsh(a)
     check_positive(spectrum, "resolvent integral needs a positive definite base point")
     lo, hi = spectrum[:, 0], spectrum[:, -1]
-    nodes = resolvent_nodes(lo, hi)
+    counts = _RUNGS[_rungs(lo, hi)]  # of a spectrum checked above, in ascending order
     c = np.sqrt(lo) * np.sqrt(hi)
     values = np.empty(len(a))
-    for count in sorted(set(nodes.tolist())):
-        x, w = gauss_legendre_unit(count)
-        group = np.flatnonzero(nodes == count)
-        size = max(1, CHUNK_BYTES // (16 * n * n * count))
-        for first in range(0, len(group), size):
-            part = group[first:first + size]
-            pencil = (1.0 - x)[:, None, None] * a[part, None]
-            # The diagonal, a stride n + 1 view of each pencil's entries.
-            pencil.reshape(len(part), count, n * n)[..., ::n + 1] += (c[part, None] * x)[..., None]
-            # solve broadcasts h over the nodes; the node axis keeps numpy < 2
-            # from reading a right-hand side as a stack of vectors.
-            solved = np.linalg.solve(pencil, h[part, None]).reshape(-1, n, n)
-            traces = np.einsum("nij,nji->n", solved, solved).real.reshape(len(part), -1)
-            values[part] = c[part] * np.sum(w * traces, axis=-1)
+    ends, budget = np.cumsum(counts), max(1, CHUNK_BYTES // (16 * n * n))
+    first = 0
+    while first < len(a):  # consecutive matrices, as many as the budget of pencils takes, or one
+        last = max(first + 1, int(np.searchsorted(ends, ends[first] - counts[first] + budget, side="right")))
+        part, repeats = slice(first, last), counts[first:last]
+        x, _, starts = _concatenated_rules(repeats)
+        if (repeats == repeats[0]).all():  # h broadcast over the nodes: a copy costs at large n
+            pencil, rhs = (1.0 - x).reshape(len(repeats), -1, 1, 1) * a[part, None], h[part, None]
+        else:
+            pencil = (1.0 - x)[:, None, None] * np.repeat(a[part], repeats, axis=0)
+            rhs = np.repeat(h[part], repeats, axis=0)
+        # The diagonal, a stride n + 1 view of each pencil's entries.
+        pencil.reshape(len(x), n * n)[:, ::n + 1] += (np.repeat(c[part], repeats) * x)[:, None]
+        solved = np.linalg.solve(pencil, rhs).reshape(len(x), n, n)
+        traces = np.einsum("nij,nji->n", solved, solved).real
+        # Each matrix's traces as a row, summed pairwise along it.
+        for count in np.unique(repeats).tolist():
+            group = np.flatnonzero(repeats == count)
+            rows = traces[starts[group, None] + np.arange(count)]
+            values[first + group] = c[first + group] * np.sum(gauss_legendre_unit(count)[1] * rows, axis=-1)
+        first = last
     return _per_matrix(values.reshape(shape))
 
 

@@ -16,6 +16,7 @@ from entropygap import (
     LOG,
     SQUARE,
     T_LOG_T,
+    CampaignConfig,
     DomainError,
     NumericError,
     RngStream,
@@ -474,8 +475,11 @@ def test_dd_log_quadrature_on_arrays_matches_its_scalar_calls_bitwise():
     one_at_a_time = [dd_log_quadrature(float(a), float(b)) for a, b in zip(s, t)]
     assert values.shape == s.shape
     assert values.tobytes() == np.array(one_at_a_time).tobytes()
+    assert dd_log_quadrature(t, s).tobytes() == values.tobytes()
     with pytest.raises(DomainError):
         dd_log_quadrature(s, -t)
+    with pytest.raises(NumericError, match="nodes at condition number 1e\\+10"):
+        dd_log_quadrature(s, np.where(s == 1.0, 1e10, t))
 
 
 # -- matrix functions ---------------------------------------------------------
@@ -655,10 +659,93 @@ def test_resolvent_nodes_follow_the_condition_number():
     counts = [resolvent_nodes(1.0, kappa) for kappa in np.logspace(0, 9, 50)]
     assert counts == sorted(counts)
     assert set(counts) <= set(RESOLVENT_NODES)
-    assert resolvent_nodes(0.1, 3.0) == 32  # the default spectrum range
-    assert resolvent_nodes(1e-300, 1e-291) == resolvent_nodes(1.0, 1e9)
+    assert resolvent_nodes(0.1, 3.0) == 23  # the default spectrum range
+    assert resolvent_nodes(1e-300, 1e-291) == resolvent_nodes(1.0, 1e9) == RESOLVENT_NODES[-1]
     with pytest.raises(NumericError, match="nodes at condition number 1e\\+10"):
         resolvent_nodes(1.0, 1e10)
+
+
+def _pole_rule(mpmath, z, n: int):
+    # The n-node Gauss-Legendre rule on [-1, 1] applied to 1/(z - x), and its
+    # z-derivative: the n-th convergent 2/(z - b1/(z - b2/(z - ...))) of the
+    # Jacobi continued fraction of the Legendre weight, b_k = k^2/(4k^2 - 1),
+    # evaluated from its tail.  It costs n steps whatever the node count.
+    tail = dtail = mpmath.mpf(0)
+    for k in range(n - 1, 0, -1):
+        b = mpmath.mpf(k * k) / (4 * k * k - 1)
+        tail, dtail = b / (z - tail), -b * (1 - dtail) / (z - tail) ** 2
+    return 2 / (z - tail), -2 * (1 - dtail) / (z - tail) ** 2
+
+
+def _resolvent_truncation(mpmath, kappa: float, n: int) -> float:
+    """Largest relative truncation error of the n-node centred resolvent rule
+    over the terms (lo, lo), (lo, hi) and (hi, hi) of the spectrum {1, kappa},
+    exact nodes and all, in the working precision.
+
+    With x = 2u - 1 the centred term of (s, t) is
+    2c/((c - s)(c - t)) * integral dx / ((z_s - x)(z_t - x)), z_s = (c + s)/(s - c):
+    a difference of two poles for s != t and a double pole for s = t, whose
+    rule errors come from ``_pole_rule`` and the exact log((z + 1)/(z - 1)).
+    """
+    lo, hi = mpmath.mpf(1), mpmath.mpf(kappa)
+    c = mpmath.sqrt(hi)
+    error = {}
+    for s in (lo, hi):
+        z = (c + s) / (s - c)
+        rule, drule = _pole_rule(mpmath, z, n)
+        error[s] = (mpmath.log((z + 1) / (z - 1)) - rule, 1 / (z + 1) - 1 / (z - 1) - drule)
+    z_lo, z_hi = ((c + s) / (s - c) for s in (lo, hi))
+    cross = 2 * c / ((c - lo) * (c - hi)) * (error[lo][0] - error[hi][0]) / (z_hi - z_lo)
+    terms = [-2 * c / (c - s) ** 2 * error[s][1] * s for s in (lo, hi)]
+    return float(max(abs(term) for term in terms + [cross / (mpmath.log(hi) / (hi - lo))]))
+
+
+def test_resolvent_error_constant_is_fitted_over_the_allowed_condition_numbers():
+    # At the count the model C rho**(-2n) = 1e-16 gives before the ladder
+    # rounds it up, the largest error times rho**(2n) over condition numbers
+    # from 1 to 1e9 is the fitted C: the library's constant must bound it (so
+    # no count falls short) without a margin that only buys nodes.
+    mpmath = pytest.importorskip("mpmath")
+    constant = oracles.RESOLVENT_ERROR_CONSTANT
+    fitted = 0.0
+    with mpmath.workdps(40):
+        for kappa in np.logspace(0.05, 9, 31):
+            log_rho = 2.0 * math.atanh(kappa ** -0.25)
+            n = math.ceil(math.log(1e16 * constant) / (2.0 * log_rho))
+            assert resolvent_nodes(1.0, kappa) >= n
+            fitted = max(fitted, _resolvent_truncation(mpmath, kappa, n) * math.exp(2.0 * n * log_rho))
+    assert constant / 1.05 <= fitted <= constant
+
+
+# (condition number, bound on the float64 rule's relative error at its count)
+LEGGAUSS_FLOOR = [(1e4, 1e-12), (1e6, 1e-11), (1e9, 5e-9)]
+
+
+@pytest.mark.parametrize("kappa,bound", LEGGAUSS_FLOOR)
+def test_wide_spectrum_gap_of_the_resolvent_rule_is_numpys_weights(kappa, bound):
+    # C8's gap grows with the condition number.  On the spectrum {1, kappa},
+    # where eigh is exact and each solve one division, the float64 rule sits
+    # within its bound of the 40-digit value; the same rule carried out in 40
+    # digits on numpy's nodes and weights errs as much, to 1e-15; with exact
+    # nodes and weights it errs by at most 1e-16.  So the gap is the error of
+    # leggauss's nodes and weights, neither the truncation nor the solves, and
+    # at the top rung it stays below C8's default tolerance.
+    mpmath = pytest.importorskip("mpmath")
+    a, h = np.diag([1.0, kappa]).astype(complex), np.ones((2, 2), dtype=complex)
+    n = resolvent_nodes(1.0, kappa)
+    got = log_quad_form_quadrature(a, h)
+    x, w = gauss_legendre_unit(n)
+    with mpmath.workdps(40):
+        lo, hi, c = mpmath.mpf(1), mpmath.mpf(kappa), mpmath.sqrt(kappa)
+        exact = 1 / lo + 1 / hi + 2 * mpmath.log(hi) / (hi - lo)
+        rule = c * mpmath.fsum(wi * (1 / ((1 - xi) * lo + c * xi) + 1 / ((1 - xi) * hi + c * xi)) ** 2
+                               for xi, wi in zip(map(mpmath.mpf, x.tolist()), map(mpmath.mpf, w.tolist())))
+        truncation = _resolvent_truncation(mpmath, kappa, n)
+        float_error, weights_error = (float(abs(value - exact) / exact) for value in (got, rule))
+    assert float_error <= bound
+    assert abs(float_error - weights_error) <= 1e-15
+    assert truncation <= 1e-16
+    assert float_error < CampaignConfig(campaign="C8").tolerance
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,6 +1,7 @@
 """Campaign runner: determinism, per-statement margins, error capture."""
 
 import hashlib
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -141,7 +142,7 @@ CURVATURE_PINS = {
     "C3 expectation square 2x2": "d0e07e63e7cc1f607f94ee8920db508747305371b2fb29d83fa1454647160a39",
     "C3 mixed square 2x2": "e1cb72f5175b3dc5d2a2dbc84a623b353ad3880d0c98b557564ee9b4585de79f",
     "C4 square 2x2": "d166c0bdf53b3e0d1ba63a930e6e5c882c8df33e11836897d2056e0664f90607",
-    "C8 t_log_t 2x2": "0e396624f14af5f368b84911b94d8d074b45f1ecef83a34a1372139fc524bb78",
+    "C8 t_log_t 2x2": "2c0473be4cc373a1960d54153927c00a1fe21fa8c740db0ccee5f7b9ea4779e3",
     "C9 cube 2x2": "9971cd6040c8432c66a4e6bd391fc9f825f9dec26213e949ea2420c96d976b58",
     "C2 t_log_t 1x3": "a167116e5d165999f8caf6e2b73ada6a6a6491d2f4760819a7a024555a3ea60e",
     "C3 pinching t_log_t 1x3": "aae835223a89405bdfc99adf70544ee40101592822bc86b0804db46ecaf3f329",
@@ -153,7 +154,7 @@ CURVATURE_PINS = {
     "C3 expectation square 1x3": "725559a9345b01895405802f0b32a4517173ad0f449323c81b8e2fa9a64baffa",
     "C3 mixed square 1x3": "5695f072b26e255d51bf4a900efd0d901c8dbd56b0fc3cbbb673bd3f00dea2fe",
     "C4 square 1x3": "30bfbf6f018c45c3793ebd90c57f1351bc385739d0814b8fa392698c27a35c38",
-    "C8 t_log_t 1x3": "79c3b57fbd107102dbcf007b26e47dbfc6cbb0f6d85251e9c1849a09354a84a4",
+    "C8 t_log_t 1x3": "43f1b36b0b9eeb7119f5822393a6d60c44a32aa75aca96c6103551e2090aa189",
     "C9 cube 1x3": "78e9f965c6ee9773377c8dd19adc9a8607035dcf483f236cb68a2498bab9f99b",
 }
 
@@ -676,8 +677,9 @@ def test_sampler_errors_are_recorded_and_skipped(monkeypatch):
 
     monkeypatch.setitem(_SAMPLERS, "C1", flaky)
     report = _run("C1", samples=5)
-    # The failure is raised inside the chunk, then each sample runs alone.
-    assert chunks == [[0, 1, 2, 3, 4], [0], [1], [2], [3], [4]]
+    # The failure is raised inside the chunk, then inside the half that
+    # holds sample 2, until sample 2 runs alone.
+    assert chunks == [[0, 1, 2, 3, 4], [0, 1], [2, 3, 4], [2], [3, 4]]
     assert report.errors == [{"sample": 2, "type": "DomainError",
                               "message": "DomainError: synthetic failure for testing"}]
     assert _bits(report.margins) == _bits(clean.margins[:2] + clean.margins[3:])
@@ -701,6 +703,33 @@ def test_a_non_finite_margin_is_a_numeric_error_of_its_sample(monkeypatch, chunk
                               "message": f"NumericError: margin is not finite: {text}"}]
     assert _bits(report.margins) == _bits(clean.margins[:3] + clean.margins[4:])
     assert report.violations == clean.violations
+
+
+@pytest.mark.parametrize("failing", [0, 300, 511])
+def test_a_failing_sample_is_found_by_bisecting_its_chunk(monkeypatch, failing):
+    # One NaN margin in a chunk of 512 samples: each halving reruns one half
+    # that fails and one that does not, so 1 + 2 * 9 sampler calls, where
+    # rerunning every sample alone took 513.  The report is the one that
+    # chunks of one sample give, byte for byte.
+    original = _SAMPLERS["C2"]
+    calls = []
+
+    def broken(config, streams):
+        calls.append(len(streams))
+        margins, inputs = original(config, streams)
+        margins[[stream.stream == failing for stream in streams]] = np.nan
+        return margins, inputs
+
+    monkeypatch.setitem(_SAMPLERS, "C2", broken)
+    assert campaigns._chunk_samples(4) == 512
+    report = _run("C2", samples=512)
+    assert len(calls) <= 2 * math.ceil(math.log2(512)) + 1
+    _with_chunk(monkeypatch, 4, 1)
+    alone = _run("C2", samples=512)
+    assert report.errors == alone.errors == [{"sample": failing, "type": "NumericError",
+                                              "message": "NumericError: margin is not finite: nan"}]
+    assert _bits(report.margins) == _bits(alone.margins)
+    assert render_report(report) == render_report(alone)
 
 
 # -- the falsification campaign ------------------------------------------------------
