@@ -440,15 +440,10 @@ def _chunk_samples(dim: int) -> int:
     return max(1, CHUNK_BYTES // (_SAMPLE_MATRICES * 16 * dim * dim))
 
 
-def _evaluate(config: CampaignConfig, indices, errors: list) -> list:
-    """``(indices, margins, inputs)`` blocks, as a sampler returns them, of
-    the samples in ``indices`` that succeed: one for the chunk or, if it
-    raises, the blocks of its two halves evaluated the same way, so that one
-    failing sample of n costs about 2 log2(n) sampler calls, and each failure
-    is appended to ``errors`` against its own sample.  A non-finite margin is
-    a ``NumericError``, a net for what the samplers' checks of their draws
-    miss.
-    """
+def _attempt(config: CampaignConfig, indices):
+    # The (indices, margins, inputs) block of a chunk, or the error it raises.
+    # A non-finite margin is a NumericError, a net for what the samplers'
+    # checks of their draws miss.
     streams = RngStream.chunk(config.seed, indices)
     try:
         margins, inputs = _SAMPLERS[config.campaign](config, streams)
@@ -456,13 +451,41 @@ def _evaluate(config: CampaignConfig, indices, errors: list) -> list:
         if not finite.all():
             raise NumericError(f"margin is not finite: {float(margins[~finite][0])!r}")
     except _SAMPLE_ERRORS as exc:
-        if len(indices) > 1:
-            half = len(indices) // 2
-            return _evaluate(config, indices[:half], errors) + _evaluate(config, indices[half:], errors)
-        kind = type(exc).__name__
-        errors.append({"sample": indices[0], "type": kind, "message": f"{kind}: {exc}"})
+        return exc
+    return indices, margins, inputs
+
+
+def _evaluate(config: CampaignConfig, indices, errors: list, raised=None) -> list:
+    """``(indices, margins, inputs)`` blocks, as a sampler returns them, of
+    the samples in ``indices`` that succeed, each failure appended to
+    ``errors`` against its own sample; ``raised`` is the error the chunk is
+    already known to raise.  A chunk that raises is split in halves, and
+    each half that raises is split again, so one failing sample of n costs
+    2 log2(n) + 1 sampler calls.  Once both halves of a block raise, its
+    samples run one at a time instead, so however many fail, the chunk
+    costs at most about three times its samples.
+    """
+    if raised is None:
+        raised = _attempt(config, indices)
+        if not isinstance(raised, Exception):
+            return [raised]
+    if len(indices) == 1:
+        kind = type(raised).__name__
+        errors.append({"sample": indices[0], "type": kind, "message": f"{kind}: {raised}"})
         return []
-    return [(indices, margins, inputs)]
+    half = len(indices) // 2
+    parts = [indices[:half], indices[half:]]
+    outcomes = [_attempt(config, part) for part in parts]
+    both = all(isinstance(outcome, Exception) for outcome in outcomes)
+    blocks = []
+    for part, outcome in zip(parts, outcomes):
+        if not isinstance(outcome, Exception):
+            blocks.append(outcome)
+        elif both and len(part) > 1:
+            blocks.extend(block for k in range(len(part)) for block in _evaluate(config, part[k:k + 1], errors))
+        else:
+            blocks.extend(_evaluate(config, part, errors, outcome))
+    return blocks
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:

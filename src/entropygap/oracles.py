@@ -28,8 +28,6 @@ from .errors import DomainError, NumericError
 from .linalg import CHUNK_BYTES, _eigvalsh, _per_matrix, check_hermitian, check_positive
 
 
-DD_LOG_NODES = 64  # nodes of the log divided-difference rule
-
 # Rules computed so far, by node count; their arrays are read-only.
 _GAUSS_LEGENDRE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -49,6 +47,38 @@ def gauss_legendre_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
             array.flags.writeable = False
         _GAUSS_LEGENDRE[n] = rule
     return rule
+
+
+def dd_log_quadrature(s, t) -> float | np.ndarray:
+    """Integral form of the log divided difference.
+
+    Evaluates integral_0^inf dl / ((s + l)(t + l)), which equals
+    (log t - log s) / (t - s) for positive s, t, by Gauss-Legendre after the
+    substitution l = c u / (1 - u) centred at c = sqrt(s t): the integrand
+    c / (((1 - u) s + c u)((1 - u) t + c u)) has its poles at u = -delta and
+    u = 1 + delta, delta = 1 / (sqrt(t/s) - 1), as far from [0, 1] at one
+    end as at the other.  It is the resolvent integrand of the spectrum
+    {s, t}, so each pair takes :func:`resolvent_nodes` of its ratio, and a
+    ratio beyond about 1e9 raises ``NumericError``.  ``s`` and ``t``
+    broadcast against each other; the pairs that take the same count are
+    evaluated together, each pair's nodes summed along the last axis, so a
+    pair gets the bits it gets alone; scalar arguments give a float.  An
+    argument outside (0, inf) raises ``DomainError``.
+    """
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    for arg in (s, t):
+        check_positive(arg, "integral kernel needs positive finite arguments", "argument")
+    lo, hi = np.minimum(s, t), np.maximum(s, t)
+    nodes = _node_counts(lo, hi)
+    lo, hi, values = lo[..., None], hi[..., None], np.empty(nodes.shape)
+    for count in sorted(set(nodes.ravel().tolist())):
+        x, w = gauss_legendre_unit(count)
+        group = nodes == count
+        s, t, y = lo[group], hi[group], 1.0 - x
+        c = np.sqrt(s * t)
+        cx = c * x
+        values[group] = np.add.reduce(w * c / ((y * s + cx) * (y * t + cx)), axis=-1)
+    return _per_matrix(values)
 
 
 # Node counts the centred rules round up to: 8 * 2**(k/2), so that a run
@@ -89,14 +119,13 @@ def resolvent_nodes(smallest, largest) -> int | np.ndarray:
     if flipped.any():
         below, above = (np.broadcast_to(bound, flipped.shape)[flipped][0] for bound in (smallest, largest))
         raise DomainError(f"resolvent rule needs smallest <= largest, got {below:.6g} > {above:.6g}")
-    nodes = _RUNGS[_rungs(smallest, largest)]
+    nodes = _node_counts(smallest, largest)
     return int(nodes) if nodes.ndim == 0 else nodes
 
 
-def _rungs(smallest, largest) -> np.ndarray:
-    # The index in RESOLVENT_NODES of each count resolvent_nodes gives bounds
-    # already checked, through logarithms, which neither overflow nor
-    # underflow.
+def _node_counts(smallest, largest) -> np.ndarray:
+    # The counts of resolvent_nodes for bounds already checked, through
+    # logarithms, which neither overflow nor underflow.
     log_kappa = np.log(largest) - np.log(smallest)
     rungs = np.searchsorted(_LOG_KAPPA_LIMITS, log_kappa)  # the first rung that serves kappa
     if rungs.max() == len(_RUNGS):
@@ -106,45 +135,7 @@ def _rungs(smallest, largest) -> np.ndarray:
             f"resolvent quadrature needs {math.ceil(needed)} nodes at condition number "
             f"{(largest / smallest).flat[worst]:.3g}; at most {RESOLVENT_NODES[-1]} are allowed"
         )
-    return rungs
-
-
-def _concatenated_rules(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The nodes and weights of the rules of ``counts``, one after another, and
-    # where each rule starts.
-    x, w = (np.concatenate(part) for part in zip(*map(gauss_legendre_unit, counts.tolist())))
-    return x, w, np.cumsum(counts) - counts
-
-
-def dd_log_quadrature(s, t) -> float | np.ndarray:
-    """Integral form of the log divided difference.
-
-    Evaluates integral_0^inf dl / ((s + l)(t + l)), which equals
-    (log t - log s) / (t - s) for positive s, t, by Gauss-Legendre after the
-    substitution l = c u / (1 - u) centred at c = sqrt(s t): the integrand
-    c / (((1 - u) s + c u)((1 - u) t + c u)) has its poles at u = -delta and
-    u = 1 + delta, delta = 1 / (sqrt(t/s) - 1), as far from [0, 1] at one
-    end as at the other.  It is the resolvent integrand of the spectrum
-    {s, t}, so each pair takes :func:`resolvent_nodes` of its ratio, and a
-    ratio beyond about 1e9 raises ``NumericError``.  ``s`` and ``t``
-    broadcast against each other, and all pairs are evaluated in one pass,
-    each on its own rule, with each pair's terms summed as one segment, so a
-    pair gets the bits it gets alone, in either order; scalar arguments give
-    a float.  An argument outside (0, inf) raises ``DomainError``.
-    """
-    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
-    for arg in (s, t):
-        check_positive(arg, "integral kernel needs positive finite arguments", "argument")
-    lo, hi = np.minimum(s, t), np.maximum(s, t)
-    counts = _RUNGS[_rungs(lo, hi)]
-    shape, counts = counts.shape, counts.ravel()
-    x, w, starts = _concatenated_rules(counts)
-    lo, hi = np.repeat(lo.ravel(), counts), np.repeat(hi.ravel(), counts)
-    c, y = np.sqrt(lo * hi), 1.0 - x
-    cx = c * x
-    # reduceat sums each pair's terms in order, whatever pairs surround it.
-    terms = w * c / ((y * lo + cx) * (y * hi + cx))
-    return _per_matrix(np.add.reduceat(terms, starts).reshape(shape))
+    return _RUNGS[rungs]
 
 
 def log_quad_form_quadrature(a, h) -> float | np.ndarray:
@@ -163,10 +154,9 @@ def log_quad_form_quadrature(a, h) -> float | np.ndarray:
 
     Takes one matrix or a stack of them, shape ``(..., n, n)``, with ``h`` of
     the same shape, and returns one value per matrix: a float for a single
-    matrix.  Consecutive matrices are solved together, each on the rule of
-    its own node count, in stacks of at most about :data:`CHUNK_BYTES` of
-    pencils (one matrix at least), and each matrix gets the bits it gets
-    alone.
+    matrix.  The matrices whose spectra take the same node count are solved
+    together, in stacks of at most about :data:`CHUNK_BYTES` of pencils, and
+    each matrix gets the bits it gets alone.
     """
     a = check_hermitian(a, "base point")
     h = check_hermitian(h, "direction")
@@ -177,30 +167,23 @@ def log_quad_form_quadrature(a, h) -> float | np.ndarray:
     spectrum = _eigvalsh(a)
     check_positive(spectrum, "resolvent integral needs a positive definite base point")
     lo, hi = spectrum[:, 0], spectrum[:, -1]
-    counts = _RUNGS[_rungs(lo, hi)]  # of a spectrum checked above, in ascending order
+    nodes = _node_counts(lo, hi)  # of a spectrum checked above, in ascending order
     c = np.sqrt(lo) * np.sqrt(hi)
     values = np.empty(len(a))
-    ends, budget = np.cumsum(counts), max(1, CHUNK_BYTES // (16 * n * n))
-    first = 0
-    while first < len(a):  # consecutive matrices, as many as the budget of pencils takes, or one
-        last = max(first + 1, int(np.searchsorted(ends, ends[first] - counts[first] + budget, side="right")))
-        part, repeats = slice(first, last), counts[first:last]
-        x, _, starts = _concatenated_rules(repeats)
-        if (repeats == repeats[0]).all():  # h broadcast over the nodes: a copy costs at large n
-            pencil, rhs = (1.0 - x).reshape(len(repeats), -1, 1, 1) * a[part, None], h[part, None]
-        else:
-            pencil = (1.0 - x)[:, None, None] * np.repeat(a[part], repeats, axis=0)
-            rhs = np.repeat(h[part], repeats, axis=0)
-        # The diagonal, a stride n + 1 view of each pencil's entries.
-        pencil.reshape(len(x), n * n)[:, ::n + 1] += (np.repeat(c[part], repeats) * x)[:, None]
-        solved = np.linalg.solve(pencil, rhs).reshape(len(x), n, n)
-        traces = np.einsum("nij,nji->n", solved, solved).real
-        # Each matrix's traces as a row, summed pairwise along it.
-        for count in np.unique(repeats).tolist():
-            group = np.flatnonzero(repeats == count)
-            rows = traces[starts[group, None] + np.arange(count)]
-            values[first + group] = c[first + group] * np.sum(gauss_legendre_unit(count)[1] * rows, axis=-1)
-        first = last
+    for count in sorted(set(nodes.tolist())):
+        x, w = gauss_legendre_unit(count)
+        group = np.flatnonzero(nodes == count)
+        size = max(1, CHUNK_BYTES // (16 * n * n * count))
+        for first in range(0, len(group), size):
+            part = group[first:first + size]
+            pencil = (1.0 - x)[:, None, None] * a[part, None]
+            # The diagonal, a stride n + 1 view of each pencil's entries.
+            pencil.reshape(len(part), count, n * n)[..., ::n + 1] += (c[part, None] * x)[..., None]
+            # solve broadcasts h over the nodes; the node axis keeps numpy < 2
+            # from reading a right-hand side as a stack of vectors.
+            solved = np.linalg.solve(pencil, h[part, None]).reshape(-1, n, n)
+            traces = np.einsum("nij,nji->n", solved, solved).real.reshape(len(part), -1)
+            values[part] = c[part] * np.sum(w * traces, axis=-1)
     return _per_matrix(values.reshape(shape))
 
 

@@ -142,7 +142,7 @@ CURVATURE_PINS = {
     "C3 expectation square 2x2": "d0e07e63e7cc1f607f94ee8920db508747305371b2fb29d83fa1454647160a39",
     "C3 mixed square 2x2": "e1cb72f5175b3dc5d2a2dbc84a623b353ad3880d0c98b557564ee9b4585de79f",
     "C4 square 2x2": "d166c0bdf53b3e0d1ba63a930e6e5c882c8df33e11836897d2056e0664f90607",
-    "C8 t_log_t 2x2": "2c0473be4cc373a1960d54153927c00a1fe21fa8c740db0ccee5f7b9ea4779e3",
+    "C8 t_log_t 2x2": "5793bacb2fbe1f53ad1bbd641d1c610bb53833f88c5eaff5b9c97b8674b4cc3b",
     "C9 cube 2x2": "9971cd6040c8432c66a4e6bd391fc9f825f9dec26213e949ea2420c96d976b58",
     "C2 t_log_t 1x3": "a167116e5d165999f8caf6e2b73ada6a6a6491d2f4760819a7a024555a3ea60e",
     "C3 pinching t_log_t 1x3": "aae835223a89405bdfc99adf70544ee40101592822bc86b0804db46ecaf3f329",
@@ -705,29 +705,37 @@ def test_a_non_finite_margin_is_a_numeric_error_of_its_sample(monkeypatch, chunk
     assert report.violations == clean.violations
 
 
-@pytest.mark.parametrize("failing", [0, 300, 511])
-def test_a_failing_sample_is_found_by_bisecting_its_chunk(monkeypatch, failing):
-    # One NaN margin in a chunk of 512 samples: each halving reruns one half
-    # that fails and one that does not, so 1 + 2 * 9 sampler calls, where
-    # rerunning every sample alone took 513.  The report is the one that
-    # chunks of one sample give, byte for byte.
+@pytest.mark.parametrize("failing", [[0], [300], [511], list(range(5, 512, 16)), list(range(512))],
+                         ids=["first", "middle", "last", "every-16th", "all"])
+def test_a_failing_chunk_is_bisected_at_a_bounded_cost(monkeypatch, failing):
+    # NaN margins in a chunk of 512 samples.  With one, each halving reruns
+    # one half that fails and one that does not: 1 + 2 * 9 sampler calls,
+    # where rerunning every sample alone took 513.  With failures in both
+    # halves of a block, its samples run alone: the chunk, both halves and
+    # 512 samples, no more than three times the chunk's samples in all.  The
+    # report is the one that chunks of one sample give, byte for byte.
     original = _SAMPLERS["C2"]
     calls = []
 
     def broken(config, streams):
         calls.append(len(streams))
         margins, inputs = original(config, streams)
-        margins[[stream.stream == failing for stream in streams]] = np.nan
+        margins[[stream.stream in failing for stream in streams]] = np.nan
         return margins, inputs
 
     monkeypatch.setitem(_SAMPLERS, "C2", broken)
     assert campaigns._chunk_samples(4) == 512
     report = _run("C2", samples=512)
-    assert len(calls) <= 2 * math.ceil(math.log2(512)) + 1
+    if len(failing) == 1:
+        assert len(calls) <= 2 * math.ceil(math.log2(512)) + 1
+    else:
+        assert len(calls) <= 512 + 2 * math.ceil(math.log2(512)) + 1
+    assert sum(calls) <= 3 * 512
     _with_chunk(monkeypatch, 4, 1)
     alone = _run("C2", samples=512)
-    assert report.errors == alone.errors == [{"sample": failing, "type": "NumericError",
-                                              "message": "NumericError: margin is not finite: nan"}]
+    assert report.errors == alone.errors == [{"sample": k, "type": "NumericError",
+                                              "message": "NumericError: margin is not finite: nan"}
+                                             for k in failing]
     assert _bits(report.margins) == _bits(alone.margins)
     assert render_report(report) == render_report(alone)
 
