@@ -19,8 +19,10 @@ from .linalg import (
     RngStream,
     Streams,
     _adjoint,
+    _as_square,
     _draw,
     _schur,
+    _stored_hermitian,
     hermitize,
     random_unitary,
 )
@@ -49,17 +51,9 @@ class BipartiteSpace:
         return self.d1 * self.d2
 
 
-def _check_dim(x, dim: int, name: str = "matrix") -> np.ndarray:
-    # One matrix or a stack of them, shape (..., dim, dim).
-    x = np.asarray(x, dtype=complex)
-    if x.ndim < 2 or x.shape[-2:] != (dim, dim):
-        raise DomainError(f"{name} must have shape ({dim}, {dim}), got {x.shape}")
-    return x
-
-
 def _blocks(x, space: BipartiteSpace) -> np.ndarray:
     # Each composite index split into its factors.
-    x = _check_dim(x, space.dim)
+    x = _as_square(x, dim=space.dim)
     return x.reshape(x.shape[:-2] + (space.d1, space.d2, space.d1, space.d2))
 
 
@@ -84,7 +78,7 @@ def embed_1(a, space: BipartiteSpace) -> np.ndarray:
 
     Takes one operator or a stack of them, shape ``(..., d1, d1)``.
     """
-    a = _check_dim(a, space.d1, "first-factor operator")
+    a = _as_square(a, "first-factor operator", space.d1)
     out = a[..., :, None, :, None] * np.eye(space.d2)[:, None, :]
     return out.reshape(a.shape[:-2] + (space.dim, space.dim))
 
@@ -111,7 +105,7 @@ def _mix_unitaries(weights: np.ndarray, unitaries: np.ndarray, x: np.ndarray) ->
 def _pinch(frame: np.ndarray, labels: np.ndarray, x: np.ndarray) -> np.ndarray:
     # Schur multiplication in the frame by the block mask M[i, j] = (labels[i]
     # == labels[j]); frames, labels and inputs broadcast over their leading axes.
-    return _schur(frame, labels[..., :, None] == labels[..., None, :], x)
+    return _schur(labels[..., :, None] == labels[..., None, :], frame, x)
 
 
 def _check_unitary(u: np.ndarray, what: str) -> None:
@@ -147,10 +141,8 @@ class Pinching(_Stackable):
     labels: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.frame, dtype=complex)
+        v = _as_square(self.frame, "frame")
         labels = np.asarray(self.labels)
-        if v.ndim < 2 or v.shape[-2] != v.shape[-1]:
-            raise DomainError(f"frame must be a square unitary, got shape {v.shape}")
         if labels.shape != v.shape[:-1] or labels.dtype.kind not in "iu":
             raise DomainError(f"labels must be {v.shape[-1]} integers, one per frame column")
         _check_unitary(v, "frame is not unitary")
@@ -186,8 +178,8 @@ class MixedUnitaryChannel(_Stackable):
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        u = np.asarray(self.unitaries, dtype=complex)
-        if w.ndim < 1 or u.shape[:-2] != w.shape or u.shape[-1] != u.shape[-2]:
+        u = _as_square(self.unitaries, "unitaries")
+        if w.ndim < 1 or u.shape[:-2] != w.shape:
             raise DomainError("terms must pair m weights with m square unitaries")
         if w.shape[-1] == 0:
             raise DomainError("a channel needs at least one term")
@@ -211,15 +203,14 @@ def apply_channel(channel: Pinching | ConditionalExpectation1 | MixedUnitaryChan
     stored-Hermitian output: re-symmetrized, except the conditional
     expectation's, which is stored Hermitian as computed.
     """
-    x = _check_dim(x, channel.dim)
+    x = _as_square(x, dim=channel.dim)
     if isinstance(channel, ConditionalExpectation1):
         return conditional_expectation_1(x, channel.space)
     if isinstance(channel, Pinching):
         out = _pinch(channel.frame, channel.labels, x)
     else:
         out = _mix_unitaries(channel.weights, channel.unitaries, x)
-    hermitian = (x == _adjoint(x)).all(axis=(-2, -1))
-    return np.where(hermitian[..., None, None], hermitize(out), out)
+    return np.where(_stored_hermitian(x).all(axis=(-2, -1), keepdims=True), hermitize(out), out)
 
 
 def random_pinching(dim: int, rng: Streams) -> Pinching:

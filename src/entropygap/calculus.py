@@ -45,10 +45,10 @@ import numpy as np
 from .errors import DomainError
 from .linalg import (
     _adjoint,
+    _check_pair,
     _eigh,
     _per_matrix,
     _schur,
-    check_hermitian,
     check_positive,
     eigh,
     hermitize,
@@ -226,8 +226,6 @@ def loewner(func: ScalarFunction, which: str, eigenvalues) -> np.ndarray:
     the derivative values.  A stacked spectrum gives a stack of kernels.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    if lam.size == 0:
-        raise DomainError("empty spectrum")
     return divided_difference(func, which, lam[..., None, :], lam[..., :, None])
 
 
@@ -244,11 +242,9 @@ def frechet_derivative(func: ScalarFunction, which: str, a, h) -> np.ndarray:
     Computed as the Schur product of the divided-difference kernel with the
     direction rotated into the eigenbasis of ``a``.
     """
-    dec = eigh(a)
-    h = check_hermitian(h, "direction")
-    if h.shape != dec.basis.shape:
-        raise DomainError(f"direction shape {h.shape} does not match base point")
-    return hermitize(_schur(dec.basis, loewner(func, which, dec.eigenvalues), h))
+    a, h = _check_pair(a, h)
+    dec = _eigh(a)
+    return hermitize(_schur(loewner(func, which, dec.eigenvalues), dec.basis, h))
 
 
 def quad_form(func: ScalarFunction, a, h) -> float | np.ndarray:
@@ -257,17 +253,14 @@ def quad_form(func: ScalarFunction, a, h) -> float | np.ndarray:
     In the eigenbasis of ``a`` this is sum_ij |h~[i, j]|^2 K[i, j] with K the
     divided-difference kernel of ``f'``; the value is real by construction.
     """
-    a = check_hermitian(a)
-    h = check_hermitian(h, "direction")
-    if h.shape != a.shape:
-        raise DomainError(f"direction shape {h.shape} does not match base point")
+    a, h = _check_pair(a, h)
     return _per_matrix(_quad_form(*_curvature(func, a), h))
 
 
 def _curvature(func: ScalarFunction, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # The curvature operator L_a = Df'(a) of f at stored-Hermitian ``a`` (each
     # matrix of a stack): the Loewner kernel of f' and the eigenbasis of ``a``,
-    # L_a h being _schur(basis, kernel, h).
+    # L_a h being _schur(kernel, basis, h).
     dec = _eigh(a)
     return loewner(func, "f1", dec.eigenvalues), dec.basis
 

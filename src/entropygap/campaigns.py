@@ -103,6 +103,7 @@ from .linalg import (
     CHUNK_BYTES,
     RngStream,
     _adjoint,
+    _check_pair,
     _draw,
     _eigh,
     _eigvalsh,
@@ -324,10 +325,10 @@ def _sample_c3(config: CampaignConfig, streams):
     return q[0] - q[1], {"x": x, "h": h, "family": families, "channel": channels}
 
 
-def _q_midpoint_margin(kernel, basis, h1, h2):
+def _q_midpoint_margin(curvature, h1, h2):
     """(Q(x1, h1) + Q(x2, h2)) / 2 - Q(midpoint, midpoint), per matrix, from
     the curvature stack of ``(x1, x2, (x1 + x2) / 2)`` on axis -3."""
-    q = _quad_form(kernel, basis, np.stack([h1, h2, (h1 + h2) / 2.0], axis=-3))
+    q = _quad_form(*curvature, np.stack([h1, h2, (h1 + h2) / 2.0], axis=-3))
     return (0.5 * q[..., 0] + 0.5 * q[..., 1]) - q[..., 2]
 
 
@@ -336,7 +337,7 @@ def _pair_inner(a, b) -> np.ndarray:
     return np.sum(a.real * b.real + a.imag * b.imag, axis=(-3, -2, -1))
 
 
-def _lowest_directions(kernel, basis, h1, h2):
+def _lowest_directions(curvature, h1, h2):
     """C9's directions: the lowest Ritz vector, of the drawn pair's norm, of
     the midpoint margin ``<v, A v>`` in ``v = (h1, h2)``, where
     ``A v = (L1 h1 - Lm g, L2 h2 - Lm g) / 2``, ``g = (h1 + h2) / 2`` and
@@ -359,7 +360,7 @@ def _lowest_directions(kernel, basis, h1, h2):
     lanczos[:, 0] = drawn / norm
     for j in range(steps):
         q = lanczos[:, j]
-        lg = _schur(basis, kernel, np.stack([q[:, 0], q[:, 1], (q[:, 0] + q[:, 1]) / 2.0], axis=1))
+        lg = _schur(*curvature, np.stack([q[:, 0], q[:, 1], (q[:, 0] + q[:, 1]) / 2.0], axis=1))
         w = hermitize(0.5 * (lg[:, :2] - lg[:, 2:])).view(float).reshape(count, 1, -1)
         block = real[:, :j + 1]
         overlaps = w @ block.swapaxes(1, 2)
@@ -382,12 +383,12 @@ def _sample_c4(config: CampaignConfig, streams, lowest: bool = False):
     h1 = random_hermitian(dim, streams)
     x2 = _draw_pd(config, streams, dim)
     h2 = random_hermitian(dim, streams)
-    for m, name in ((x1, "matrix"), (h1, "direction"), (x2, "matrix"), (h2, "direction")):
-        check_hermitian(m, name)
+    for x, h in ((x1, h1), (x2, h2)):
+        _check_pair(x, h)
     curvature = _curvature(config.scalar_function(), np.stack([x1, x2, (x1 + x2) / 2.0], axis=-3))
     if lowest:
-        h1, h2 = _lowest_directions(*curvature, h1, h2)
-    return _q_midpoint_margin(*curvature, h1, h2), {"x1": x1, "h1": h1, "x2": x2, "h2": h2}
+        h1, h2 = _lowest_directions(curvature, h1, h2)
+    return _q_midpoint_margin(curvature, h1, h2), {"x1": x1, "h1": h1, "x2": x2, "h2": h2}
 
 
 def _congruence_inverse(a, b) -> np.ndarray:

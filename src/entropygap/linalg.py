@@ -7,11 +7,16 @@ and :func:`eigh` rejects inputs that do not satisfy it.  Composite indices on
 tensor products are row-major, ``(a, i) -> a * d2 + i``, the convention of
 ``numpy.kron``.
 
-Except for :func:`kron`, every routine also takes a stack of matrices, shape
-``(..., n, n)``, and treats each matrix of it exactly as it would treat that
-matrix alone: stacked LAPACK calls, matrix products and reductions over the
-trailing axes give the same bits per matrix.  The random factories draw a
-stack when given a sequence of streams, one matrix per stream.
+Every routine also takes a stack of matrices, shape ``(..., n, n)``, and
+treats each matrix of it exactly as it would treat that matrix alone: stacked
+LAPACK calls, matrix products and reductions over the trailing axes give the
+same bits per matrix.  The random factories draw a stack when given a
+sequence of streams, one matrix per stream.
+
+Each input precondition is written once, here: the shape (``_as_square``),
+stored Hermitian with finite entries (:func:`check_hermitian`), a base point
+with its direction (``_check_pair``) and positive finite values, empty input
+rejected (:func:`check_positive`, and ``_positive_eigenvalues`` for spectra).
 """
 
 from __future__ import annotations
@@ -125,15 +130,13 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream={self.stream})"
 
 
-def _is_square(a: np.ndarray) -> bool:
-    return a.ndim >= 2 and a.shape[-1] == a.shape[-2]
-
-
-def _as_square(a, name: str = "matrix") -> np.ndarray:
-    """``a`` as a complex square matrix or stack of them."""
+def _as_square(a, name: str = "matrix", dim: int | None = None) -> np.ndarray:
+    """``a`` as a complex square matrix or stack of them, of side ``dim`` when
+    given: the one shape check."""
     a = np.asarray(a, dtype=complex)
-    if not _is_square(a):
-        raise DomainError(f"{name} must be square, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or dim not in (None, a.shape[-1]):
+        want = "be square" if dim is None else f"have shape ({dim}, {dim})"
+        raise DomainError(f"{name} must {want}, got shape {a.shape}")
     return a
 
 
@@ -141,7 +144,12 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _schur(basis: np.ndarray, kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _stored_hermitian(a: np.ndarray) -> np.ndarray:
+    # The one test of stored Hermitian, entry for entry, for the caller to reduce.
+    return a == _adjoint(a)
+
+
+def _schur(kernel: np.ndarray, basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Schur multiplication by ``kernel`` in the unitary frame ``basis``:
     ``basis (kernel o (basis^H x basis)) basis^H``, broadcasting over the
     leading axes of all three."""
@@ -168,10 +176,10 @@ def hermitize(a) -> np.ndarray:
 def is_stored_hermitian(a) -> bool:
     """True when ``a`` (every matrix of it) equals its conjugate transpose
     entry-for-entry."""
-    a = np.asarray(a)
-    if not _is_square(a):
+    try:
+        return bool(_stored_hermitian(_as_square(a)).all())
+    except DomainError:
         return False
-    return bool((a == _adjoint(a)).all())
 
 
 def check_hermitian(a, name: str = "matrix") -> np.ndarray:
@@ -179,7 +187,7 @@ def check_hermitian(a, name: str = "matrix") -> np.ndarray:
     a = _as_square(a, name)
     if not np.isfinite(a.view(float)).all():
         raise DomainError(f"{name} has non-finite entries")
-    if not (a == _adjoint(a)).all():
+    if not _stored_hermitian(a).all():
         defect = float(np.abs(a - _adjoint(a)).max())
         raise DomainError(
             f"{name} is not stored Hermitian (max asymmetry {defect:.3e}); "
@@ -188,11 +196,24 @@ def check_hermitian(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _check_pair(a, h, name: str = "base point", dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    # The one check of a base point ``a``, of side ``dim`` when given, and a
+    # direction ``h`` of its shape, both through check_hermitian.
+    a = check_hermitian(_as_square(a, name, dim), name)
+    h = check_hermitian(h, "direction")
+    if h.shape != a.shape:
+        raise DomainError(f"direction shape {h.shape} does not match base point shape {a.shape}")
+    return a, h
+
+
 def check_positive(values, what: str, noun: str = "eigenvalue") -> None:
     """Raise ``DomainError("<what>; smallest <noun> is ...")`` unless every
-    value is positive, and ``"<what>; largest <noun> is inf"`` unless every
-    value is finite: the one domain check of eigenvalues and scalar arguments."""
+    value is positive, ``"<what>; largest <noun> is inf"`` unless every value
+    is finite, and ``"<what>; got no <noun>s"`` on an empty array: the one
+    domain check of eigenvalues and scalar arguments."""
     values = np.asarray(values)  # its methods cost half of np.min and np.max
+    if not values.size:
+        raise DomainError(f"{what}; got no {noun}s")
     smallest, largest = float(values.min()), float(values.max())
     if not smallest > 0:  # also catches NaN
         raise DomainError(f"{what}; smallest {noun} is {smallest:.6g}")
@@ -218,23 +239,27 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
         raise NumericError(f"eigensolver did not converge: {exc}") from exc
 
 
+def _positive_eigenvalues(a: np.ndarray, what: str) -> np.ndarray:
+    # The one check that stored-Hermitian ``a`` is positive definite.
+    values = _eigvalsh(a)
+    check_positive(values, what)
+    return values
+
+
 def eigh(a) -> SpectralDecomposition:
     """Eigendecomposition of a stored-Hermitian matrix, eigenvalues ascending."""
     return _eigh(check_hermitian(a))
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product of two square matrices, row-major composite indices."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    for m, name in ((a, "left factor"), (b, "right factor")):
-        if m.ndim != 2 or not _is_square(m):
-            raise DomainError(f"{name} must be square, got shape {m.shape}")
-    if a.shape[0] * b.shape[0] > MAX_DIM:
-        raise DomainError(
-            f"composite dimension {a.shape[0] * b.shape[0]} exceeds the "
-            f"supported maximum {MAX_DIM}"
-        )
-    return np.kron(a, b)
+    """Kronecker product of two square matrices, row-major composite indices;
+    stacks broadcast against each other."""
+    a, b = _as_square(a, "left factor"), _as_square(b, "right factor")
+    dim = a.shape[-1] * b.shape[-1]
+    if dim > MAX_DIM:
+        raise DomainError(f"composite dimension {dim} exceeds the supported maximum {MAX_DIM}")
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (dim, dim))
 
 
 Streams = RngStream | Sequence[RngStream]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .calculus import ScalarFunction, matrix_function
 from .errors import DomainError, NumericError
-from .linalg import CHUNK_BYTES, _eigvalsh, _per_matrix, check_hermitian, check_positive
+from .linalg import CHUNK_BYTES, _check_pair, _per_matrix, _positive_eigenvalues, check_positive
 
 
 # Rules computed so far, by node count; their arrays are read-only.
@@ -158,14 +158,10 @@ def log_quad_form_quadrature(a, h) -> float | np.ndarray:
     together, in stacks of at most about :data:`CHUNK_BYTES` of pencils, and
     each matrix gets the bits it gets alone.
     """
-    a = check_hermitian(a, "base point")
-    h = check_hermitian(h, "direction")
-    if h.shape != a.shape:
-        raise DomainError(f"direction shape {h.shape} does not match base point {a.shape}")
+    a, h = _check_pair(a, h)
+    spectrum = _positive_eigenvalues(a, "resolvent integral needs a positive definite base point")
     shape, n = a.shape[:-2], a.shape[-1]
-    a, h = a.reshape(-1, n, n), h.reshape(-1, n, n)
-    spectrum = _eigvalsh(a)
-    check_positive(spectrum, "resolvent integral needs a positive definite base point")
+    a, h, spectrum = a.reshape(-1, n, n), h.reshape(-1, n, n), spectrum.reshape(-1, n)
     lo, hi = spectrum[:, 0], spectrum[:, -1]
     nodes = _node_counts(lo, hi)  # of a spectrum checked above, in ascending order
     c = np.sqrt(lo) * np.sqrt(hi)
@@ -189,8 +185,8 @@ def log_quad_form_quadrature(a, h) -> float | np.ndarray:
 
 def frechet_central_difference(func: ScalarFunction, a, h, step: float = 1e-5) -> np.ndarray:
     """Central difference (f(a + step*h) - f(a - step*h)) / (2*step)."""
-    if not step > 0:
-        raise DomainError(f"step must be positive, got {step}")
+    check_positive(step, "finite difference needs a positive finite step", "step")
+    a, h = _check_pair(a, h)
     plus = matrix_function(func, a + step * h)
     minus = matrix_function(func, a - step * h)
     return (plus - minus) / (2.0 * step)

@@ -159,12 +159,35 @@ CURVATURE_PINS = {
 }
 
 
-@pytest.mark.parametrize("label", CURVATURE_PINS)
-def test_curvature_campaign_reports_keep_their_bits(label):
+# The same for the campaigns that read no curvature form: the gap campaigns
+# C1, C5 and C6, which take spectra alone, and C7, which takes linear solves.
+GAP_AND_CONGRUENCE_PINS = {
+    "C1 t_log_t 2x2": "c6324bf56988f7db5ef63cba992677440e7119397325c77e2edf2506d3e92403",
+    "C5 t_log_t 2x2": "5aa0a7ea849d41e88b0347082eb81ea91c4716d0009e9d237f791201aa4c0717",
+    "C6 power 2x2": "f4c003ea8aa3239d129c913c1d20c47fbfa734bfd17d4619c16d518a14b62b4a",
+    "C7 t_log_t 2x2": "d14966fd5a2c8c81ecfe9064a30f960b599d0362d6762f733b96b726337e2367",
+    "C1 t_log_t 1x3": "267ecb3b6a77696f0ae58aec29b8575ea66662c2cce354a7ac59cae385e39595",
+    "C5 t_log_t 1x3": "120155663a4a206f937b4bce919f9549a06c37026fd493807b07940d6e0fd14e",
+    "C6 power 1x3": "6e732399b549a0a4cd468c16b4fddcedd32dd0e009c6038dae550a55487a9dc6",
+    "C7 t_log_t 1x3": "a825a48438ceef3cd1fa203b2b7a2c962edd1d932ed3a8fc38a9aa4f9bd62611",
+}
+
+
+def _pinned_report_sha(label: str) -> str:
     campaign, *family, function, shape = label.split()
     d1, d2 = (int(d) for d in shape.split("x"))
     report = _run(campaign, d1=d1, d2=d2, function=function, channel_family=(family or ["uniform"])[0])
-    assert hashlib.sha256(render_report(report).encode("utf-8")).hexdigest() == CURVATURE_PINS[label]
+    return hashlib.sha256(render_report(report).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("label", CURVATURE_PINS)
+def test_curvature_campaign_reports_keep_their_bits(label):
+    assert _pinned_report_sha(label) == CURVATURE_PINS[label]
+
+
+@pytest.mark.parametrize("label", GAP_AND_CONGRUENCE_PINS)
+def test_gap_and_congruence_campaign_reports_keep_their_bits(label):
+    assert _pinned_report_sha(label) == GAP_AND_CONGRUENCE_PINS[label]
 
 
 # -- chunked evaluation -----------------------------------------------------------
@@ -873,15 +896,15 @@ def test_c9_routine_finds_no_violation_for_t_log_t(d1, d2):
         return 1.0 + sum(np.linalg.norm(m, axis=(-2, -1)) for m in mats)
 
     curvature = _midpoint_curvature(T_LOG_T, x1, x2)
-    g1, g2 = campaigns._lowest_directions(*curvature, h1, h2)
-    assert (_q_midpoint_margin(*curvature, g1, g2) >= -1e-14 * scale(x1, g1, x2, g2)).all()
-    null = _q_midpoint_margin(*curvature, x1, x2)
+    g1, g2 = campaigns._lowest_directions(curvature, h1, h2)
+    assert (_q_midpoint_margin(curvature, g1, g2) >= -1e-14 * scale(x1, g1, x2, g2)).all()
+    null = _q_midpoint_margin(curvature, x1, x2)
     assert (np.abs(null) <= 1e-14 * scale(x1, x1, x2, x2)).all()
     # From the null direction the first residual is rounding alone.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g1, g2 = campaigns._lowest_directions(*curvature, x1, x2)
-    assert (_q_midpoint_margin(*curvature, g1, g2) >= -1e-14 * scale(x1, g1, x2, g2)).all()
+        g1, g2 = campaigns._lowest_directions(curvature, x1, x2)
+    assert (_q_midpoint_margin(curvature, g1, g2) >= -1e-14 * scale(x1, g1, x2, g2)).all()
 
 
 @pytest.mark.parametrize("eig_range", [(0.1, 3.0), (1e-6, 1e3)])
@@ -895,12 +918,12 @@ def test_c9_routine_keeps_its_basis_orthogonal_over_the_whole_space(eig_range):
     _, inputs = campaigns._sample_c4(config, [RngStream(5, index) for index in range(40)])
     x1, h1, x2, h2 = (inputs[key] for key in ("x1", "h1", "x2", "h2"))
     curvature = _midpoint_curvature(T_LOG_T, x1, x2)
-    g1, g2 = campaigns._lowest_directions(*curvature, h1, h2)
+    g1, g2 = campaigns._lowest_directions(curvature, h1, h2)
     drawn, lowest = np.stack([h1, h2], axis=1), np.stack([g1, g2], axis=1)
     norms = campaigns._pair_inner(lowest, lowest) / campaigns._pair_inner(drawn, drawn)
     assert np.abs(norms - 1.0).max() <= 1e-14
     scale = 1.0 + sum(np.linalg.norm(m, axis=(-2, -1)) for m in (x1, g1, x2, g2))
-    assert (np.abs(_q_midpoint_margin(*curvature, g1, g2)) <= 1e-14 * scale).all()
+    assert (np.abs(_q_midpoint_margin(curvature, g1, g2)) <= 1e-14 * scale).all()
 
 
 def test_c9_routine_survives_an_exactly_invariant_start():
@@ -910,9 +933,9 @@ def test_c9_routine_survives_an_exactly_invariant_start():
     h = random_hermitian(4, [RngStream(3, 1)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g1, g2 = campaigns._lowest_directions(*_midpoint_curvature(CUBE, x, x), h, h)
+        g1, g2 = campaigns._lowest_directions(_midpoint_curvature(CUBE, x, x), h, h)
     assert np.isfinite(np.stack([g1, g2])).all()
-    assert _q_midpoint_margin(*_midpoint_curvature(CUBE, x, x), g1, g2)[0] == 0.0
+    assert _q_midpoint_margin(_midpoint_curvature(CUBE, x, x), g1, g2)[0] == 0.0
 
 
 def test_c9_margin_detects_a_constructed_violation():
@@ -922,7 +945,7 @@ def test_c9_margin_detects_a_constructed_violation():
     h1 = np.diag([0.506, 0.506]).astype(complex)
     x2 = np.diag([0.2, 0.2]).astype(complex)
     h2 = np.diag([1.494, 1.494]).astype(complex)
-    assert _q_midpoint_margin(*_midpoint_curvature(CUBE, x1, x2), h1, h2) < -1.0
+    assert _q_midpoint_margin(_midpoint_curvature(CUBE, x1, x2), h1, h2) < -1.0
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4, 9, 64])
@@ -933,7 +956,7 @@ def test_c9_direct_sum_witness_violates_at_every_dimension(dim):
     pad = np.ones(dim - 1)
     x1, x2 = (np.diag(np.r_[value, pad]).astype(complex) for value in (0.1, 3.0))
     h1 = np.diag(np.r_[1.0, 0.0 * pad]).astype(complex)
-    margin = _q_midpoint_margin(*_midpoint_curvature(CUBE, x1, x2), h1, np.zeros_like(h1))
+    margin = _q_midpoint_margin(_midpoint_curvature(CUBE, x1, x2), h1, np.zeros_like(h1))
     assert abs(margin + 2.025) <= 1e-14
 
 

@@ -1,6 +1,7 @@
 """Entropy functionals and the second differential of the gap, both routes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from entropygap import (
     second_differential_spectral,
     von_neumann_entropy,
 )
+from entropygap import linalg
 
 SPACE = BipartiteSpace(2, 3)
 GAP = EntropyGapSpec(T_LOG_T, SPACE)
@@ -220,6 +222,46 @@ def test_fd_auto_gives_up_after_max_halvings():
     h = np.diag([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]).astype(complex)
     with pytest.raises(DomainError, match="halvings"):
         second_differential_fd_auto(rho, h, GAP, step=409.6, max_halvings=3)
+
+
+def _invalid_fd_inputs():
+    rho, h = _draw(278, 0)
+    skewed = h.copy()
+    skewed[0, 1] += 1e-3
+    nan = rho.copy()
+    nan[0, 0] = np.nan
+    return {
+        "nan state": (nan, h, 1e-4),
+        "nan direction": (rho, h * np.nan, 1e-4),
+        "non-Hermitian direction": (rho, skewed, 1e-4),
+        "direction of another shape": (rho, h[:3, :3], 1e-4),
+        "state of another shape": (rho[:4, :4], h[:4, :4], 1e-4),
+        "zero step": (rho, h, 0.0),
+        "nan step": (rho, h, np.nan),
+    }
+
+
+@pytest.mark.parametrize("case", list(_invalid_fd_inputs()))
+def test_fd_auto_rejects_invalid_input_after_one_check(monkeypatch, case):
+    # The input error itself, raised before any step is tried, not the
+    # halvings' message after eleven attempts.
+    rho, h, step = _invalid_fd_inputs()[case]
+    with pytest.raises(DomainError) as direct:
+        second_differential_fd(rho, h, GAP, step)
+    calls = []
+    check = linalg.check_hermitian
+    monkeypatch.setattr(linalg, "check_hermitian", lambda *args: calls.append(args) or check(*args))
+    with pytest.raises(DomainError) as auto:
+        second_differential_fd_auto(rho, h, GAP, step)
+    assert str(auto.value) == str(direct.value)
+    assert "halvings" not in str(auto.value)
+    assert len(calls) <= 2
+
+
+def test_fd_rejects_a_direction_of_another_shape():
+    rho, h = _draw(279, 0)
+    with pytest.raises(DomainError, match=re.escape("direction shape (5, 5) does not match base point shape (6, 6)")):
+        second_differential_fd(rho, h[:5, :5], GAP, 1e-4)
 
 
 def test_fd_rejects_nonpositive_step():

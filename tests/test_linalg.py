@@ -1,24 +1,42 @@
 """Deterministic linear-algebra substrate: hermitization, eigh, kron, draws."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entropygap import (
+    LOG,
+    T_LOG_T,
+    BipartiteSpace,
     DomainError,
+    EntropyGapSpec,
     RngStream,
     check_hermitian,
     check_positive,
+    divided_difference,
     eigh,
+    entropy_gap,
+    frechet_central_difference,
+    frechet_derivative,
     hermitize,
     is_stored_hermitian,
     kron,
+    loewner,
+    matrix_function,
+    quad_form,
     random_hermitian,
     random_pd,
     random_unitary,
+    second_differential_fd,
+    second_differential_fd_auto,
+    second_differential_spectral,
+    von_neumann_entropy,
 )
 from entropygap.linalg import _stream_words
+from entropygap.oracles import dd_log_quadrature, log_quad_form_quadrature, resolvent_nodes
 
 
 def test_hermitize_is_bitwise_symmetric():
@@ -46,6 +64,55 @@ def test_check_positive_rejects_an_infinite_value():
     with pytest.raises(DomainError, match="^x; largest argument is inf$"):
         check_positive(np.array([1.0, np.inf]), "x", "argument")
     check_positive(np.array([1.0, np.finfo(float).max]), "x")
+
+
+EMPTY = np.zeros(0)
+EMPTY_MATRIX = np.zeros((0, 0), dtype=complex)
+
+EMPTY_INPUTS = {
+    "divided_difference": lambda: divided_difference(LOG, "f", EMPTY, EMPTY),
+    "loewner": lambda: loewner(LOG, "f1", EMPTY),
+    "dd_log_quadrature": lambda: dd_log_quadrature(EMPTY, EMPTY),
+    "resolvent_nodes": lambda: resolvent_nodes(EMPTY, EMPTY),
+    "log_quad_form_quadrature": lambda: log_quad_form_quadrature(EMPTY_MATRIX, EMPTY_MATRIX),
+    "quad_form": lambda: quad_form(T_LOG_T, EMPTY_MATRIX, EMPTY_MATRIX),
+    "entropy_gap": lambda: entropy_gap(np.zeros((0, 4, 4), dtype=complex),
+                                       EntropyGapSpec(T_LOG_T, BipartiteSpace(2, 2))),
+    "von_neumann_entropy": lambda: von_neumann_entropy(EMPTY_MATRIX),
+    "matrix_function": lambda: matrix_function(T_LOG_T, EMPTY_MATRIX),
+}
+
+
+@pytest.mark.parametrize("routine", EMPTY_INPUTS)
+def test_empty_input_raises_domain_error(routine):
+    # check_positive rejects an empty array of values, so every routine that
+    # checks a spectrum or its scalar arguments rejects empty input.
+    with pytest.raises(DomainError, match="; got no (eigenvalue|argument|bound)s$"):
+        EMPTY_INPUTS[routine]()
+
+
+def _pair_routines():
+    spec = EntropyGapSpec(T_LOG_T, BipartiteSpace(2, 2))
+    return {
+        "frechet_derivative": lambda a, h: frechet_derivative(T_LOG_T, "f", a, h),
+        "quad_form": lambda a, h: quad_form(T_LOG_T, a, h),
+        "log_quad_form_quadrature": log_quad_form_quadrature,
+        "frechet_central_difference": lambda a, h: frechet_central_difference(T_LOG_T, a, h),
+        "second_differential_spectral": lambda a, h: second_differential_spectral(a, h, spec),
+        "second_differential_fd": lambda a, h: second_differential_fd(a, h, spec, 1e-4),
+        "second_differential_fd_auto": lambda a, h: second_differential_fd_auto(a, h, spec),
+    }
+
+
+@pytest.mark.parametrize("routine", list(_pair_routines()))
+def test_mismatched_pair_gives_the_one_message(routine):
+    rng = RngStream(17, 0)
+    a, h = random_pd(4, rng), random_hermitian(4, rng)
+    call = _pair_routines()[routine]
+    with pytest.raises(DomainError, match=re.escape("direction shape (3, 3) does not match base point shape (4, 4)")):
+        call(a, h[:3, :3])
+    with pytest.raises(DomainError, match=re.escape("direction shape (2, 4, 4) does not match base point shape (4, 4)")):
+        call(a, np.stack([h, h]))
 
 
 def test_check_hermitian_rejects_non_finite():
@@ -108,6 +175,15 @@ def test_kron_composite_index_is_row_major():
     b = np.arange(4, 8, dtype=complex).reshape(2, 2)
     k = kron(a, b)
     assert k[1 * 2 + 0, 0 * 2 + 1] == a[1, 0] * b[0, 1]
+
+
+def test_kron_of_stacks_is_kron_of_each_member():
+    rng = RngStream(23, 0)
+    a, b = random_hermitian(2, [rng] * 3), random_hermitian(3, rng)
+    got = kron(a, b)
+    assert got.shape == (3, 6, 6)
+    for k in range(3):
+        assert got[k].tobytes() == np.kron(a[k], b).tobytes() == kron(a[k], b).tobytes()
 
 
 def test_kron_rejects_oversized_output():
