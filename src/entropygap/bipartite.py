@@ -15,11 +15,11 @@ import numpy as np
 from .errors import DomainError
 
 from .linalg import (
-    MAX_DIM,
     RngStream,
     Streams,
     _adjoint,
     _as_square,
+    _check_dim,
     _draw,
     _schur,
     _stored_hermitian,
@@ -41,10 +41,7 @@ class BipartiteSpace:
     def __post_init__(self):
         if self.d1 < 1 or self.d2 < 1:
             raise DomainError(f"factor dimensions must be positive, got ({self.d1}, {self.d2})")
-        if self.d1 * self.d2 > MAX_DIM:
-            raise DomainError(
-                f"composite dimension {self.d1 * self.d2} exceeds the supported maximum {MAX_DIM}"
-            )
+        _check_dim(self.d1 * self.d2)
 
     @property
     def dim(self) -> int:
@@ -219,8 +216,7 @@ def random_pinching(dim: int, rng: Streams) -> Pinching:
     Each stream draws its labels, then its frame; a sequence of streams
     gives a stack, one pinching per stream.
     """
-    if dim < 1:
-        raise DomainError(f"dim must be positive, got {dim}")
+    _check_dim(dim)
 
     def draw_labels(gen):  # a uniform block count, then a random partition into that many
         count = int(gen.integers(1, min(dim, MAX_PINCHING_BLOCKS) + 1))

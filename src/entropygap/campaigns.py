@@ -255,8 +255,8 @@ class CampaignReport:
 
 # A sampler takes the config and one stream per sample of a chunk and returns
 # its margins as one float array and its inputs as per-sample stacks by name,
-# matrices first in drawing order: a (count, n, n) array of matrices, a list of
-# anything else.  Sample k's witness is {name: stack[k]}.
+# matrices first in drawing order: a (count, n, n) array of matrices, a
+# sequence of anything else.  Sample k's witness is {name: stack[k]}.
 
 
 def _draw_pd(config: CampaignConfig, streams, dim: int) -> np.ndarray:
@@ -295,11 +295,27 @@ def _sample_c2(config: CampaignConfig, streams):
     return second_differential_spectral(rho, h, gap), {"rho": rho, "h": h}
 
 
+class _Members(Sequence):
+    """Each sample's channel of a C3 chunk, built only when indexed, from the
+    ``(channel, k)`` of its group: member ``k`` of that stack of channels, or
+    the one channel where ``k`` is None."""
+
+    def __init__(self, placed: list):
+        self._placed = placed
+
+    def __len__(self) -> int:
+        return len(self._placed)
+
+    def __getitem__(self, j):
+        channel, k = self._placed[j]
+        return channel if k is None else channel[k]
+
+
 def _sample_c3(config: CampaignConfig, streams):
     space = config.space()
     x = _draw_pd(config, streams, space.dim)
     h = random_hermitian(space.dim, streams)
-    families, channels = [], [None] * len(streams)
+    families, placed = [], [None] * len(streams)
     groups = {}  # the samples of each (family, term count)
     for j, rng in enumerate(streams):
         family = config.channel_family
@@ -320,9 +336,9 @@ def _sample_c3(config: CampaignConfig, streams):
             channel = ConditionalExpectation1(space)
         outputs[:, group] = apply_channel(channel, pair[:, group])
         for k, j in enumerate(group):
-            channels[j] = channel if family == "expectation" else channel[k]
+            placed[j] = (channel, None if family == "expectation" else k)
     q = quad_form(config.scalar_function(), np.stack([x, outputs[0]]), np.stack([h, outputs[1]]))
-    return q[0] - q[1], {"x": x, "h": h, "family": families, "channel": channels}
+    return q[0] - q[1], {"x": x, "h": h, "family": families, "channel": _Members(placed)}
 
 
 def _q_midpoint_margin(curvature, h1, h2):

@@ -13,10 +13,11 @@ LAPACK calls, matrix products and reductions over the trailing axes give the
 same bits per matrix.  The random factories draw a stack when given a
 sequence of streams, one matrix per stream.
 
-Each input precondition is written once, here: the shape (``_as_square``),
-stored Hermitian with finite entries (:func:`check_hermitian`), a base point
-with its direction (``_check_pair``) and positive finite values, empty input
-rejected (:func:`check_positive`, and ``_positive_eigenvalues`` for spectra).
+Each input precondition is written once, here: a dimension, positive and at
+most :data:`MAX_DIM` (``_check_dim``), the shape (``_as_square``), stored
+Hermitian with finite entries (:func:`check_hermitian`), a base point with its
+direction (``_check_pair``) and positive finite values, empty input rejected
+(:func:`check_positive`, and ``_positive_eigenvalues`` for spectra).
 """
 
 from __future__ import annotations
@@ -140,6 +141,14 @@ def _as_square(a, name: str = "matrix", dim: int | None = None) -> np.ndarray:
     return a
 
 
+def _check_dim(dim: int) -> None:
+    # The one check of a dimension: positive and at most MAX_DIM.
+    if dim < 1:
+        raise DomainError(f"dim must be positive, got {dim}")
+    if dim > MAX_DIM:
+        raise DomainError(f"composite dimension {dim} exceeds the supported maximum {MAX_DIM}")
+
+
 def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
@@ -256,8 +265,7 @@ def kron(a, b) -> np.ndarray:
     stacks broadcast against each other."""
     a, b = _as_square(a, "left factor"), _as_square(b, "right factor")
     dim = a.shape[-1] * b.shape[-1]
-    if dim > MAX_DIM:
-        raise DomainError(f"composite dimension {dim} exceeds the supported maximum {MAX_DIM}")
+    _check_dim(dim)
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     return out.reshape(out.shape[:-4] + (dim, dim))
 
@@ -285,8 +293,7 @@ def random_unitary(dim: int, rng: Streams) -> np.ndarray:
     ``k`` times in the sequence gives the same stack as ``k`` consecutive
     draws.
     """
-    if dim < 1:
-        raise DomainError(f"dim must be positive, got {dim}")
+    _check_dim(dim)
     parts = _draw(rng, lambda gen: gen.standard_normal((2, dim, dim)))
     z = parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
     q, r = np.linalg.qr(z / np.sqrt(2.0))
@@ -320,8 +327,7 @@ def random_hermitian(dim: int, rng: Streams) -> np.ndarray:
     a stream repeated ``k`` times in the sequence gives the same stack as
     ``k`` consecutive draws from it.
     """
-    if dim < 1:
-        raise DomainError(f"dim must be positive, got {dim}")
+    _check_dim(dim)
     s = 1.0 / np.sqrt(2.0)
     parts = _draw(rng, lambda gen: gen.uniform(-s, s, size=(2, dim, dim)))
     return hermitize(parts[..., 0, :, :] + 1j * parts[..., 1, :, :])

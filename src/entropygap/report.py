@@ -9,13 +9,18 @@ conversion either way.  Earlier versions wrote a matrix as nested lists of
 ``[re, im]`` pairs; :func:`matrix_from_json` still reads those.  Wall time is
 deliberately not serialized, so identical configurations produce
 byte-identical documents.
+
+The bytes are those of the ``json.dumps`` call, but base64 text needs no JSON
+escaping, and escaping it took most of the time of dumping a 64x64 witness.
+So the writer dumps the document with every payload left empty and splices
+the payloads into that text.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +88,7 @@ def _decode_value(value):
 
 def report_to_dict(report: CampaignReport) -> dict:
     """Plain-JSON form of a report, without the wall time."""
-    config = asdict(report.config)
+    config = {field.name: getattr(report.config, field.name) for field in fields(report.config)}
     config["weights"] = list(config["weights"])
     witness = None
     if report.witness is not None:
@@ -129,9 +134,43 @@ def _write(path, text: str) -> None:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 
 
+# A matrix_to_json value with its payload left empty, as json.dumps writes it.
+# json.dumps escapes each quote inside a string, so the text matches nowhere
+# else but after a string that ends in an escaped quote and base64 and has an
+# empty string for its value.
+_BLANK = '"base64": ""'
+
+
+def _blank_payloads(value, payloads: list):
+    # ``value`` with each matrix_to_json payload moved to ``payloads``, in
+    # the order json.dumps writes them.
+    if isinstance(value, dict):
+        if value.keys() == {"shape", "base64"}:
+            payloads.append(value["base64"])
+            return {**value, "base64": ""}
+        return {key: _blank_payloads(item, payloads) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_blank_payloads(item, payloads) for item in value]
+    return value
+
+
+def _dump(tree: dict) -> str:
+    """``json.dumps(tree, indent=2)`` plus a newline, each base64 payload
+    spliced into the text rather than passed through the JSON escaper."""
+    payloads = []
+    parts = json.dumps(_blank_payloads(tree, payloads), indent=2).split(_BLANK)
+    if len(parts) != len(payloads) + 1:  # a string matched _BLANK too
+        return json.dumps(tree, indent=2) + "\n"
+    pieces = [parts[0]]
+    for payload, part in zip(payloads, parts[1:]):
+        pieces += ('"base64": "', payload, '"', part)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
 def render_report(report: CampaignReport) -> str:
     """The report as a JSON text, stable for identical configurations."""
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    return _dump(report_to_dict(report))
 
 
 def emit_report(report: CampaignReport, path) -> None:
@@ -150,7 +189,7 @@ def emit_reports(reports, path) -> None:
     if len(set(ids)) < len(ids):
         raise ValueError(f"a document holds one report per campaign, got campaigns {ids}")
     tree = {"campaigns": {campaign: report_to_dict(r) for campaign, r in zip(ids, reports)}}
-    _write(path, json.dumps(tree, indent=2) + "\n")
+    _write(path, _dump(tree))
 
 
 def _read(path):

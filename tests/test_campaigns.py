@@ -31,7 +31,7 @@ from entropygap import (
     run_campaign,
     second_differential_spectral,
 )
-from entropygap import campaigns
+from entropygap import bipartite, campaigns
 from entropygap.calculus import _curvature
 from entropygap.campaigns import _SAMPLERS, _q_midpoint_margin
 from test_bipartite import sign_unitary_pinching, term_by_term, weyl_expectation
@@ -173,10 +173,19 @@ GAP_AND_CONGRUENCE_PINS = {
 }
 
 
-def _pinned_report_sha(label: str) -> str:
+# C1 and C4 at 8x8 and 3 samples, whose witnesses are two and four 64x64
+# matrices: the writer splices each matrix's base64 payload into the JSON text.
+WITNESS_64X64_PINS = {
+    "C1 t_log_t 8x8": "bf34c677438738a172b98e0ff13419c11660dbd6d4d9f2677d68e5efd6d65083",
+    "C4 t_log_t 8x8": "8c2fea71292dbbd1b2e37617e66637c2d590f17b886b8f7a10b48091d0d4edb5",
+}
+
+
+def _pinned_report_sha(label: str, samples: int = 20) -> str:
     campaign, *family, function, shape = label.split()
     d1, d2 = (int(d) for d in shape.split("x"))
-    report = _run(campaign, d1=d1, d2=d2, function=function, channel_family=(family or ["uniform"])[0])
+    report = _run(campaign, d1=d1, d2=d2, samples=samples, function=function,
+                  channel_family=(family or ["uniform"])[0])
     return hashlib.sha256(render_report(report).encode("utf-8")).hexdigest()
 
 
@@ -188,6 +197,11 @@ def test_curvature_campaign_reports_keep_their_bits(label):
 @pytest.mark.parametrize("label", GAP_AND_CONGRUENCE_PINS)
 def test_gap_and_congruence_campaign_reports_keep_their_bits(label):
     assert _pinned_report_sha(label) == GAP_AND_CONGRUENCE_PINS[label]
+
+
+@pytest.mark.parametrize("label", WITNESS_64X64_PINS)
+def test_reports_with_64x64_witnesses_keep_their_bits(label):
+    assert _pinned_report_sha(label, samples=3) == WITNESS_64X64_PINS[label]
 
 
 # -- chunked evaluation -----------------------------------------------------------
@@ -632,7 +646,13 @@ def test_c3_mixed_channels_of_every_term_count_match_across_chunk_sizes(monkeypa
     def sample(indices):
         return campaigns._sample_c3(config, RngStream.chunk(config.seed, indices))
 
+    # A sample's channel is built only when its stack is indexed.
+    built = []
+    member = bipartite._Stackable.__getitem__
+    monkeypatch.setattr(bipartite._Stackable, "__getitem__",
+                        lambda channel, k: built.append(k) or member(channel, k))
     margins, inputs = sample(range(40))
+    assert built == []
     assert {len(channel.weights) for channel in inputs["channel"]} == {2, 3, 4, 5}
     assert campaigns._chunk_samples(4) >= 40
     for size in (1, 3):
@@ -658,6 +678,9 @@ def test_c3_mixed_channels_of_every_term_count_match_across_chunk_sizes(monkeypa
         assert other.witness["sample"] == reports[0].witness["sample"]
         assert other.witness["channel"].unitaries.tobytes() == \
             reports[0].witness["channel"].unitaries.tobytes()
+    built.clear()
+    run_campaign(config)  # one chunk: its worst sample's channel alone is built
+    assert len(built) == 1
 
 
 # -- config variants --------------------------------------------------------------

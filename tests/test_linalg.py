@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from entropygap import (
     LOG,
+    MAX_DIM,
     T_LOG_T,
     BipartiteSpace,
     DomainError,
@@ -29,6 +30,7 @@ from entropygap import (
     quad_form,
     random_hermitian,
     random_pd,
+    random_pinching,
     random_unitary,
     second_differential_fd,
     second_differential_fd_auto,
@@ -189,6 +191,30 @@ def test_kron_of_stacks_is_kron_of_each_member():
 def test_kron_rejects_oversized_output():
     with pytest.raises(DomainError, match="64"):
         kron(np.eye(9, dtype=complex), np.eye(8, dtype=complex))
+
+
+_DIMENSIONED = {
+    "random_unitary": lambda dim: random_unitary(dim, RngStream(1, 0)),
+    "random_hermitian": lambda dim: random_hermitian(dim, RngStream(1, 0)),
+    "random_pinching": lambda dim: random_pinching(dim, RngStream(1, 0)),
+    "BipartiteSpace": lambda dim: BipartiteSpace(1, dim),
+    "kron": lambda dim: kron(np.eye(1, dtype=complex), np.eye(dim, dtype=complex)),
+}
+
+
+@pytest.mark.parametrize("name", _DIMENSIONED)
+def test_every_dimension_is_positive_and_at_most_max_dim(name):
+    build = _DIMENSIONED[name]
+    build(1)
+    build(MAX_DIM)
+    oversized = f"composite dimension {MAX_DIM + 1} exceeds the supported maximum {MAX_DIM}"
+    with pytest.raises(DomainError, match=f"^{oversized}$"):
+        build(MAX_DIM + 1)
+    # A space checks its factors first, with its own message.
+    positive = "factor dimensions must be positive, got (1, 0)" if name == "BipartiteSpace" \
+        else "dim must be positive, got 0"
+    with pytest.raises(DomainError, match=f"^{re.escape(positive)}$"):
+        build(0)
 
 
 def test_random_pd_scalar_case():

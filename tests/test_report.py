@@ -3,6 +3,7 @@
 import base64
 import json
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from entropygap import (
     CAMPAIGN_IDS,
     CHANNEL_FAMILIES,
     CUBE,
+    BipartiteSpace,
     CampaignConfig,
     CampaignReport,
     ConditionalExpectation1,
@@ -29,6 +31,8 @@ from entropygap import (
     matrix_to_json,
     quad_form,
     random_hermitian,
+    random_mixed_unitary,
+    random_pinching,
     render_report,
     report_from_dict,
     report_to_dict,
@@ -314,6 +318,54 @@ def test_random_bit_patterns_round_trip(rows, cols, data):
     m = np.array(words, dtype=np.uint64).view(complex).reshape(rows, cols)
     report = _hand_built({"x": m, "h": m.T, "sample": 0})
     _assert_same_witness(_through_text(report).witness, report.witness)
+
+
+# -- the writer: json.dumps' bytes, each base64 payload spliced in ----------------
+
+
+def _dumped(tree: dict) -> str:
+    return json.dumps(tree, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("campaign", CAMPAIGN_IDS)
+def test_render_is_json_dumps_at_8x8(campaign):
+    # Each witness matrix is a 64x64 payload of 87,384 base64 characters.
+    report = _report(campaign=campaign, d1=8, d2=8, samples=3)
+    assert render_report(report) == _dumped(report_to_dict(report))
+
+
+def _spliced_cases() -> dict:
+    rng = RngStream(11, 0)
+    return {
+        "no witness, no margins": _hand_built(None, margins=()),
+        "escaped error message": _hand_built({"rho": np.eye(2), "sample": 0}, errors=[
+            {"sample": 1, "message": 'NumericError: {"base64": ""} "x\\" \u03c1 \u2264 \u221e\n'},
+        ]),
+        "0x0 matrix": _hand_built({"none": np.zeros((0, 0)), "rho": np.eye(2), "sample": 0}),
+        # The key dumps as "x\"base64": "", one more match than there are payloads.
+        "key ending in base64": _hand_built({'x"base64': "", "rho": np.eye(2), "sample": 0}),
+        "channels": _hand_built({
+            "pinching": random_pinching(4, rng),
+            "mixed": random_mixed_unitary(4, rng, 3),
+            "expectation": ConditionalExpectation1(BipartiteSpace(2, 2)),
+            "sample": 0,
+        }),
+    }
+
+
+@pytest.mark.parametrize("case", list(_spliced_cases()))
+def test_render_is_json_dumps_for_hand_built_reports(case):
+    report = _spliced_cases()[case]
+    assert render_report(report) == _dumped(report_to_dict(report))
+
+
+def test_emit_reports_of_hand_built_reports_is_json_dumps(tmp_path):
+    reports = [replace(report, config=replace(report.config, campaign=campaign))
+               for campaign, report in zip(("C1", "C2", "C5", "C6", "C7"), _spliced_cases().values())]
+    path = tmp_path / "several.json"
+    emit_reports(reports, path)
+    tree = {"campaigns": {r.config.campaign: report_to_dict(r) for r in reports}}
+    assert path.read_bytes() == _dumped(tree).encode("utf-8")
 
 
 def test_emitted_file_is_rendered_utf8_bytes(tmp_path):
