@@ -218,16 +218,14 @@ def random_pinching(dim: int, rng: Streams) -> Pinching:
     """
     _check_dim(dim)
 
-    def draw_labels(gen):  # a uniform block count, then a random partition into that many
+    def draw_labels(gen, out):  # a uniform block count, then a random partition into that many
         count = int(gen.integers(1, min(dim, MAX_PINCHING_BLOCKS) + 1))
         perm = gen.permutation(dim)
-        labels = np.empty(dim, dtype=int)
-        labels[perm[:count]] = np.arange(count)  # one index per block, none empty
+        out[perm[:count]] = np.arange(count)  # one index per block, none empty
         if dim > count:
-            labels[perm[count:]] = gen.integers(0, count, size=dim - count)
-        return labels
+            out[perm[count:]] = gen.integers(0, count, size=dim - count)
 
-    labels = _draw(rng, draw_labels)
+    labels = _draw(rng, (dim,), fill=draw_labels, dtype=int)
     return Pinching(random_unitary(dim, rng), labels)
 
 
@@ -240,11 +238,8 @@ def random_mixed_unitary(dim: int, rng: Streams, n_terms: int) -> MixedUnitaryCh
     if n_terms < 1:
         raise DomainError(f"term count must be positive, got {n_terms}")
 
-    def draw_weights(gen):
-        raw = gen.uniform(0.1, 1.0, size=n_terms)
-        return raw / raw.sum()
-
-    weights = _draw(rng, draw_weights)
+    raw = _draw(rng, (n_terms,), (0.1, 1.0))
+    weights = raw / raw.sum(axis=-1, keepdims=True)
     streams = [rng] if isinstance(rng, RngStream) else rng
     unitaries = random_unitary(dim, [stream for stream in streams for _ in range(n_terms)])
     return MixedUnitaryChannel(weights, unitaries.reshape(weights.shape + (dim, dim)))

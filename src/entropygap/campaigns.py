@@ -47,12 +47,13 @@ are reproducible bit-for-bit for a fixed config.  A chunk's streams are built
 by ``RngStream.chunk``, which seeds them all in one pass with the same words.
 
 Samples are evaluated in chunks of up to :data:`CHUNK_BYTES` of matrices.
-Every sample of a chunk draws from its own stream, making the generator calls
-it would make alone, and a sampler then computes the margins of the whole
-chunk on stacks of matrices.  Stacked routines give each matrix the bits it
-gets alone, so margins do not depend on the chunk size.  A sampler makes for
-its chunk the calls that one sample would make alone, in the same order, so a
-chunk of one sample raises what that sample raises.  It returns one array of
+Every sample of a chunk draws from its own stream, which fills that sample's
+row of each drawn stack in place with the values it would draw alone, and a
+sampler then computes the margins of the whole chunk on stacks of matrices.
+Stacked routines give each matrix the bits it gets alone, so margins do not
+depend on the chunk size.  A sampler makes for its chunk the calls that one
+sample would make alone, in the same order, so a chunk of one sample raises
+what that sample raises.  It returns one array of
 margins and per-sample stacks of inputs, and only the worst witness is built.
 
 C1, C5 and C6 take the gaps of both states and every mixture in one
@@ -430,8 +431,7 @@ def _sample_c7(config: CampaignConfig, streams):
 
 def _sample_c8(config: CampaignConfig, streams):
     dim = config.space().dim
-    lo, hi = _C8_PAIR_RANGE
-    s, t = _draw(streams, lambda gen: gen.uniform(lo, hi, size=2)).T
+    s, t = _draw(streams, (2,), _C8_PAIR_RANGE).T
     dd_gaps = np.abs(divided_difference(LOG, "f", s, t) - dd_log_quadrature(s, t))
     a = _draw_pd(config, streams, dim)
     h = random_hermitian(dim, streams)

@@ -11,7 +11,10 @@ Every routine also takes a stack of matrices, shape ``(..., n, n)``, and
 treats each matrix of it exactly as it would treat that matrix alone: stacked
 LAPACK calls, matrix products and reductions over the trailing axes give the
 same bits per matrix.  The random factories draw a stack when given a
-sequence of streams, one matrix per stream.
+sequence of streams, one matrix per stream: each draw allocates the stack
+once and each stream fills its own row in place (``_draw``), and a uniform
+draw maps ``random()`` values as ``lo + (hi - lo) * u``, numpy's arithmetic
+for ``uniform``, so every value has the bits of a ``uniform`` call.
 
 Each input precondition is written once, here: a dimension, positive and at
 most :data:`MAX_DIM` (``_check_dim``), the shape (``_as_square``), stored
@@ -273,14 +276,29 @@ def kron(a, b) -> np.ndarray:
 Streams = RngStream | Sequence[RngStream]
 
 
-def _draw(rng: Streams, draw: Callable) -> np.ndarray:
-    """``draw(generator)`` from one stream, or stacked over a sequence of them.
+def _draw(rng: Streams, shape: tuple[int, ...], bounds: tuple[float, float] | None = None,
+          fill: Callable | None = None, dtype=float) -> np.ndarray:
+    """A ``shape`` array drawn from one stream, or a stack of them, one row
+    per stream of a sequence (an empty sequence gives an empty stack).
 
+    The stack is allocated once and each stream fills its own row in place,
+    in sequence order, by ``fill(generator, out=row)``: by default standard
+    normal values, or with ``bounds = (lo, hi)`` ``random()`` values mapped
+    onto them as ``lo + (hi - lo) * u`` over the whole stack, which is the
+    arithmetic of numpy's ``uniform(lo, hi)``, so each value has its bits.
     Each stream makes the same generator calls in the same order either way.
     """
-    if isinstance(rng, RngStream):
-        return draw(rng.gen)
-    return np.stack([draw(stream.gen) for stream in rng])
+    if fill is None:
+        fill = np.random.Generator.standard_normal if bounds is None else np.random.Generator.random
+    streams = [rng] if isinstance(rng, RngStream) else rng
+    out = np.empty((len(streams),) + shape, dtype)
+    for stream, row in zip(streams, out):
+        fill(stream.gen, out=row)
+    if bounds is not None:
+        lo, hi = bounds
+        out *= hi - lo
+        out += lo
+    return out[0] if isinstance(rng, RngStream) else out
 
 
 def random_unitary(dim: int, rng: Streams) -> np.ndarray:
@@ -294,7 +312,7 @@ def random_unitary(dim: int, rng: Streams) -> np.ndarray:
     draws.
     """
     _check_dim(dim)
-    parts = _draw(rng, lambda gen: gen.standard_normal((2, dim, dim)))
+    parts = _draw(rng, (2, dim, dim))
     z = parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
     q, r = np.linalg.qr(z / np.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
@@ -314,7 +332,7 @@ def random_pd(dim: int, rng: Streams, eig_range: tuple[float, float] = (0.1, 3.0
     if not lo <= hi < np.inf:  # also catches NaN
         raise DomainError(f"upper eigenvalue bound must be finite and at least {lo}, got {hi}")
     u = random_unitary(dim, rng)
-    vals = _draw(rng, lambda gen: gen.uniform(lo, hi, size=dim))
+    vals = _draw(rng, (dim,), (lo, hi))
     return hermitize((u * vals[..., None, :]) @ _adjoint(u))
 
 
@@ -329,5 +347,5 @@ def random_hermitian(dim: int, rng: Streams) -> np.ndarray:
     """
     _check_dim(dim)
     s = 1.0 / np.sqrt(2.0)
-    parts = _draw(rng, lambda gen: gen.uniform(-s, s, size=(2, dim, dim)))
+    parts = _draw(rng, (2, dim, dim), (-s, s))
     return hermitize(parts[..., 0, :, :] + 1j * parts[..., 1, :, :])

@@ -154,11 +154,25 @@ def _blank_payloads(value, payloads: list):
     return value
 
 
+def _blank_witness(report: dict, payloads: list) -> dict:
+    # A report_to_dict value with its witness's payloads moved to
+    # ``payloads``: no other field of a report holds one.
+    return {**report, "witness": _blank_payloads(report["witness"], payloads)}
+
+
 def _dump(tree: dict) -> str:
     """``json.dumps(tree, indent=2)`` plus a newline, each base64 payload
-    spliced into the text rather than passed through the JSON escaper."""
+    spliced into the text rather than passed through the JSON escaper.
+
+    ``tree`` is one report_to_dict value or ``{"campaigns": {id: value}}``.
+    """
     payloads = []
-    parts = json.dumps(_blank_payloads(tree, payloads), indent=2).split(_BLANK)
+    if "campaigns" in tree:
+        blank = {"campaigns": {campaign: _blank_witness(report, payloads)
+                               for campaign, report in tree["campaigns"].items()}}
+    else:
+        blank = _blank_witness(tree, payloads)
+    parts = json.dumps(blank, indent=2).split(_BLANK)
     if len(parts) != len(payloads) + 1:  # a string matched _BLANK too
         return json.dumps(tree, indent=2) + "\n"
     pieces = [parts[0]]

@@ -446,6 +446,34 @@ def test_random_mixed_unitary_draws_terms_in_order():
     assert channel.unitaries.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("n_terms", range(1, 6))
+def test_random_mixed_unitary_keeps_its_uniform_weights(n_terms):
+    # Each stream's weights are numpy's uniform(0.1, 1) draw over its sum,
+    # bit for bit, from a single, distinct or repeated stream, and each
+    # stream is left where those draws and its unitaries leave it.
+    makers = [lambda: RngStream(155, 3), lambda: RngStream.chunk(155, range(3)),
+              lambda: [RngStream(155, 5)] * 3]
+    for make in makers:
+        rng, reference = make(), make()
+        got = random_mixed_unitary(4, rng, n_terms)
+        streams = [rng] if isinstance(rng, RngStream) else rng
+        reference = [reference] if isinstance(reference, RngStream) else reference
+        raw = [stream.gen.uniform(0.1, 1.0, size=n_terms) for stream in reference]
+        random_unitary(4, [stream for stream in reference for _ in range(n_terms)])
+        assert got.weights.tobytes() == np.stack([row / row.sum() for row in raw]).tobytes()
+        assert [s.gen.random() for s in streams] == [s.gen.random() for s in reference]
+
+
+def test_random_pinching_gives_an_empty_stack_for_no_streams():
+    pinching = random_pinching(3, [])
+    assert pinching.frame.shape == (0, 3, 3) and pinching.labels.shape == (0, 3)
+
+
+def test_random_mixed_unitary_gives_an_empty_stack_for_no_streams():
+    channel = random_mixed_unitary(3, [], 2)
+    assert channel.weights.shape == (0, 2) and channel.unitaries.shape == (0, 2, 3, 3)
+
+
 # -- stacks of channels -------------------------------------------------------
 
 

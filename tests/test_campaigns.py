@@ -35,6 +35,7 @@ from entropygap import bipartite, campaigns
 from entropygap.calculus import _curvature
 from entropygap.campaigns import _SAMPLERS, _q_midpoint_margin
 from test_bipartite import sign_unitary_pinching, term_by_term, weyl_expectation
+from test_linalg import UNIFORM_RANGES
 
 
 def _run(campaign: str, **overrides) -> object:
@@ -528,6 +529,25 @@ def test_c8_records_an_ill_conditioned_sample_against_itself(monkeypatch, d1, d2
     for other in reports[1:]:
         assert _bits(other.margins) == _bits(first.margins)
         assert other.errors == first.errors
+
+
+@pytest.mark.parametrize("pair_range", UNIFORM_RANGES)
+def test_c8_pairs_keep_their_uniform_draws(monkeypatch, pair_range):
+    # Each sample's (s, t) is numpy's uniform draw of two values, bit for
+    # bit, from a single, distinct or repeated stream, and each stream is
+    # left where that draw and the sample's matrices leave it.
+    monkeypatch.setattr(campaigns, "_C8_PAIR_RANGE", pair_range)
+    config = CampaignConfig("C8", d1=1, d2=2)
+    makers = [lambda: [RngStream(17, 3)], lambda: RngStream.chunk(17, range(3)),
+              lambda: [RngStream(17, 5)] * 3]
+    for make in makers:
+        streams, reference = make(), make()
+        _, inputs = _SAMPLERS["C8"](config, streams)
+        pairs = np.stack([stream.gen.uniform(*pair_range, size=2) for stream in reference])
+        random_pd(2, reference, (config.eig_low, config.eig_high))
+        random_hermitian(2, reference)
+        assert _bits(inputs["s"]) + _bits(inputs["t"]) == _bits(pairs[:, 0]) + _bits(pairs[:, 1])
+        assert [s.gen.random() for s in streams] == [s.gen.random() for s in reference]
 
 
 @pytest.mark.parametrize("offset,violated", [(0.5, False), (1.5, True)])

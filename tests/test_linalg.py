@@ -243,8 +243,9 @@ def test_random_pd_rejects_nonpositive_low():
 
 @pytest.mark.parametrize("hi", [np.nan, np.inf])
 def test_random_pd_rejects_a_non_finite_high(hi):
-    # Neither compares below the lower bound; numpy's uniform would raise
-    # OverflowError on either.
+    # Neither compares below the lower bound. The spectrum is mapped from
+    # random() draws, where no uniform call is left to raise OverflowError,
+    # so this check is what keeps NaN and inf out of the draws.
     with pytest.raises(DomainError, match="upper eigenvalue bound"):
         random_pd(2, RngStream(0, 0), (0.1, hi))
 
@@ -349,6 +350,49 @@ def test_random_unitary_repeated_stream_equals_consecutive_draws(dim):
     rng = RngStream(6, 1)
     singles = np.stack([random_unitary(dim, rng) for _ in range(4)])
     assert stacked.tobytes() == singles.tobytes()
+
+
+# Ranges of uniform draws: random_pd's default spectrum and a small one, a
+# zero-width one, C8's scalar pairs and random_mixed_unitary's weights.
+UNIFORM_RANGES = [(0.1, 3.0), (1e-4, 1.0), (1.0, 1.0), (0.1, 10.0), (0.1, 1.0)]
+
+
+def _stream_kinds(seed: int):
+    # Makers of a single stream, distinct streams and one stream repeated;
+    # each call builds them afresh.
+    return [lambda: RngStream(seed, 3), lambda: RngStream.chunk(seed, range(3)),
+            lambda: [RngStream(seed, 5)] * 3]
+
+
+def _as_streams(rng):
+    return [rng] if isinstance(rng, RngStream) else rng
+
+
+def _uniform_pd(dim: int, rng, eig_range) -> np.ndarray:
+    # random_pd with each spectrum drawn by numpy's uniform, after every unitary.
+    u = random_unitary(dim, rng)
+    vals = np.stack([stream.gen.uniform(*eig_range, size=dim) for stream in _as_streams(rng)])
+    return hermitize((u * vals.reshape(u.shape[:-1])[..., None, :]) @ u.conj().swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("eig_range", UNIFORM_RANGES)
+@pytest.mark.parametrize("dim", [1, 4])
+def test_random_pd_keeps_its_uniform_draws(eig_range, dim):
+    # Its spectra are numpy's uniform draws bit for bit, from a single,
+    # distinct or repeated stream, and each stream is left where uniform
+    # leaves it: lo + (hi - lo) * random() is not fused into a multiply-add.
+    for make in _stream_kinds(14):
+        rng, reference = make(), make()
+        got = random_pd(dim, rng, eig_range)
+        assert got.tobytes() == _uniform_pd(dim, reference, eig_range).tobytes()
+        after = [stream.gen.random() for stream in _as_streams(rng)]
+        assert after == [stream.gen.random() for stream in _as_streams(reference)]
+
+
+@pytest.mark.parametrize("factory", [random_unitary, random_pd, random_hermitian])
+def test_random_factories_give_an_empty_stack_for_no_streams(factory):
+    stack = factory(3, [])
+    assert stack.shape == (0, 3, 3) and stack.dtype == complex
 
 
 def test_random_unitary_is_unitary():
