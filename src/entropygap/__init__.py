@@ -10,8 +10,6 @@ from .linalg import (
     check_positive,
     eigh,
     hermitize,
-    is_stored_hermitian,
-    kron,
     random_hermitian,
     random_pd,
     random_unitary,
@@ -34,7 +32,6 @@ from .calculus import (
 )
 from .oracles import (
     dd_log_quadrature,
-    frechet_central_difference,
     gauss_legendre_unit,
     log_quad_form_quadrature,
 )
@@ -47,7 +44,6 @@ from .bipartite import (
     apply_channel,
     conditional_expectation_1,
     embed_1,
-    partial_trace_1,
     partial_trace_2,
     random_mixed_unitary,
     random_pinching,
@@ -55,8 +51,6 @@ from .bipartite import (
 from .entropy import (
     EntropyGapSpec,
     entropy_gap,
-    second_differential_fd,
-    second_differential_fd_auto,
     second_differential_spectral,
     von_neumann_entropy,
 )

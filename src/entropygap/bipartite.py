@@ -1,9 +1,10 @@
-"""Bipartite tensor spaces: partial traces, embeddings, the conditional
-expectation onto the first factor, and averaging channels, each stored by its
-structure (a pinching as a frame and block labels).
+"""Bipartite tensor spaces: the partial trace over the second factor, the
+embedding, the conditional expectation onto the first factor, and averaging
+channels, each stored by its structure (a pinching as a frame and block
+labels).
 
 A composite space H1 (x) H2 with dimensions (d1, d2) uses row-major
-composite indices (a, i) -> a * d2 + i throughout, matching ``kron``.
+composite indices (a, i) -> a * d2 + i throughout, matching ``numpy.kron``.
 """
 
 from __future__ import annotations
@@ -60,14 +61,6 @@ def partial_trace_2(x, space: BipartiteSpace) -> np.ndarray:
     Takes one matrix or a stack of them, shape ``(..., dim, dim)``.
     """
     return np.einsum("...ajbj->...ab", _blocks(x, space))
-
-
-def partial_trace_1(x, space: BipartiteSpace) -> np.ndarray:
-    """Trace out the first factor: out[i, j] = sum_a x[(a, i), (a, j)].
-
-    Takes one matrix or a stack of them, shape ``(..., dim, dim)``.
-    """
-    return np.einsum("...aiaj->...ij", _blocks(x, space))
 
 
 def embed_1(a, space: BipartiteSpace) -> np.ndarray:

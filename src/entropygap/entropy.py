@@ -9,8 +9,9 @@ Hermitian direction ``h`` has the closed spectral form
 
     d2 * Q(d2 * rho, h) - Q(tr_2 rho, tr_2 h),
 
-where Q is the curvature form of ``f`` (:func:`entropygap.calculus.quad_form`),
-and can independently be recomputed by a second difference quotient of G.
+where Q is the curvature form of ``f`` (:func:`entropygap.calculus.quad_form`).
+The tests recompute it independently, by a second difference quotient of G
+(``second_differential_fd`` in ``tests/references.py``).
 
 The spectral functionals take one state or a stack of them, shape
 ``(..., n, n)``, and return a float for one state, else one value per state.
@@ -18,15 +19,13 @@ The spectral functionals take one state or a stack of them, shape
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bipartite import BipartiteSpace, partial_trace_2
 from .calculus import ScalarFunction, _curvature, _quad_form
-from .errors import DomainError
-from .linalg import _as_square, _check_pair, _per_matrix, _positive_eigenvalues, check_hermitian, check_positive
+from .linalg import _as_square, _check_pair, _per_matrix, _positive_eigenvalues, check_hermitian
 
 
 @dataclass(frozen=True)
@@ -71,42 +70,3 @@ def second_differential_spectral(rho, h, spec: EntropyGapSpec) -> float | np.nda
     composite = space.d2 * _quad_form(*_curvature(func, space.d2 * rho), h)
     marginal = _quad_form(*_curvature(func, partial_trace_2(rho, space)), partial_trace_2(h, space))
     return _per_matrix(composite - marginal)
-
-
-def _check_fd(rho, h, spec: EntropyGapSpec, step: float) -> tuple[np.ndarray, np.ndarray]:
-    # The one check of the fd oracles' single state, its direction and the step.
-    check_positive(step, "finite difference needs a positive finite step", "step")
-    rho, h = _check_pair(rho, h, "state", spec.space.dim)
-    if rho.ndim != 2:
-        raise DomainError(f"state must be a single matrix, got shape {rho.shape}")
-    return rho, h
-
-
-def _fd_quotient(rho: np.ndarray, h: np.ndarray, spec: EntropyGapSpec, step: float) -> float:
-    # The quotient of second_differential_fd for inputs checked by _check_fd;
-    # a DomainError here means that rho + step*h or rho - step*h leaves the cone.
-    shifted = np.stack([rho + step * h, rho - step * h])
-    _positive_eigenvalues(shifted, f"state +- step*direction leaves the positive definite cone at step {step:g}")
-    plus, center, minus = entropy_gap(np.stack([shifted[0], rho, shifted[1]]), spec)
-    return float((plus - 2.0 * center + minus) / step**2)
-
-
-def second_differential_fd(rho, h, spec: EntropyGapSpec, step: float) -> float:
-    """Second difference quotient ``(G(rho+s*h) - 2 G(rho) + G(rho-s*h)) / s**2``."""
-    return _fd_quotient(*_check_fd(rho, h, spec, step), spec, step)
-
-
-def second_differential_fd_auto(rho, h, spec: EntropyGapSpec,
-                                step: float = 1e-4, max_halvings: int = 10) -> float:
-    """Like :func:`second_differential_fd`, halving the step when the
-    perturbed state leaves the positive definite cone (at most
-    ``max_halvings`` times).  Invalid input raises its ``DomainError`` at
-    once, before any step is tried."""
-    rho, h = _check_fd(rho, h, spec, step)
-    for halvings in range(max_halvings + 1):
-        with suppress(DomainError):  # the quotient's only DomainError: the cone
-            return _fd_quotient(rho, h, spec, step / 2.0**halvings)
-    raise DomainError(
-        f"perturbed state stayed outside the positive definite cone after "
-        f"{max_halvings} halvings from step {step:g}"
-    )

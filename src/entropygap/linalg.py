@@ -185,15 +185,6 @@ def hermitize(a) -> np.ndarray:
     return (a + _adjoint(a)) / 2.0
 
 
-def is_stored_hermitian(a) -> bool:
-    """True when ``a`` (every matrix of it) equals its conjugate transpose
-    entry-for-entry."""
-    try:
-        return bool(_stored_hermitian(_as_square(a)).all())
-    except DomainError:
-        return False
-
-
 def check_hermitian(a, name: str = "matrix") -> np.ndarray:
     """Validate that ``a`` is stored Hermitian with finite entries."""
     a = _as_square(a, name)
@@ -261,16 +252,6 @@ def _positive_eigenvalues(a: np.ndarray, what: str) -> np.ndarray:
 def eigh(a) -> SpectralDecomposition:
     """Eigendecomposition of a stored-Hermitian matrix, eigenvalues ascending."""
     return _eigh(check_hermitian(a))
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two square matrices, row-major composite indices;
-    stacks broadcast against each other."""
-    a, b = _as_square(a, "left factor"), _as_square(b, "right factor")
-    dim = a.shape[-1] * b.shape[-1]
-    _check_dim(dim)
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (dim, dim))
 
 
 Streams = RngStream | Sequence[RngStream]

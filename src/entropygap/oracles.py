@@ -1,9 +1,7 @@
 """Independent reference routes for the spectral calculus.
 
 Gauss-Legendre quadrature evaluates the integral forms of the logarithmic
-kernels, and central finite differences recompute Frechet derivatives from
-matrix-function values alone.  None of these touch the divided-difference
-path they are used to check.
+kernels, without touching the divided-difference path it is used to check.
 
 Both quadratures integrate over l in [0, inf) after the substitution
 l = c u / (1 - u), with c the geometric mean of the two scalars or of the
@@ -23,7 +21,6 @@ import math
 
 import numpy as np
 
-from .calculus import ScalarFunction, matrix_function
 from .errors import DomainError, NumericError
 from .linalg import CHUNK_BYTES, _check_pair, _per_matrix, _positive_eigenvalues, check_positive
 
@@ -181,12 +178,3 @@ def log_quad_form_quadrature(a, h) -> float | np.ndarray:
             traces = np.einsum("nij,nji->n", solved, solved).real.reshape(len(part), -1)
             values[part] = c[part] * np.sum(w * traces, axis=-1)
     return _per_matrix(values.reshape(shape))
-
-
-def frechet_central_difference(func: ScalarFunction, a, h, step: float = 1e-5) -> np.ndarray:
-    """Central difference (f(a + step*h) - f(a - step*h)) / (2*step)."""
-    check_positive(step, "finite difference needs a positive finite step", "step")
-    a, h = _check_pair(a, h)
-    plus = matrix_function(func, a + step * h)
-    minus = matrix_function(func, a - step * h)
-    return (plus - minus) / (2.0 * step)

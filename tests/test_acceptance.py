@@ -21,16 +21,12 @@ from entropygap import (
     random_hermitian,
     random_pd,
     run_campaign,
-    second_differential_fd_auto,
     second_differential_spectral,
 )
 from entropygap import BipartiteSpace, EntropyGapSpec, LOG
 from entropygap.cli import main
-from entropygap.oracles import (
-    dd_log_quadrature,
-    frechet_central_difference,
-    log_quad_form_quadrature,
-)
+from entropygap.oracles import dd_log_quadrature, log_quad_form_quadrature
+from references import frechet_central_difference, second_differential_fd_auto
 
 SPACES = ((2, 2), (2, 3), (3, 2), (3, 3))
 GAP_FUNCTIONS = (("t_log_t", None), ("power", 1.0), ("power", 1.5), ("power", 2.0))

@@ -1,4 +1,4 @@
-"""Tensor-product plumbing: partial traces, the factor-1 projection, channels."""
+"""Tensor-product plumbing: the partial trace, the factor-1 projection, channels."""
 
 import numpy as np
 import pytest
@@ -17,9 +17,6 @@ from entropygap import (
     conditional_expectation_1,
     embed_1,
     hermitize,
-    is_stored_hermitian,
-    kron,
-    partial_trace_1,
     partial_trace_2,
     random_hermitian,
     random_mixed_unitary,
@@ -56,7 +53,7 @@ def test_partial_trace_2_on_product():
     rng = RngStream(101, 0)
     a = random_hermitian(2, rng)
     b = random_hermitian(3, rng)
-    got = partial_trace_2(kron(a, b), SPACE)
+    got = partial_trace_2(np.kron(a, b), SPACE)
     expected = np.trace(b) * a
     assert np.linalg.norm(got - expected) <= 1e-13
 
@@ -66,31 +63,45 @@ def test_partial_trace_2_of_identity():
     assert np.array_equal(got, 3.0 * np.eye(2))
 
 
-def test_partial_trace_1_on_product():
-    rng = RngStream(101, 1)
-    a = random_hermitian(2, rng)
-    b = random_hermitian(3, rng)
-    got = partial_trace_1(kron(a, b), SPACE)
-    expected = np.trace(a) * b
-    assert np.linalg.norm(got - expected) <= 1e-13
-
-
-def test_partial_trace_1_of_identity():
-    got = partial_trace_1(np.eye(6, dtype=complex), SPACE)
-    assert np.array_equal(got, 2.0 * np.eye(3))
-
-
-@pytest.mark.parametrize("which", [partial_trace_1, partial_trace_2])
+@pytest.mark.parametrize("which", [partial_trace_2])
 def test_partial_traces_preserve_trace(which):
     for index in range(10):
         x = random_hermitian(6, RngStream(103, index))
         assert abs(np.trace(which(x, SPACE)) - np.trace(x)) <= 1e-12
 
 
+_SHAPES = [(1, 1), (1, 4), (2, 3), (3, 2), (4, 4)]
+
+
+@pytest.mark.parametrize("d1,d2", _SHAPES)
+def test_partial_trace_2_reads_the_row_major_composite_index(d1, d2):
+    # (a, j) -> a*d2 + j, as in numpy.kron: out[a, b] = sum_j x[a*d2 + j, b*d2 + j].
+    space = BipartiteSpace(d1, d2)
+    x = random_hermitian(space.dim, RngStream(115, d1 * 8 + d2))
+    expected = np.array([[sum(x[a * d2 + j, b * d2 + j] for j in range(d2))
+                          for b in range(d1)] for a in range(d1)])
+    assert np.linalg.norm(partial_trace_2(x, space) - expected) <= 1e-13 * space.dim
+
+
+@pytest.mark.parametrize("d1,d2", _SHAPES)
+def test_embed_1_is_numpy_kron_with_the_identity(d1, d2):
+    space = BipartiteSpace(d1, d2)
+    a = random_hermitian(d1, RngStream(117, d1 * 8 + d2))
+    assert np.array_equal(embed_1(a, space), np.kron(a, np.eye(d2)))
+
+
+def test_partial_trace_2_of_a_stack_is_each_member():
+    stack = random_hermitian(6, [RngStream(119, k) for k in range(3)])
+    got = partial_trace_2(stack.reshape(3, 1, 6, 6), SPACE)
+    assert got.shape == (3, 1, 2, 2)
+    for k in range(3):
+        assert got[k, 0].tobytes() == partial_trace_2(stack[k], SPACE).tobytes()
+
+
 def test_partial_traces_preserve_stored_symmetry():
     x = random_hermitian(6, RngStream(103, 99))
-    for reduced in (partial_trace_1(x, SPACE), partial_trace_2(x, SPACE)):
-        assert np.array_equal(reduced, reduced.conj().T)
+    reduced = partial_trace_2(x, SPACE)
+    assert np.array_equal(reduced, reduced.conj().T)
 
 
 def test_partial_trace_rejects_wrong_shape():
@@ -140,7 +151,7 @@ def test_projection_on_product_state():
     rng = RngStream(113, 1)
     a = random_hermitian(2, rng)
     b = random_hermitian(3, rng)
-    got = conditional_expectation_1(kron(a, b), SPACE)
+    got = conditional_expectation_1(np.kron(a, b), SPACE)
     expected = (np.trace(b) / 3.0) * embed_1(a, SPACE)
     assert np.linalg.norm(got - expected) <= 1e-13
 
@@ -209,7 +220,7 @@ def weyl_unitaries(space: BipartiteSpace) -> np.ndarray:
     clock = np.diag(omega ** np.arange(d2))
     words = [np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
              for a in range(d2) for b in range(d2)]
-    return np.stack([kron(np.eye(d1), w) for w in words])
+    return np.stack([np.kron(np.eye(d1), w) for w in words])
 
 
 def weyl_expectation(space: BipartiteSpace) -> MixedUnitaryChannel:
@@ -513,8 +524,8 @@ def test_apply_channel_on_a_stack_of_channels_equals_one_call_per_channel(family
     for k in range(5):
         for j in range(2):
             assert got[j, k].tobytes() == apply_channel(channels[k], inputs[j, k]).tobytes()
-    assert not is_stored_hermitian(got[0, 2])
-    assert is_stored_hermitian(got[0, 1])
+    assert not np.array_equal(got[0, 2], got[0, 2].conj().swapaxes(-1, -2))
+    assert np.array_equal(got[0, 1], got[0, 1].conj().swapaxes(-1, -2))
 
 
 def test_channel_stacks_reject_one_bad_member():
@@ -552,7 +563,7 @@ def test_conditional_expectation_output_is_stored_hermitian(d1, d2, data):
     x = hermitize(z[0] + 1j * z[1])
     out = apply_channel(ConditionalExpectation1(space), x)
     assert out.tobytes() == conditional_expectation_1(x, space).tobytes()
-    assert is_stored_hermitian(out)
+    assert np.array_equal(out, out.conj().swapaxes(-1, -2))
     assert np.array_equal(hermitize(out), out)
 
 

@@ -35,11 +35,11 @@ from entropygap import oracles
 from entropygap.oracles import (
     RESOLVENT_NODES,
     dd_log_quadrature,
-    frechet_central_difference,
     gauss_legendre_unit,
     log_quad_form_quadrature,
     resolvent_nodes,
 )
+from references import frechet_central_difference
 
 LOG2 = 0.6931471805599453
 

@@ -15,18 +15,17 @@ from entropygap import (
     by_name,
     entropy_gap,
     frechet_derivative,
-    kron,
     matrix_function,
     partial_trace_2,
     quad_form,
     random_hermitian,
     random_pd,
-    second_differential_fd,
-    second_differential_fd_auto,
     second_differential_spectral,
     von_neumann_entropy,
 )
 from entropygap import linalg
+import references
+from references import second_differential_fd, second_differential_fd_auto
 
 SPACE = BipartiteSpace(2, 3)
 GAP = EntropyGapSpec(T_LOG_T, SPACE)
@@ -57,7 +56,7 @@ def test_entropy_additive_on_products():
         rng = RngStream(211, index)
         sigma = random_pd(2, rng)
         tau = random_pd(3, rng)
-        lhs = von_neumann_entropy(kron(sigma, tau))
+        lhs = von_neumann_entropy(np.kron(sigma, tau))
         rhs = np.trace(tau).real * von_neumann_entropy(sigma) + np.trace(
             sigma
         ).real * von_neumann_entropy(tau)
@@ -222,6 +221,32 @@ def test_fd_auto_gives_up_after_max_halvings():
     h = np.diag([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]).astype(complex)
     with pytest.raises(DomainError, match="halvings"):
         second_differential_fd_auto(rho, h, GAP, step=409.6, max_halvings=3)
+
+
+def test_fd_quotient_takes_each_spectrum_once(monkeypatch):
+    # A valid quotient takes the eigenvalues of its three states and of their
+    # marginals, one stacked call each; the cone is probed only when a gap
+    # fails, for the probe's message.
+    rho, h = _draw(281, 0)
+    shapes = []
+    eigvalsh = linalg._eigvalsh
+    monkeypatch.setattr(linalg, "_eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    second_differential_fd(rho, h, GAP, 1e-4)
+    assert shapes == [(3, 6, 6), (3, 2, 2)]
+
+
+def test_fd_quotient_raises_a_gap_error_inside_the_cone_as_it_is(monkeypatch):
+    # Only states outside the cone get the probe's message; any other error
+    # of the gaps is raised unchanged.
+    rho, h = _draw(282, 0)
+    message = "partial trace of the state must be positive definite; smallest eigenvalue is -1e-17"
+
+    def failing_gap(states, spec):
+        raise DomainError(message)
+
+    monkeypatch.setattr(references, "entropy_gap", failing_gap)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        second_differential_fd(rho, h, GAP, 1e-4)
 
 
 def _invalid_fd_inputs():

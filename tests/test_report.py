@@ -24,7 +24,6 @@ from entropygap import (
     apply_channel,
     emit_report,
     emit_reports,
-    is_stored_hermitian,
     load_report,
     load_reports,
     matrix_from_json,
@@ -627,7 +626,8 @@ def test_reports_of_the_c9_descent_still_load():
     assert report.witness["sample"] == "descent"
     assert report.worst_margin == min(report.margins)
     mats = [report.witness[key] for key in ("x1", "h1", "x2", "h2")]
-    assert all(m.shape == (4, 4) and m.dtype == complex and is_stored_hermitian(m) for m in mats)
+    assert all(m.shape == (4, 4) and m.dtype == complex and np.array_equal(m, m.conj().swapaxes(-1, -2))
+               for m in mats)
     # The matrices decode to the inputs of the worst margin, which the
     # closed-form kernels recompute within C9's budget.
     average = 0.5 * quad_form(CUBE, mats[0], mats[1]) + 0.5 * quad_form(CUBE, mats[2], mats[3])
