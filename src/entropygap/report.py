@@ -14,12 +14,18 @@ The bytes are those of the ``json.dumps`` call, but base64 text needs no JSON
 escaping, and escaping it took most of the time of dumping a 64x64 witness.
 So the writer dumps the document with every payload left empty and splices
 the payloads into that text.
+
+An existing file is overwritten in place and then cut to the new length, so
+it keeps its inode; the write is not atomic.  It is not cut to zero first,
+because on ext4 a file truncated to zero and written again is flushed on
+close, which took most of the time of writing a small report.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import os
 from dataclasses import fields
 from pathlib import Path
 
@@ -125,11 +131,21 @@ def report_from_dict(data: dict) -> CampaignReport:
     )
 
 
+def _open_without_truncating(path, flags: int) -> int:
+    # The flags and mode open() uses for "wb" (O_BINARY where the platform
+    # has it), less O_TRUNC: see the module docstring for why.
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write(path, text: str) -> None:
-    # Bytes, not text mode: newlines stay "\n" on every platform.
+    # Bytes, not text mode: newlines stay "\n" on every platform.  The file
+    # is written over in place, then cut to the bytes just written.
     path = Path(path)
+    data = text.encode("utf-8")
     try:
-        path.write_bytes(text.encode("utf-8"))
+        with open(path, "wb", opener=_open_without_truncating) as file:
+            file.write(data)
+            file.truncate()
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from entropygap import CampaignConfig, DomainError
+from entropygap import CampaignConfig, DomainError, load_reports, report_to_dict
 from entropygap.campaigns import _SAMPLERS
 from entropygap.cli import (
     EXIT_NUMERIC,
@@ -105,6 +105,19 @@ def test_report_bytes_reproducible(tmp_path, capsys):
         assert main(["--campaign", "C3", "--samples", "6", "--out", str(path)]) == EXIT_PASS
     assert first.read_bytes() == second.read_bytes()
     capsys.readouterr()
+
+
+def test_out_rewrites_a_longer_document_to_the_new_bytes(tmp_path, capsys):
+    path = tmp_path / "all.json"
+    assert main(["--all", "--samples", "5", "--out", str(path)]) == EXIT_PASS
+    longer = path.read_bytes()
+    assert main(["--all", "--samples", "3", "--out", str(path)]) == EXIT_PASS
+    capsys.readouterr()
+    reports = load_reports(path)
+    tree = {"campaigns": {campaign: report_to_dict(r) for campaign, r in reports.items()}}
+    assert len(path.read_bytes()) < len(longer)
+    assert path.read_bytes() == (json.dumps(tree, indent=2) + "\n").encode("utf-8")
+    assert all(len(r.margins) == 3 for r in reports.values())
 
 
 def test_all_runs_eight_campaigns(tmp_path, capsys):

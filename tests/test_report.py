@@ -2,6 +2,8 @@
 
 import base64
 import json
+import os
+import stat
 import struct
 from dataclasses import replace
 from pathlib import Path
@@ -414,6 +416,95 @@ def test_emit_reports_rejects_two_reports_of_one_campaign(tmp_path):
     assert not path.exists()
     emit_reports(iter([reports[0], _report(campaign="C3")]), path)
     assert list(load_reports(path)) == ["C2", "C3"]
+
+
+# An existing file is overwritten in place and cut to the new length.
+
+
+def _emit_one(report, path):
+    emit_report(report, path)
+    return render_report(report).encode("utf-8")
+
+
+def _emit_two(report, path):
+    reports = [report, replace(report, config=replace(report.config, campaign="C2"))]
+    emit_reports(reports, path)
+    return _dumped({"campaigns": {r.config.campaign: report_to_dict(r) for r in reports}}).encode("utf-8")
+
+
+WRITERS = {"emit_report": _emit_one, "emit_reports": _emit_two}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+@pytest.mark.parametrize("stale", ["longer", "shorter"])
+def test_emit_replaces_the_whole_of_an_existing_file(tmp_path, writer, stale):
+    report = _report(campaign="C1")
+    path = tmp_path / "report.json"
+    size = len(render_report(report))
+    path.write_bytes(b"stale\n" * (size if stale == "longer" else 1))
+    expected = WRITERS[writer](report, path)
+    assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_emit_keeps_the_inode_mode_and_hard_links_of_a_file(tmp_path, writer):
+    path = tmp_path / "report.json"
+    path.write_bytes(b"x" * 100_000)
+    path.chmod(0o640)
+    before = path.stat()
+    link = tmp_path / "link.json"
+    os.link(path, link)
+    expected = WRITERS[writer](_report(campaign="C1"), path)
+    after = path.stat()
+    assert after.st_ino == before.st_ino
+    assert stat.S_IMODE(after.st_mode) == 0o640
+    assert link.read_bytes() == expected
+
+
+def test_emit_creates_a_file_with_the_mode_open_gives(tmp_path):
+    reference = tmp_path / "reference"
+    with open(reference, "wb"):
+        pass
+    path = tmp_path / "report.json"
+    emit_report(_report(), path)
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+
+def test_emit_opens_the_file_without_truncating_it(tmp_path, monkeypatch):
+    # On ext4, cutting a file to zero and writing it again makes close()
+    # start writeback, which cost most of the time of writing a report.
+    calls = []
+    real_open = os.open
+
+    def spy(path, flags, *args, **kwargs):
+        calls.append(flags)
+        return real_open(path, flags, *args, **kwargs)
+
+    report = _report()
+    monkeypatch.setattr(os, "open", spy)
+    emit_report(report, tmp_path / "report.json")
+    assert len(calls) == 1
+    assert calls[0] & (os.O_WRONLY | os.O_CREAT) == os.O_WRONLY | os.O_CREAT
+    assert not calls[0] & os.O_TRUNC
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_emit_to_a_directory_raises_os_error(tmp_path, writer):
+    with pytest.raises(OSError, match="cannot write report to"):
+        WRITERS[writer](_report(), tmp_path)
+
+
+def test_reports_that_cannot_be_written_leave_an_existing_file_unchanged(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_bytes(b"earlier document\n")
+    unserializable = replace(_report(), witness={"x": object()})
+    with pytest.raises(TypeError, match="cannot serialize witness value"):
+        emit_report(unserializable, path)
+    with pytest.raises(TypeError, match="cannot serialize witness value"):
+        emit_reports([unserializable], path)
+    with pytest.raises(ValueError, match="one report per campaign"):
+        emit_reports([_report(seed=1), _report(seed=2)], path)
+    assert path.read_bytes() == b"earlier document\n"
 
 
 def test_load_reports_reads_single_report_document(tmp_path):
