@@ -18,7 +18,15 @@ the payloads into that text.
 An existing file is overwritten in place and then cut to the new length, so
 it keeps its inode; the write is not atomic.  It is not cut to zero first,
 because on ext4 a file truncated to zero and written again is flushed on
-close, which took most of the time of writing a small report.
+close, which took most of the time of writing a small report.  Only a
+regular file is cut: a pipe or a device takes the bytes as a plain stream.
+
+A document is read to the end of the file, so one sent through a pipe or a
+FIFO loads too, and decoded as strict UTF-8, so a byte order mark is
+rejected.  Both directions use bare descriptor calls (``os.open``,
+``os.write``, ``os.read``): a Python file object adds ``isatty``, ``lseek``
+and further ``fstat`` calls around them, which took a large share of the
+time of reading or writing a small report between campaign runs.
 """
 
 from __future__ import annotations
@@ -26,8 +34,8 @@ from __future__ import annotations
 import base64
 import json
 import os
+import stat
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 
@@ -131,21 +139,31 @@ def report_from_dict(data: dict) -> CampaignReport:
     )
 
 
-def _open_without_truncating(path, flags: int) -> int:
-    # The flags and mode open() uses for "wb" (O_BINARY where the platform
-    # has it), less O_TRUNC: see the module docstring for why.
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+# O_BINARY exists only on Windows, where it keeps "\n" from becoming "\r\n".
+_BINARY = getattr(os, "O_BINARY", 0)
+
+# The default capacity of a pipe on Linux.
+_PIPE_CAPACITY = 1 << 16
 
 
 def _write(path, text: str) -> None:
-    # Bytes, not text mode: newlines stay "\n" on every platform.  The file
-    # is written over in place, then cut to the bytes just written.
-    path = Path(path)
+    # The file is written over in place, then cut to the bytes just written;
+    # see the module docstring for why it is not opened with O_TRUNC.
     data = text.encode("utf-8")
     try:
-        with open(path, "wb", opener=_open_without_truncating) as file:
-            file.write(data)
-            file.truncate()
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | _BINARY, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            try:
+                os.ftruncate(fd, len(data))
+            except OSError:
+                # A pipe or a device cannot be cut, and needs no cutting.
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    raise
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 
@@ -223,12 +241,23 @@ def emit_reports(reports, path) -> None:
 
 
 def _read(path):
-    path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        fd = os.open(path, os.O_RDONLY | _BINARY)
+        try:
+            # A regular file comes in one read and its end in the next.  A
+            # pipe or a FIFO reports size 0 and is read a pipe's worth at a
+            # time, rather than a byte at a time.
+            size = (os.fstat(fd).st_size or _PIPE_CAPACITY) + 1
+            chunks = []
+            while chunk := os.read(fd, size):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise OSError(f"cannot read report from {path}: {exc}") from exc
-    return json.loads(text)
+    # Decoded as strict UTF-8 before parsing: json.loads would take bytes
+    # that begin with a byte order mark, and it rejects the text.
+    return json.loads(b"".join(chunks).decode("utf-8"))
 
 
 def load_report(path) -> CampaignReport:

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, summary table, report files."""
 
 import json
+import os
 
 import pytest
 
@@ -118,6 +119,11 @@ def test_out_rewrites_a_longer_document_to_the_new_bytes(tmp_path, capsys):
     assert len(path.read_bytes()) < len(longer)
     assert path.read_bytes() == (json.dumps(tree, indent=2) + "\n").encode("utf-8")
     assert all(len(r.margins) == 3 for r in reports.values())
+
+
+def test_out_to_a_device_exits_zero(capsys):
+    assert main(["--campaign", "C1", "--samples", "2", "--out", os.devnull]) == EXIT_PASS
+    capsys.readouterr()
 
 
 def test_all_runs_eight_campaigns(tmp_path, capsys):

@@ -1,10 +1,14 @@
 """JSON report round-trips: exact floats, matrices, channels, files."""
 
 import base64
+import builtins
+import codecs
+import io
 import json
 import os
 import stat
 import struct
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -492,6 +496,100 @@ def test_emit_opens_the_file_without_truncating_it(tmp_path, monkeypatch):
 def test_emit_to_a_directory_raises_os_error(tmp_path, writer):
     with pytest.raises(OSError, match="cannot write report to"):
         WRITERS[writer](_report(), tmp_path)
+
+
+def test_emit_and_load_make_one_descriptor_call_and_open_no_file_object(tmp_path, monkeypatch):
+    # A file object's fstat, isatty and lseek calls took a large share of
+    # the time of writing and reading a small report between campaign runs.
+    flags = []
+    real_open = os.open
+
+    def spy(path, mode, *args, **kwargs):
+        flags.append(mode)
+        return real_open(path, mode, *args, **kwargs)
+
+    def no_file_object(*args, **kwargs):
+        raise AssertionError("a report was read or written through a file object")
+
+    report = _report()
+    path = tmp_path / "report.json"
+    monkeypatch.setattr(os, "open", spy)
+    monkeypatch.setattr(builtins, "open", no_file_object)
+    monkeypatch.setattr(io, "open", no_file_object)
+    emit_report(report, path)
+    assert len(flags) == 1
+    loaded = load_report(path)
+    assert len(flags) == 2
+    assert not flags[1] & (os.O_WRONLY | os.O_RDWR)
+    monkeypatch.undo()
+    assert render_report(loaded) == render_report(report)
+
+
+# A pipe or a device cannot be cut to a length: the writer streams the
+# document into it, and the reader reads one to the end.
+
+
+def _in_thread(target, *args) -> tuple[threading.Thread, list]:
+    results = []
+    thread = threading.Thread(target=lambda: results.append(target(*args)), daemon=True)
+    thread.start()
+    return thread, results
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_emit_to_a_device(writer):
+    WRITERS[writer](_report(), os.devnull)
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_emit_streams_the_document_into_a_fifo(tmp_path, writer):
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    reader, received = _in_thread(Path.read_bytes, fifo)
+    expected = WRITERS[writer](_report(), fifo)
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert received == [expected]
+
+
+def test_load_reads_a_document_from_a_fifo_to_its_end(tmp_path):
+    # A FIFO reports size 0, and this document is several pipes' worth.
+    report = _report(campaign="C4", d1=8, d2=8, samples=2)
+    text = render_report(report)
+    assert len(text) > 300_000
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    writer, _ = _in_thread(fifo.write_bytes, text.encode("utf-8"))
+    loaded = load_report(fifo)
+    writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert render_report(loaded) == text
+
+
+def test_load_reads_a_document_with_crlf_line_endings(tmp_path):
+    report = _report(campaign="C3")
+    path = tmp_path / "crlf.json"
+    path.write_bytes(render_report(report).replace("\n", "\r\n").encode("utf-8"))
+    assert render_report(load_report(path)) == render_report(report)
+
+
+def test_load_rejects_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(codecs.BOM_UTF8 + render_report(_report()).encode("utf-8"))
+    with pytest.raises(json.JSONDecodeError, match="Unexpected UTF-8 BOM"):
+        load_report(path)
+
+
+def test_load_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(render_report(_report()).encode("utf-8").replace(b'"C1"', b'"C\xb9"'))
+    with pytest.raises(UnicodeDecodeError):
+        load_report(path)
+
+
+def test_load_from_a_directory_raises_os_error(tmp_path):
+    with pytest.raises(OSError, match="cannot read report from"):
+        load_report(tmp_path)
 
 
 def test_reports_that_cannot_be_written_leave_an_existing_file_unchanged(tmp_path):
