@@ -59,6 +59,7 @@ from .campaigns import (
     CHANNEL_FAMILIES,
     CampaignConfig,
     CampaignReport,
+    replay,
     run_campaign,
 )
 from .report import (

@@ -35,7 +35,7 @@ C9         C4 with f = t**3 as a falsification search: C4's draws, with the
            expected outcome, absence of one is inconclusive
 =========  ===================================================================
 
-C5 and C6 are presets that run the sampler of C1, and C9 C4's draws, with the
+C5 and C6 are presets that run C1's draw and margin, and C9 C4's draw, with the
 function of :data:`PRESET_FUNCTIONS`; C7 uses none and C8 that of t log t.  Invalid
 values are rejected for every campaign; a config records a setting only where
 its campaign reads it, else its default (for ``function``, the preset).
@@ -46,15 +46,16 @@ so dropping a sample never changes the draws of the others and margin lists
 are reproducible bit-for-bit for a fixed config.  A chunk's streams are built
 by ``RngStream.chunk``, which seeds them all in one pass with the same words.
 
-Samples are evaluated in chunks of up to :data:`CHUNK_BYTES` of matrices.
-Every sample of a chunk draws from its own stream, which fills that sample's
-row of each drawn stack in place with the values it would draw alone, and a
-sampler then computes the margins of the whole chunk on stacks of matrices.
-Stacked routines give each matrix the bits it gets alone, so margins do not
-depend on the chunk size.  A sampler makes for its chunk the calls that one
-sample would make alone, in the same order, so a chunk of one sample raises
-what that sample raises.  It returns one array of
-margins and per-sample stacks of inputs, and only the worst witness is built.
+Each campaign is a draw and a margin, evaluated in chunks of up to
+:data:`CHUNK_BYTES` of matrices.  Every sample of a chunk draws from its own
+stream, which fills that sample's row of each drawn stack in place with the
+values it would draw alone, and the margin then checks the whole chunk's
+inputs and computes its margins on stacks of matrices.  Stacked routines give
+each matrix the bits it gets alone, so margins do not depend on the chunk
+size, and :func:`replay` recomputes a report's worst margin bit for bit from
+its witness, as stacks of one, through the same margin.  A chunk makes the
+calls that one sample would make alone, in the same order, so a chunk of one
+sample raises what that sample raises; only the worst witness is built.
 
 C1, C5 and C6 take the gaps of both states and every mixture in one
 ``entropy_gap`` call.  C3 groups a chunk's samples by channel family and term
@@ -254,10 +255,11 @@ class CampaignReport:
     wall_time: float
 
 
-# A sampler takes the config and one stream per sample of a chunk and returns
-# its margins as one float array and its inputs as per-sample stacks by name,
-# matrices first in drawing order: a (count, n, n) array of matrices, a
-# sequence of anything else.  Sample k's witness is {name: stack[k]}.
+# A draw takes the config and one stream per sample of a chunk and returns its
+# inputs as per-sample stacks by name, matrices first in drawing order: a
+# (count, n, n) array of matrices, a sequence of anything else.  A margin checks
+# such inputs and returns one float array.  Sample k's witness is {name: stack[k]},
+# and replay runs it, as stacks of one, through its margin.
 
 
 def _draw_pd(config: CampaignConfig, streams, dim: int) -> np.ndarray:
@@ -274,50 +276,55 @@ def _scales(inputs: dict) -> np.ndarray:
                      for matrices in zip(*stacks)])
 
 
-def _sample_c1(config: CampaignConfig, streams):
-    space = config.space()
-    gap = EntropyGapSpec(config.scalar_function(), space)
-    rho = _draw_pd(config, streams, space.dim)
-    sigma = _draw_pd(config, streams, space.dim)
+def _draw_c1(config: CampaignConfig, streams) -> dict:
+    dim = config.space().dim
+    return {"rho": _draw_pd(config, streams, dim), "sigma": _draw_pd(config, streams, dim)}
+
+
+def _margin_c1(config: CampaignConfig, inputs: dict) -> np.ndarray:
+    rho, sigma = inputs["rho"], inputs["sigma"]
+    gap = EntropyGapSpec(config.scalar_function(), config.space())
     t = np.array(config.weights)[:, None]  # one row per weight
     mixed = t[..., None, None] * rho + (1.0 - t[..., None, None]) * sigma
     gaps = entropy_gap(np.concatenate([rho[None], sigma[None], mixed]), gap)
     slack = (t * gaps[0] + (1.0 - t) * gaps[1]) - gaps[2:]
     worst = slack.argmin(axis=0)  # the first weight of the smallest slack
-    margins = slack[worst, np.arange(len(rho))]
-    return margins, {"rho": rho, "sigma": sigma, "weight": t[worst, 0].tolist()}
+    inputs["weight"] = t[worst, 0].tolist()
+    return slack[worst, np.arange(len(rho))]
 
 
-def _sample_c2(config: CampaignConfig, streams):
-    space = config.space()
-    gap = EntropyGapSpec(config.scalar_function(), space)
-    rho = _draw_pd(config, streams, space.dim)
-    h = random_hermitian(space.dim, streams)
-    return second_differential_spectral(rho, h, gap), {"rho": rho, "h": h}
+def _draw_c2(config: CampaignConfig, streams) -> dict:
+    dim = config.space().dim
+    return {"rho": _draw_pd(config, streams, dim), "h": random_hermitian(dim, streams)}
+
+
+def _margin_c2(config: CampaignConfig, inputs: dict) -> np.ndarray:
+    gap = EntropyGapSpec(config.scalar_function(), config.space())
+    return second_differential_spectral(inputs["rho"], inputs["h"], gap)
 
 
 class _Members(Sequence):
     """Each sample's channel of a C3 chunk, built only when indexed, from the
-    ``(channel, k)`` of its group: member ``k`` of that stack of channels, or
-    the one channel where ``k`` is None."""
+    ``(channel, indices)`` of its group: member ``k`` of that stack of channels
+    for sample ``indices[k]``, or the one conditional expectation."""
 
-    def __init__(self, placed: list):
-        self._placed = placed
+    def __init__(self, groups: list):
+        self.groups = groups
+        self._placed = sorted((j, k, channel) for channel, indices in groups for k, j in enumerate(indices))
 
     def __len__(self) -> int:
         return len(self._placed)
 
     def __getitem__(self, j):
-        channel, k = self._placed[j]
-        return channel if k is None else channel[k]
+        _, k, channel = self._placed[j]
+        return channel if isinstance(channel, ConditionalExpectation1) else channel[k]
 
 
-def _sample_c3(config: CampaignConfig, streams):
+def _draw_c3(config: CampaignConfig, streams) -> dict:
     space = config.space()
     x = _draw_pd(config, streams, space.dim)
     h = random_hermitian(space.dim, streams)
-    families, placed = [], [None] * len(streams)
-    groups = {}  # the samples of each (family, term count)
+    families, groups = [], {}  # groups: the samples of each (family, term count)
     for j, rng in enumerate(streams):
         family = config.channel_family
         if family == "uniform":
@@ -325,8 +332,7 @@ def _sample_c3(config: CampaignConfig, streams):
         terms = int(rng.gen.integers(2, 6)) if family == "mixed" else 0
         groups.setdefault((family, terms), []).append(j)
         families.append(family)
-    pair = np.stack([x, h])
-    outputs = np.empty_like(pair)
+    channels = []
     for (family, terms), group in groups.items():  # each stream's last draws
         members = [streams[j] for j in group]
         if family == "pinching":
@@ -335,11 +341,20 @@ def _sample_c3(config: CampaignConfig, streams):
             channel = random_mixed_unitary(space.dim, members, terms)
         else:
             channel = ConditionalExpectation1(space)
+        channels.append((channel, group))
+    return {"x": x, "h": h, "family": families, "channel": _Members(channels)}
+
+
+def _margin_c3(config: CampaignConfig, inputs: dict) -> np.ndarray:
+    # A plain sequence of channels, as a replayed witness holds, is one group per channel.
+    x, h, channels = inputs["x"], inputs["h"], inputs["channel"]
+    groups = getattr(channels, "groups", None) or [(channel, [j]) for j, channel in enumerate(channels)]
+    pair = np.stack([x, h])
+    outputs = np.empty_like(pair)
+    for channel, group in groups:
         outputs[:, group] = apply_channel(channel, pair[:, group])
-        for k, j in enumerate(group):
-            placed[j] = (channel, None if family == "expectation" else k)
     q = quad_form(config.scalar_function(), np.stack([x, outputs[0]]), np.stack([h, outputs[1]]))
-    return q[0] - q[1], {"x": x, "h": h, "family": families, "channel": _Members(placed)}
+    return q[0] - q[1]
 
 
 def _q_midpoint_margin(curvature, h1, h2):
@@ -359,7 +374,7 @@ def _lowest_directions(curvature, h1, h2):
     the midpoint margin ``<v, A v>`` in ``v = (h1, h2)``, where
     ``A v = (L1 h1 - Lm g, L2 h2 - Lm g) / 2``, ``g = (h1 + h2) / 2`` and
     ``L_x`` is the curvature operator at ``x``, from the curvature stack of
-    :func:`_q_midpoint_margin`.
+    :func:`_midpoint_curvature`.
 
     Lanczos takes ``min(8, 2 n^2)`` steps from the drawn pair.  Its basis is
     one array, read in the real coordinates of the pairs, and each new vector
@@ -394,18 +409,28 @@ def _lowest_directions(curvature, h1, h2):
     return v[:, 0], v[:, 1]
 
 
-def _sample_c4(config: CampaignConfig, streams, lowest: bool = False):
+def _draw_c4(config: CampaignConfig, streams) -> dict:
     dim = config.space().dim
-    x1 = _draw_pd(config, streams, dim)
-    h1 = random_hermitian(dim, streams)
-    x2 = _draw_pd(config, streams, dim)
-    h2 = random_hermitian(dim, streams)
-    for x, h in ((x1, h1), (x2, h2)):
+    return {"x1": _draw_pd(config, streams, dim), "h1": random_hermitian(dim, streams),
+            "x2": _draw_pd(config, streams, dim), "h2": random_hermitian(dim, streams)}
+
+
+def _midpoint_curvature(config: CampaignConfig, inputs: dict):
+    # The curvature stack of the checked pairs' x1, x2 and midpoint, which C9's Lanczos steps share.
+    x1, x2 = inputs["x1"], inputs["x2"]
+    for x, h in ((x1, inputs["h1"]), (x2, inputs["h2"])):
         _check_pair(x, h)
-    curvature = _curvature(config.scalar_function(), np.stack([x1, x2, (x1 + x2) / 2.0], axis=-3))
-    if lowest:
-        h1, h2 = _lowest_directions(curvature, h1, h2)
-    return _q_midpoint_margin(curvature, h1, h2), {"x1": x1, "h1": h1, "x2": x2, "h2": h2}
+    return _curvature(config.scalar_function(), np.stack([x1, x2, (x1 + x2) / 2.0], axis=-3))
+
+
+def _margin_c4(config: CampaignConfig, inputs: dict) -> np.ndarray:
+    return _q_midpoint_margin(_midpoint_curvature(config, inputs), inputs["h1"], inputs["h2"])
+
+
+def _margin_c9(config: CampaignConfig, inputs: dict) -> np.ndarray:
+    curvature = _midpoint_curvature(config, inputs)
+    inputs["h1"], inputs["h2"] = _lowest_directions(curvature, inputs["h1"], inputs["h2"])
+    return _q_midpoint_margin(curvature, inputs["h1"], inputs["h2"])
 
 
 def _congruence_inverse(a, b) -> np.ndarray:
@@ -413,12 +438,16 @@ def _congruence_inverse(a, b) -> np.ndarray:
     return hermitize(_adjoint(b) @ np.linalg.solve(a, b))
 
 
-def _sample_c7(config: CampaignConfig, streams):
+def _draw_c7(config: CampaignConfig, streams) -> dict:
     dim = config.space().dim
-    a1 = _draw_pd(config, streams, dim)
-    b1 = random_hermitian(dim, streams) + 1j * random_hermitian(dim, streams)
-    a2 = _draw_pd(config, streams, dim)
-    b2 = random_hermitian(dim, streams) + 1j * random_hermitian(dim, streams)
+    return {"a1": _draw_pd(config, streams, dim),
+            "b1": random_hermitian(dim, streams) + 1j * random_hermitian(dim, streams),
+            "a2": _draw_pd(config, streams, dim),
+            "b2": random_hermitian(dim, streams) + 1j * random_hermitian(dim, streams)}
+
+
+def _margin_c7(config: CampaignConfig, inputs: dict) -> np.ndarray:
+    a1, b1, a2, b2 = (inputs[key] for key in ("a1", "b1", "a2", "b2"))
     for a in (a1, a2):
         check_hermitian(a)
     defect = (
@@ -426,31 +455,51 @@ def _sample_c7(config: CampaignConfig, streams):
         + 0.5 * _congruence_inverse(a2, b2)
         - _congruence_inverse((a1 + a2) / 2.0, (b1 + b2) / 2.0)
     )
-    return _eigvalsh(defect).min(axis=-1), {"a1": a1, "b1": b1, "a2": a2, "b2": b2}
+    return _eigvalsh(defect).min(axis=-1)
 
 
-def _sample_c8(config: CampaignConfig, streams):
+def _draw_c8(config: CampaignConfig, streams) -> dict:
     dim = config.space().dim
     s, t = _draw(streams, (2,), _C8_PAIR_RANGE).T
+    return {"s": s.tolist(), "t": t.tolist(), "a": _draw_pd(config, streams, dim),
+            "h": random_hermitian(dim, streams)}
+
+
+def _margin_c8(config: CampaignConfig, inputs: dict) -> np.ndarray:
+    s, t, a, h = (inputs[key] for key in ("s", "t", "a", "h"))
     dd_gaps = np.abs(divided_difference(LOG, "f", s, t) - dd_log_quadrature(s, t))
-    a = _draw_pd(config, streams, dim)
-    h = random_hermitian(dim, streams)
     references = log_quad_form_quadrature(a, h)
     qf_gaps = np.abs(quad_form(T_LOG_T, a, h) - references) / np.abs(references)
-    return -np.maximum(dd_gaps, qf_gaps), {"s": s.tolist(), "t": t.tolist(), "a": a, "h": h}
+    return -np.maximum(dd_gaps, qf_gaps)
 
 
-_SAMPLERS = {
-    "C1": _sample_c1,
-    "C2": _sample_c2,
-    "C3": _sample_c3,
-    "C4": _sample_c4,
-    "C5": _sample_c1,
-    "C6": _sample_c1,
-    "C7": _sample_c7,
-    "C8": _sample_c8,
-    "C9": partial(_sample_c4, lowest=True),
+_CAMPAIGNS = {
+    "C1": (_draw_c1, _margin_c1),
+    "C2": (_draw_c2, _margin_c2),
+    "C3": (_draw_c3, _margin_c3),
+    "C4": (_draw_c4, _margin_c4),
+    "C5": (_draw_c1, _margin_c1),
+    "C6": (_draw_c1, _margin_c1),
+    "C7": (_draw_c7, _margin_c7),
+    "C8": (_draw_c8, _margin_c8),
+    "C9": (_draw_c4, _margin_c9),
 }
+
+
+def _sample(draw, margin, config: CampaignConfig, streams):
+    inputs = draw(config, streams)
+    return margin(config, inputs), inputs
+
+
+_SAMPLERS = {campaign: partial(_sample, *pair) for campaign, pair in _CAMPAIGNS.items()}
+
+
+def _finite(margins: np.ndarray) -> np.ndarray:
+    # A non-finite margin is a NumericError, a net for what the margins' checks miss.
+    finite = np.isfinite(margins)
+    if not finite.all():
+        raise NumericError(f"margin is not finite: {float(margins[~finite][0])!r}")
+    return margins
 
 
 def _chunk_samples(dim: int) -> int:
@@ -459,14 +508,10 @@ def _chunk_samples(dim: int) -> int:
 
 def _attempt(config: CampaignConfig, indices):
     # The (indices, margins, inputs) block of a chunk, or the error it raises.
-    # A non-finite margin is a NumericError, a net for what the samplers'
-    # checks of their draws miss.
     streams = RngStream.chunk(config.seed, indices)
     try:
         margins, inputs = _SAMPLERS[config.campaign](config, streams)
-        finite = np.isfinite(margins)
-        if not finite.all():
-            raise NumericError(f"margin is not finite: {float(margins[~finite][0])!r}")
+        _finite(margins)
     except _SAMPLE_ERRORS as exc:
         return exc
     return indices, margins, inputs
@@ -539,3 +584,17 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         errors=errors,
         wall_time=perf_counter() - start,
     )
+
+
+def replay(report: CampaignReport) -> float:
+    """The worst margin of ``report`` recomputed from its witness, each value
+    a stack of one, by its campaign's margin, which checks it (a C9 witness,
+    which holds the Lanczos directions, by C4's), and scaled where relative."""
+    config, witness = report.config, report.witness
+    if witness is None:
+        raise ValueError(f"the {config.campaign} report has no witness to replay")
+    inputs = {name: value[None] if isinstance(value, np.ndarray) else [value]
+              for name, value in witness.items() if name != "sample"}
+    _, margin = _CAMPAIGNS["C4" if config.campaign == "C9" else config.campaign]
+    margins = _finite(margin(config, inputs))
+    return float((margins / _scales(inputs) if config.relative else margins)[0])

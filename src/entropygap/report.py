@@ -119,12 +119,16 @@ def report_to_dict(report: CampaignReport) -> dict:
 
 # Config fields that earlier versions wrote and no campaign read.
 _RETIRED_CONFIG_FIELDS = ("fd_step", "threads")
+_CONFIG_FIELDS = frozenset(field.name for field in fields(CampaignConfig))
 
 
 def report_from_dict(data: dict) -> CampaignReport:
     """Rebuild a report from its JSON form (wall time comes back as 0)."""
     config = {key: value for key, value in data["config"].items()
               if key not in _RETIRED_CONFIG_FIELDS}
+    unknown = sorted(config.keys() - _CONFIG_FIELDS)
+    if unknown or "campaign" not in config:
+        raise ValueError(f"unknown config fields {unknown}" if unknown else "missing config field 'campaign'")
     witness = None
     if data["witness"] is not None:
         witness = {key: _decode_value(value) for key, value in data["witness"].items()}

@@ -255,7 +255,7 @@ def test_chunk_size_does_not_change_margins_or_errors(monkeypatch, campaign, d1,
     first = reports[0]
     if poisoned:
         assert [e["sample"] for e in first.errors] == [4]
-        # Every sampler validates its positive definite draws.
+        # Every margin validates its positive definite inputs.
         assert first.errors[0]["type"] == "DomainError"
         assert first.errors[0]["message"].startswith("DomainError: ")
     else:
@@ -626,7 +626,7 @@ def test_c3_matches_its_mixed_unitary_form(d1, d2, relative):
                                 relative=relative)
         report = run_campaign(config)
         streams = [RngStream(seed, index) for index in range(config.samples)]
-        campaigns._sample_c3(config, streams)
+        campaigns._draw_c3(config, streams)
         assert report.errors == []
         for index, (margin, stream) in enumerate(zip(report.margins, streams)):
             family, x, h, _, q, q_after, next_draw = _mixed_unitary_c3(config, index)
@@ -664,7 +664,8 @@ def test_c3_mixed_channels_of_every_term_count_match_across_chunk_sizes(monkeypa
     config = CampaignConfig("C3", d1=2, d2=2, samples=40, channel_family="mixed")
 
     def sample(indices):
-        return campaigns._sample_c3(config, RngStream.chunk(config.seed, indices))
+        inputs = campaigns._draw_c3(config, RngStream.chunk(config.seed, indices))
+        return campaigns._margin_c3(config, inputs), inputs
 
     # A sample's channel is built only when its stack is indexed.
     built = []
@@ -932,7 +933,7 @@ def test_c9_routine_finds_no_violation_for_t_log_t(d1, d2):
     # t log t is a matrix entropy, so its midpoint form is positive
     # semidefinite; (x1, x2) is a null direction, because Q(x, x) = tr x.
     config = CampaignConfig("C4", d1=d1, d2=d2)
-    _, inputs = campaigns._sample_c4(config, [RngStream(42, index) for index in range(40)])
+    inputs = campaigns._draw_c4(config, [RngStream(42, index) for index in range(40)])
     x1, h1, x2, h2 = (inputs[key] for key in ("x1", "h1", "x2", "h2"))
 
     def scale(*mats):
@@ -958,7 +959,7 @@ def test_c9_routine_keeps_its_basis_orthogonal_over_the_whole_space(eig_range):
     # has converged, a basis orthogonalized against its last two vectors only
     # loses both: its witness misses both by up to 1e-8 on these draws.
     config = CampaignConfig("C4", d1=1, d2=2, eig_low=eig_range[0], eig_high=eig_range[1])
-    _, inputs = campaigns._sample_c4(config, [RngStream(5, index) for index in range(40)])
+    inputs = campaigns._draw_c4(config, [RngStream(5, index) for index in range(40)])
     x1, h1, x2, h2 = (inputs[key] for key in ("x1", "h1", "x2", "h2"))
     curvature = _midpoint_curvature(T_LOG_T, x1, x2)
     g1, g2 = campaigns._lowest_directions(curvature, h1, h2)

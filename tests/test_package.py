@@ -15,7 +15,7 @@ PUBLIC_NAMES = (
     "frechet_derivative", "gauss_legendre_unit", "hermitize", "load_report", "load_reports", "loewner",
     "log_quad_form_quadrature", "matrix_from_json", "matrix_function", "matrix_to_json",
     "partial_trace_2", "power", "quad_form", "random_hermitian", "random_mixed_unitary", "random_pd",
-    "random_pinching", "random_unitary", "render_report", "report_from_dict", "report_to_dict",
+    "random_pinching", "random_unitary", "render_report", "replay", "report_from_dict", "report_to_dict",
     "run_campaign", "second_differential_spectral", "von_neumann_entropy",
 )
 

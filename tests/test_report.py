@@ -25,7 +25,9 @@ from entropygap import (
     CampaignConfig,
     CampaignReport,
     ConditionalExpectation1,
+    DomainError,
     MixedUnitaryChannel,
+    NumericError,
     Pinching,
     apply_channel,
     emit_report,
@@ -39,11 +41,12 @@ from entropygap import (
     random_mixed_unitary,
     random_pinching,
     render_report,
+    replay,
     report_from_dict,
     report_to_dict,
     run_campaign,
 )
-from entropygap import RngStream
+from entropygap import RngStream, campaigns
 from entropygap.cli import EXIT_PASS, main
 from test_bipartite import sign_unitary_pinching, term_by_term, weyl_expectation
 
@@ -696,6 +699,15 @@ def test_report_from_dict_rejects_an_invalid_config():
         report_from_dict(data)
 
 
+@pytest.mark.parametrize("edit,field", [(lambda config: config.update(foo=1), "foo"),
+                                        (lambda config: config.pop("campaign"), "campaign")])
+def test_report_from_dict_names_an_unknown_or_missing_config_field(edit, field):
+    data = report_to_dict(_report())
+    edit(data["config"])
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        report_from_dict(data)
+
+
 @pytest.mark.parametrize("field,value", [("seed", 1.5), ("seed", True), ("d1", 2.0),
                                          ("samples", "5"), ("normalize", "no"), ("relative", 0)])
 def test_load_report_rejects_a_config_field_of_the_wrong_type(tmp_path, field, value):
@@ -822,3 +834,56 @@ def test_reports_of_the_c9_descent_still_load():
     average = 0.5 * quad_form(CUBE, mats[0], mats[1]) + 0.5 * quad_form(CUBE, mats[2], mats[3])
     midpoint = quad_form(CUBE, (mats[0] + mats[2]) / 2.0, (mats[1] + mats[3]) / 2.0)
     _assert_rerun_margins("C9", [report.worst_margin], [average - midpoint])
+
+
+# Every campaign, and C3 with each channel family.
+REPLAY_CASES = ([(campaign, "uniform") for campaign in CAMPAIGN_IDS if campaign != "C3"]
+                + [("C3", family) for family in CHANNEL_FAMILIES])
+
+
+@pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+@pytest.mark.parametrize("d1,d2", [(1, 3), (2, 2), (8, 8)])
+@pytest.mark.parametrize("campaign,family", REPLAY_CASES)
+def test_replay_recomputes_the_worst_margin_bit_for_bit(tmp_path, campaign, family, d1, d2, relative):
+    report = _report(campaign, d1=d1, d2=d2, samples=3, channel_family=family, relative=relative)
+    path = tmp_path / "report.json"
+    emit_report(report, path)
+    for replayed in (report, load_report(path)):
+        assert _bits([replay(replayed)]) == _bits([report.worst_margin])
+
+
+@pytest.mark.parametrize("name", EARLIER_REPORTS + ["c9-2x2.json"])
+def test_earlier_witnesses_replay_to_their_worst_margin(name):
+    # Exactly, but for the campaigns whose kernels have changed since.
+    for campaign, report in load_reports(DATA / name).items():
+        _assert_rerun_margins(campaign, [report.worst_margin], [replay(report)])
+
+
+def test_replay_refuses_a_report_without_a_witness():
+    report = _report(campaign="C2")
+    with pytest.raises(ValueError, match="no witness"):
+        replay(replace(report, witness=None))
+
+
+@pytest.mark.parametrize("campaign", CAMPAIGN_IDS)
+def test_replay_checks_the_witness(campaign):
+    # The first matrix of every witness is one its margin checks.
+    report = _report(campaign=campaign)
+    key = next(key for key, value in report.witness.items() if isinstance(value, np.ndarray))
+    edited = report.witness[key].copy()
+    edited[0, -1] += 1.0
+    with pytest.raises(DomainError, match=r"not stored Hermitian \(max asymmetry 1.000e\+00\)"):
+        replay(replace(report, witness={**report.witness, key: edited}))
+
+
+def test_replay_refuses_a_non_finite_witness_or_margin(monkeypatch):
+    report = _report(campaign="C7")
+    b1 = report.witness["b1"].copy()
+    b1[0, 0] = np.nan
+    with pytest.raises(NumericError):
+        replay(replace(report, witness={**report.witness, "b1": b1}))
+    # A margin that comes out non-finite fails the check a campaign applies.
+    draw, _ = campaigns._CAMPAIGNS["C7"]
+    monkeypatch.setitem(campaigns._CAMPAIGNS, "C7", (draw, lambda config, inputs: np.array([np.inf])))
+    with pytest.raises(NumericError, match="margin is not finite: inf"):
+        replay(report)
