@@ -36,9 +36,9 @@ C9         C4 with f = t**3 as a falsification search: C4's draws, with the
 =========  ===================================================================
 
 C5 and C6 are presets that run C1's draw and margin, and C9 C4's draw, with the
-function of :data:`PRESET_FUNCTIONS`; C7 uses none and C8 that of t log t.  Invalid
-values are rejected for every campaign; a config records a setting only where
-its campaign reads it, else its default (for ``function``, the preset).
+function their row of ``_CAMPAIGNS`` fixes; C7 uses none and C8 that of t log t.
+Invalid values are rejected for every campaign; a config records a setting only
+where its campaign reads it, else its default (for ``function``, the row's).
 
 C1-C3, C5 and C6 use the bipartite split (d1, d2); C4 and C7-C9 use only the
 dimension d1 * d2.  Per-sample randomness comes from ``RngStream(seed, sample_index)``,
@@ -74,16 +74,19 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, fields
 from functools import partial
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
 from .bipartite import (
     BipartiteSpace,
     ConditionalExpectation1,
+    MixedUnitaryChannel,
+    Pinching,
     apply_channel,
     random_mixed_unitary,
     random_pinching,
@@ -117,22 +120,7 @@ from .linalg import (
 )
 from .oracles import dd_log_quadrature, log_quad_form_quadrature
 
-CAMPAIGN_IDS = tuple(f"C{i}" for i in range(1, 10))
 CHANNEL_FAMILIES = ("pinching", "expectation", "mixed", "uniform")
-
-# The function each campaign fixes whatever the config names: C5 and C6 run as
-# C1, C9 on C4's draws, C7 uses none and C8 t log t.
-PRESET_FUNCTIONS = {"C5": "t_log_t", "C6": "power", "C7": "t_log_t", "C8": "t_log_t", "C9": "cube"}
-
-# The settings that only some campaigns read, in the order they are decided,
-# each with whether a config's campaign reads it.  A config records a setting
-# its campaign does not read at the field default, and function at the preset.
-_READ = {
-    "function": lambda config: config.campaign not in PRESET_FUNCTIONS,
-    "p": lambda config: config.function == "power",
-    "weights": lambda config: config.campaign in ("C1", "C5", "C6"),
-    "channel_family": lambda config: config.campaign == "C3",
-}
 
 # C8 draws its scalar pairs from this interval regardless of the matrix
 # spectrum range.
@@ -173,7 +161,7 @@ class CampaignConfig:
     ``relative`` divides each margin by 1 + the Frobenius norms of the drawn
     inputs; ``channel_family`` restricts the C3 channel draw ("uniform" picks
     among the three families per sample).  Construction rejects an invalid
-    field with ``ValueError``, then records unread settings by ``_READ``.
+    field with ``ValueError``, then records unread settings by its campaign's row.
     """
 
     campaign: str
@@ -221,12 +209,11 @@ class CampaignConfig:
             raise ValueError(f"eigenvalue range eig_low={self.eig_low}, eig_high={self.eig_high} "
                              "must satisfy 0 < eig_low <= eig_high < inf")
         power(self.p)  # raises unless p is a valid exponent
-        for name, read in _READ.items():
-            if not read(self):
-                default = getattr(CampaignConfig, name)
-                if name == "function":
-                    default = PRESET_FUNCTIONS[self.campaign]
-                object.__setattr__(self, name, default)
+        row = _CAMPAIGNS[self.campaign]
+        object.__setattr__(self, "function", row.function or self.function)
+        for name in _ROW_SETTINGS + ("p",):  # p is read where the function is power
+            if name not in row.reads and (name != "p" or self.function != "power"):
+                object.__setattr__(self, name, getattr(CampaignConfig, name))
 
     def space(self) -> BipartiteSpace:
         return BipartiteSpace(self.d1, self.d2)
@@ -345,14 +332,22 @@ def _draw_c3(config: CampaignConfig, streams) -> dict:
     return {"x": x, "h": h, "family": families, "channel": _Members(channels)}
 
 
+_FAMILY_OF = {Pinching: "pinching", ConditionalExpectation1: "expectation", MixedUnitaryChannel: "mixed"}
+
+
 def _margin_c3(config: CampaignConfig, inputs: dict) -> np.ndarray:
-    # A plain sequence of channels, as a replayed witness holds, is one group per channel.
+    # A plain sequence of channels, as a replayed witness holds, is one group
+    # per channel.  Each sample's family is derived from its channel's kind.
     x, h, channels = inputs["x"], inputs["h"], inputs["channel"]
     groups = getattr(channels, "groups", None) or [(channel, [j]) for j, channel in enumerate(channels)]
     pair = np.stack([x, h])
     outputs = np.empty_like(pair)
+    families = [None] * len(x)
     for channel, group in groups:
         outputs[:, group] = apply_channel(channel, pair[:, group])
+        for j in group:
+            families[j] = _FAMILY_OF[type(channel)]
+    inputs["family"] = families
     q = quad_form(config.scalar_function(), np.stack([x, outputs[0]]), np.stack([h, outputs[1]]))
     return q[0] - q[1]
 
@@ -473,17 +468,31 @@ def _margin_c8(config: CampaignConfig, inputs: dict) -> np.ndarray:
     return -np.maximum(dd_gaps, qf_gaps)
 
 
+class _Campaign(NamedTuple):
+    draw: Callable
+    margin: Callable
+    function: str | None = None  # the function it fixes; None reads the config's
+    reads: tuple[str, ...] = ()  # the settings besides function and p that it reads
+    replay_margin: Callable | None = None  # the margin that replays its witness, if not its own
+    search: bool = False  # a falsification search: not in --all, inconclusive without a violation
+
+
 _CAMPAIGNS = {
-    "C1": (_draw_c1, _margin_c1),
-    "C2": (_draw_c2, _margin_c2),
-    "C3": (_draw_c3, _margin_c3),
-    "C4": (_draw_c4, _margin_c4),
-    "C5": (_draw_c1, _margin_c1),
-    "C6": (_draw_c1, _margin_c1),
-    "C7": (_draw_c7, _margin_c7),
-    "C8": (_draw_c8, _margin_c8),
-    "C9": (_draw_c4, _margin_c9),
+    "C1": _Campaign(_draw_c1, _margin_c1, reads=("weights",)),
+    "C2": _Campaign(_draw_c2, _margin_c2),
+    "C3": _Campaign(_draw_c3, _margin_c3, reads=("channel_family",)),
+    "C4": _Campaign(_draw_c4, _margin_c4),
+    "C5": _Campaign(_draw_c1, _margin_c1, "t_log_t", ("weights",)),
+    "C6": _Campaign(_draw_c1, _margin_c1, "power", ("weights",)),
+    "C7": _Campaign(_draw_c7, _margin_c7, "t_log_t"),
+    "C8": _Campaign(_draw_c8, _margin_c8, "t_log_t"),
+    "C9": _Campaign(_draw_c4, _margin_c9, "cube", replay_margin=_margin_c4, search=True),
 }
+
+CAMPAIGN_IDS = tuple(_CAMPAIGNS)
+
+# The settings that some rows read and others do not.
+_ROW_SETTINGS = tuple(dict.fromkeys(name for row in _CAMPAIGNS.values() for name in row.reads))
 
 
 def _sample(draw, margin, config: CampaignConfig, streams):
@@ -491,15 +500,26 @@ def _sample(draw, margin, config: CampaignConfig, streams):
     return margin(config, inputs), inputs
 
 
-_SAMPLERS = {campaign: partial(_sample, *pair) for campaign, pair in _CAMPAIGNS.items()}
+_SAMPLERS = {campaign: partial(_sample, row.draw, row.margin) for campaign, row in _CAMPAIGNS.items()}
 
 
-def _finite(margins: np.ndarray) -> np.ndarray:
-    # A non-finite margin is a NumericError, a net for what the margins' checks miss.
+def _reported(config: CampaignConfig, inputs: dict, margins: np.ndarray) -> np.ndarray:
+    # The margins as a report holds them, scaled where relative; a non-finite
+    # one is a NumericError, a net for what the margins' checks miss.
     finite = np.isfinite(margins)
     if not finite.all():
         raise NumericError(f"margin is not finite: {float(margins[~finite][0])!r}")
-    return margins
+    return margins / _scales(inputs) if config.relative else margins
+
+
+def _same_report(config: CampaignConfig, earlier: CampaignConfig) -> bool:
+    """Whether the report of ``earlier``, given ``config``, is that of
+    ``config``: both rows draw and measure alike, and the configs differ in
+    their campaign alone."""
+    rows = _CAMPAIGNS[config.campaign], _CAMPAIGNS[earlier.campaign]
+    return rows[0][:2] == rows[1][:2] and all(
+        getattr(config, field.name) == getattr(earlier, field.name)
+        for field in fields(config) if field.name != "campaign")
 
 
 def _chunk_samples(dim: int) -> int:
@@ -511,7 +531,7 @@ def _attempt(config: CampaignConfig, indices):
     streams = RngStream.chunk(config.seed, indices)
     try:
         margins, inputs = _SAMPLERS[config.campaign](config, streams)
-        _finite(margins)
+        margins = _reported(config, inputs, margins)
     except _SAMPLE_ERRORS as exc:
         return exc
     return indices, margins, inputs
@@ -553,7 +573,7 @@ def _evaluate(config: CampaignConfig, indices, errors: list, raised=None) -> lis
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Run one campaign and assemble its report.
 
-    Samples are evaluated chunk by chunk, each chunk's margins scaled,
+    Samples are evaluated chunk by chunk, each chunk's reported margins
     counted and searched as one block, and recorded in sample order.  A
     sample whose evaluation raises a domain, numeric or LAPACK error is
     recorded under ``errors`` and the campaign continues.
@@ -566,8 +586,6 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     for first in range(0, config.samples, size):
         indices = range(first, min(first + size, config.samples))
         for block, values, inputs in _evaluate(config, indices, errors):
-            if config.relative:
-                values = values / _scales(inputs)
             margins.extend(values.tolist())
             violations += int(np.count_nonzero(values < -config.tolerance))
             k = int(values.argmin())
@@ -588,13 +606,19 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
 
 def replay(report: CampaignReport) -> float:
     """The worst margin of ``report`` recomputed from its witness, each value
-    a stack of one, by its campaign's margin, which checks it (a C9 witness,
-    which holds the Lanczos directions, by C4's), and scaled where relative."""
+    a stack of one, by the margin its campaign's row replays it with, which
+    checks it, and scaled where relative.  A witness value that the margin
+    derives (C1's weight, C3's family) must be the one it derives, else
+    ``ValueError``."""
     config, witness = report.config, report.witness
     if witness is None:
         raise ValueError(f"the {config.campaign} report has no witness to replay")
     inputs = {name: value[None] if isinstance(value, np.ndarray) else [value]
               for name, value in witness.items() if name != "sample"}
-    _, margin = _CAMPAIGNS["C4" if config.campaign == "C9" else config.campaign]
-    margins = _finite(margin(config, inputs))
-    return float((margins / _scales(inputs) if config.relative else margins)[0])
+    stored = dict(inputs)
+    row = _CAMPAIGNS[config.campaign]
+    margins = (row.replay_margin or row.margin)(config, inputs)
+    for name, value in stored.items():
+        if inputs[name] is not value and inputs[name] != value:
+            raise ValueError(f"the witness {name} is {value[0]!r}, but its margin derives {inputs[name][0]!r}")
+    return float(_reported(config, inputs, margins)[0])

@@ -121,9 +121,42 @@ def report_to_dict(report: CampaignReport) -> dict:
 _RETIRED_CONFIG_FIELDS = ("fd_step", "threads")
 _CONFIG_FIELDS = frozenset(field.name for field in fields(CampaignConfig))
 
+# Each field of a report document, with the JSON types it may hold as
+# json.loads returns them.
+_REPORT_FIELDS = {
+    "config": ("an object", (dict,)),
+    "margins": ("an array", (list,)),
+    "violations": ("an integer", (int,)),
+    "worst_margin": ("a number or null", (int, float, type(None))),
+    "witness": ("an object or null", (dict, type(None))),
+    "errors": ("an array", (list,)),
+}
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _json_type(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def _check_object(what: str, value) -> None:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {_json_type(value)}")
+
 
 def report_from_dict(data: dict) -> CampaignReport:
-    """Rebuild a report from its JSON form (wall time comes back as 0)."""
+    """Rebuild a report from its JSON form (wall time comes back as 0).
+
+    A document that is no JSON object, or whose field is missing or of the
+    wrong JSON type, raises ``ValueError`` naming that field, as does an
+    invalid config.
+    """
+    _check_object("a report", data)
+    for name, (kind, types) in _REPORT_FIELDS.items():
+        if name not in data:
+            raise ValueError(f"missing report field {name!r}")
+        if isinstance(data[name], bool) or not isinstance(data[name], types):
+            raise ValueError(f"report field {name!r} must be {kind}, got {_json_type(data[name])}")
     config = {key: value for key, value in data["config"].items()
               if key not in _RETIRED_CONFIG_FIELDS}
     unknown = sorted(config.keys() - _CONFIG_FIELDS)
@@ -267,7 +300,7 @@ def _read(path):
 def load_report(path) -> CampaignReport:
     """Read a report document written by :func:`emit_report`."""
     data = _read(path)
-    if "campaigns" in data:
+    if isinstance(data, dict) and "campaigns" in data:
         raise ValueError(f"{path} holds several campaigns; read it with load_reports")
     return report_from_dict(data)
 
@@ -276,10 +309,14 @@ def load_reports(path) -> dict[str, CampaignReport]:
     """Read the reports of a document by campaign id.
 
     Reads both the single-report document of :func:`emit_report` and the
-    ``{"campaigns": ...}`` document of :func:`emit_reports`.
+    ``{"campaigns": ...}`` document of :func:`emit_reports`.  A
+    ``campaigns`` value or entry that is no JSON object raises ``ValueError``.
     """
     data = _read(path)
-    if "campaigns" in data:
-        return {campaign: report_from_dict(d) for campaign, d in data["campaigns"].items()}
+    if isinstance(data, dict) and "campaigns" in data:
+        _check_object("'campaigns'", data["campaigns"])
+        for campaign, entry in data["campaigns"].items():
+            _check_object(f"the report of campaign {campaign!r}", entry)
+        return {campaign: report_from_dict(entry) for campaign, entry in data["campaigns"].items()}
     report = report_from_dict(data)
     return {report.config.campaign: report}

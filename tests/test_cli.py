@@ -5,7 +5,16 @@ import os
 
 import pytest
 
-from entropygap import CampaignConfig, DomainError, load_reports, report_to_dict
+from entropygap import (
+    CAMPAIGN_IDS,
+    CampaignConfig,
+    DomainError,
+    load_reports,
+    render_report,
+    report_to_dict,
+    run_campaign,
+)
+from entropygap import cli
 from entropygap.campaigns import _SAMPLERS
 from entropygap.cli import (
     EXIT_NUMERIC,
@@ -136,6 +145,39 @@ def test_all_runs_eight_campaigns(tmp_path, capsys):
     data = json.loads(path.read_text())
     assert sorted(data["campaigns"]) == [f"C{i}" for i in range(1, 9)]
     assert all(entry["violations"] == 0 for entry in data["campaigns"].values())
+
+
+@pytest.mark.parametrize("options,runs,reused", [
+    ([], 7, {"C5": "C1"}),
+    (["--function", "power"], 7, {"C6": "C1"}),
+    (["--function", "power", "--p", "1.2"], 7, {"C6": "C1"}),
+    (["--function", "cube"], 8, {}),
+    (["--function", "log"], 8, {}),
+])
+def test_all_runs_each_distinct_campaign_once(tmp_path, capsys, monkeypatch, options, runs, reused):
+    # A campaign with the draw, margin and config of one run before it, but
+    # for its id, takes that report under its own config: C5 repeats C1 at
+    # the defaults, C6 repeats it with --function power at any p.
+    ran = []
+
+    def counted(config):
+        ran.append(config.campaign)
+        return run_campaign(config)
+
+    monkeypatch.setattr(cli, "run_campaign", counted)
+    path = tmp_path / "all.json"
+    main(["--all", "--samples", "4", *options, "--out", str(path)])
+    capsys.readouterr()
+    assert len(ran) == runs
+    assert sorted(set(CAMPAIGN_IDS[:8]) - set(ran)) == sorted(reused)
+    reports = load_reports(path)
+    assert tuple(reports) == CAMPAIGN_IDS[:8]
+    tree = {"campaigns": {campaign: report_to_dict(r) for campaign, r in reports.items()}}
+    assert path.read_bytes() == (json.dumps(tree, indent=2) + "\n").encode("utf-8")
+    for report in reports.values():
+        assert render_report(report) == render_report(run_campaign(report.config))
+    for campaign, source in reused.items():
+        assert reports[campaign].margins == reports[source].margins
 
 
 def test_all_records_the_function_each_campaign_ran(tmp_path, capsys):

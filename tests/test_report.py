@@ -720,6 +720,65 @@ def test_load_report_rejects_a_config_field_of_the_wrong_type(tmp_path, field, v
         load_report(path)
 
 
+@pytest.mark.parametrize("document,kind", [([], "an array"), ("report", "a string"), (3, "an integer"),
+                                           (None, "null"), (True, "a boolean"), ((), "tuple")])
+def test_report_from_dict_rejects_a_document_that_is_no_object(document, kind):
+    with pytest.raises(ValueError, match=f"a report must be a JSON object, got {kind}"):
+        report_from_dict(document)
+
+
+@pytest.mark.parametrize("field", ["config", "margins", "violations", "worst_margin", "witness", "errors"])
+def test_report_from_dict_names_a_missing_report_field(field):
+    data = report_to_dict(_report())
+    del data[field]
+    with pytest.raises(ValueError, match=f"missing report field '{field}'"):
+        report_from_dict(data)
+
+
+@pytest.mark.parametrize("field,value,kind", [
+    ("config", [], "an array"), ("config", None, "null"),
+    ("margins", {}, "an object"), ("margins", "0.5", "a string"),
+    ("violations", "0", "a string"), ("violations", 0.0, "a number"), ("violations", False, "a boolean"),
+    ("worst_margin", "0.5", "a string"), ("worst_margin", [0.5], "an array"),
+    ("witness", [], "an array"), ("witness", 1, "an integer"),
+    ("errors", {}, "an object"), ("errors", None, "null"),
+])
+def test_report_from_dict_names_a_report_field_of_the_wrong_json_type(field, value, kind):
+    data = report_to_dict(_report())
+    data[field] = value
+    with pytest.raises(ValueError, match=f"report field '{field}' must be .*, got {kind}"):
+        report_from_dict(data)
+
+
+def test_report_from_dict_reads_a_worst_margin_written_as_an_integer():
+    data = report_to_dict(_report())
+    data["worst_margin"] = 0
+    assert report_from_dict(data).worst_margin == 0.0
+
+
+@pytest.mark.parametrize("document,match", [
+    ([], "a report must be a JSON object, got an array"),
+    ({"campaigns": []}, "'campaigns' must be a JSON object, got an array"),
+    ({"campaigns": {"C1": []}}, "the report of campaign 'C1' must be a JSON object, got an array"),
+    ({"campaigns": {"C1": "report"}}, "the report of campaign 'C1' must be a JSON object, got a string"),
+])
+def test_load_reports_names_what_is_no_object(tmp_path, document, match):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    with pytest.raises(ValueError, match=match):
+        load_reports(path)
+
+
+def test_load_reports_names_a_missing_field_of_one_report(tmp_path):
+    path = tmp_path / "all.json"
+    emit_reports([_report(campaign="C1"), _report(campaign="C2")], path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    del data["campaigns"]["C2"]["margins"]
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ValueError, match="missing report field 'margins'"):
+        load_reports(path)
+
+
 @pytest.mark.parametrize("family", ["pinching", "expectation"])
 def test_load_report_reads_c3_documents_in_the_mixed_unitary_layout(tmp_path, family):
     # Earlier versions stored every C3 channel as its weights and unitaries,
@@ -876,6 +935,23 @@ def test_replay_checks_the_witness(campaign):
         replay(replace(report, witness={**report.witness, key: edited}))
 
 
+@pytest.mark.parametrize("campaign", ["C1", "C5", "C6"])
+def test_replay_refuses_a_weight_its_margin_does_not_pick(campaign):
+    report = _report(campaign=campaign)
+    stored = report.witness["weight"]
+    with pytest.raises(ValueError, match=rf"witness weight is 0.123, but its margin derives {stored}"):
+        replay(replace(report, witness={**report.witness, "weight": 0.123}))
+
+
+@pytest.mark.parametrize("family", ["pinching", "expectation", "mixed"])
+def test_replay_refuses_a_family_that_does_not_name_the_channel(family):
+    report = _report(campaign="C3", channel_family=family)
+    assert report.witness["family"] == family
+    for other in {"pinching", "expectation", "mixed", "uniform"} - {family}:
+        with pytest.raises(ValueError, match=f"witness family is '{other}', but its margin derives '{family}'"):
+            replay(replace(report, witness={**report.witness, "family": other}))
+
+
 def test_replay_refuses_a_non_finite_witness_or_margin(monkeypatch):
     report = _report(campaign="C7")
     b1 = report.witness["b1"].copy()
@@ -883,7 +959,7 @@ def test_replay_refuses_a_non_finite_witness_or_margin(monkeypatch):
     with pytest.raises(NumericError):
         replay(replace(report, witness={**report.witness, "b1": b1}))
     # A margin that comes out non-finite fails the check a campaign applies.
-    draw, _ = campaigns._CAMPAIGNS["C7"]
-    monkeypatch.setitem(campaigns._CAMPAIGNS, "C7", (draw, lambda config, inputs: np.array([np.inf])))
+    row = campaigns._CAMPAIGNS["C7"]
+    monkeypatch.setitem(campaigns._CAMPAIGNS, "C7", row._replace(margin=lambda config, inputs: np.array([np.inf])))
     with pytest.raises(NumericError, match="margin is not finite: inf"):
         replay(report)
