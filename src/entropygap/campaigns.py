@@ -3,8 +3,10 @@ entropy-gap calculus.
 
 Each campaign draws ``samples`` independent test cases, evaluates the signed
 slack ("margin") of one inequality per case, and reports the margins, the
-violation count, and the inputs achieving the worst margin.  A sample passes
-when its margin is at least ``-tolerance``.
+violation count, and the inputs achieving the worst margin.  A margin ``m``
+of scale ``S``, the sum of the magnitudes of the terms it subtracts, passes
+when ``m >= -tolerance * min(1, S)``; below that it is a violation if also
+``m < -_ROUNDING * S``, its rounding error's bound, else a NumericError.
 
 =========  ===================================================================
 campaign   margin (nonnegative in exact arithmetic except C9)
@@ -26,9 +28,9 @@ C7         midpoint operator convexity of (A, B) -> B^H A^-1 B: smallest
 C8         kernel identities: -|difference|, the larger of the log divided
            difference against its integral form (absolute) and the t log t
            curvature form against the resolvent quadrature (relative), so a
-           difference above the tolerance is a violation; a base point too
-           ill-conditioned for the quadrature (condition number beyond about
-           1e9) is a NumericError
+           difference above the tolerance is a violation (its scale is 1); a
+           base point too ill-conditioned for the quadrature (condition
+           number beyond about 1e9) is a NumericError
 C9         C4 with f = t**3 as a falsification search: C4's draws, with the
            directions replaced by the lowest Ritz vector of the margin as a
            quadratic form in (h1, h2), of the drawn norm; a violation is the
@@ -57,8 +59,8 @@ its witness, as stacks of one, through the same margin.  A chunk makes the
 calls that one sample would make alone, in the same order, so a chunk of one
 sample raises what that sample raises; only the worst witness is built.
 
-C1, C5 and C6 take the gaps of both states and every mixture in one
-``entropy_gap`` call.  C3 groups a chunk's samples by channel family and term
+C1, C5 and C6 take the gaps and scales of both states and every mixture in
+one ``_gap_and_scale`` call.  C3 groups a chunk's samples by channel family and term
 count; each group's channels are one stack from one ``random_pinching`` or
 ``random_mixed_unitary`` call (frames and unitaries being the streams' last
 draws), applied in one ``apply_channel`` call.  C4 takes the curvature
@@ -102,7 +104,7 @@ from .calculus import (
     power,
     quad_form,
 )
-from .entropy import EntropyGapSpec, entropy_gap, second_differential_spectral
+from .entropy import EntropyGapSpec, _gap_and_scale, _second_differential_terms
 from .errors import DomainError, NumericError
 from .linalg import (
     CHUNK_BYTES,
@@ -138,6 +140,10 @@ _SAMPLE_MATRICES = 32
 # What a failed sample may raise and have recorded; anything else propagates.
 _SAMPLE_ERRORS = (DomainError, NumericError, np.linalg.LinAlgError)
 
+# A margin's rounding error is at most this multiple of its scale: on inputs
+# whose exact margin is 0, |margin| / (eps * scale) reached 11.3 (see README).
+_ROUNDING = 16 * np.finfo(float).eps
+
 
 def _typed(name: str, value, kind: type):
     # A bool is an int to Python, but no count, seed or tolerance; an int
@@ -146,7 +152,7 @@ def _typed(name: str, value, kind: type):
         return value
     try:
         if isinstance(value, bool) or not isinstance(
-                value, {int: numbers.Integral, float: numbers.Real, bool: bool}[kind]):
+                value, {int: numbers.Integral, float: numbers.Real}[kind]):
             raise TypeError
         return kind(value)
     except (TypeError, OverflowError):
@@ -157,11 +163,11 @@ def _typed(name: str, value, kind: type):
 class CampaignConfig:
     """Configuration of one verification campaign.
 
-    ``normalize`` rescales every positive definite draw to unit trace;
-    ``relative`` divides each margin by 1 + the Frobenius norms of the drawn
-    inputs; ``channel_family`` restricts the C3 channel draw ("uniform" picks
-    among the three families per sample).  Construction rejects an invalid
-    field with ``ValueError``, then records unread settings by its campaign's row.
+    ``tolerance`` is the violation threshold of a margin of scale at least
+    1, and ``tolerance * scale`` that of a smaller one; ``channel_family``
+    restricts the C3 channel draw ("uniform" picks among the three families
+    per sample).  Construction rejects an invalid field with ``ValueError``,
+    then records unread settings by its campaign's row.
     """
 
     campaign: str
@@ -175,14 +181,12 @@ class CampaignConfig:
     weights: tuple[float, ...] = (0.5, 0.25, 0.75)
     eig_low: float = 0.1
     eig_high: float = 3.0
-    normalize: bool = False
-    relative: bool = False
     channel_family: str = "uniform"
 
     def __post_init__(self):
         # Types first: a float seed would run the margins of its integer part,
-        # a true tolerance as 1.0, and any non-empty string is a true flag.
-        for kind, names in ((int, ("d1", "d2", "samples", "seed")), (bool, ("normalize", "relative")),
+        # and a true tolerance as 1.0.
+        for kind, names in ((int, ("d1", "d2", "samples", "seed")),
                             (float, ("tolerance", "p", "eig_low", "eig_high"))):
             for name in names:
                 object.__setattr__(self, name, _typed(name, getattr(self, name), kind))
@@ -228,9 +232,9 @@ class CampaignReport:
 
     ``margins`` is ordered by sample index (successful samples only; failed
     ones are listed under ``errors`` with their sample, exception type and
-    message), ``violations`` counts margins below ``-tolerance``, and
-    ``witness`` carries the inputs achieving the worst margin plus the sample
-    they came from.
+    message), ``violations`` counts margins below their threshold, and
+    ``witness`` carries the inputs achieving the worst margin, its scale and
+    the sample they came from.
     """
 
     config: CampaignConfig
@@ -245,22 +249,18 @@ class CampaignReport:
 # A draw takes the config and one stream per sample of a chunk and returns its
 # inputs as per-sample stacks by name, matrices first in drawing order: a
 # (count, n, n) array of matrices, a sequence of anything else.  A margin checks
-# such inputs and returns one float array.  Sample k's witness is {name: stack[k]},
-# and replay runs it, as stacks of one, through its margin.
+# such inputs, adds their "scale", and returns one float array.  Sample k's
+# witness is {name: stack[k]}, and replay runs it, as stacks of one, through its margin.
 
 
 def _draw_pd(config: CampaignConfig, streams, dim: int) -> np.ndarray:
-    m = random_pd(dim, streams, (config.eig_low, config.eig_high))
-    if config.normalize:
-        m = m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
-    return m
+    return random_pd(dim, streams, (config.eig_low, config.eig_high))
 
 
-def _scales(inputs: dict) -> np.ndarray:
-    # 1 + each sample's Frobenius norms, one matrix at a time: a stacked norm differs in bits.
-    stacks = [v for v in inputs.values() if isinstance(v, np.ndarray)]
-    return np.array([1.0 + sum(float(np.linalg.norm(m)) for m in matrices)
-                     for matrices in zip(*stacks)])
+def _scaled(inputs: dict, margins, *terms) -> np.ndarray:
+    # The margins, once inputs holds their scale: the summed magnitudes of their terms.
+    inputs["scale"] = sum(map(np.abs, terms)).tolist()
+    return margins
 
 
 def _draw_c1(config: CampaignConfig, streams) -> dict:
@@ -273,11 +273,11 @@ def _margin_c1(config: CampaignConfig, inputs: dict) -> np.ndarray:
     gap = EntropyGapSpec(config.scalar_function(), config.space())
     t = np.array(config.weights)[:, None]  # one row per weight
     mixed = t[..., None, None] * rho + (1.0 - t[..., None, None]) * sigma
-    gaps = entropy_gap(np.concatenate([rho[None], sigma[None], mixed]), gap)
+    gaps, scales = _gap_and_scale(np.concatenate([rho[None], sigma[None], mixed]), gap)
     slack = (t * gaps[0] + (1.0 - t) * gaps[1]) - gaps[2:]
     worst = slack.argmin(axis=0)  # the first weight of the smallest slack
     inputs["weight"] = t[worst, 0].tolist()
-    return slack[worst, np.arange(len(rho))]
+    return _scaled(inputs, slack[worst, np.arange(len(rho))], scales[0], scales[1])  # those of rho and sigma
 
 
 def _draw_c2(config: CampaignConfig, streams) -> dict:
@@ -287,7 +287,8 @@ def _draw_c2(config: CampaignConfig, streams) -> dict:
 
 def _margin_c2(config: CampaignConfig, inputs: dict) -> np.ndarray:
     gap = EntropyGapSpec(config.scalar_function(), config.space())
-    return second_differential_spectral(inputs["rho"], inputs["h"], gap)
+    composite, marginal = _second_differential_terms(inputs["rho"], inputs["h"], gap)
+    return _scaled(inputs, composite - marginal, composite, marginal)
 
 
 class _Members(Sequence):
@@ -349,14 +350,16 @@ def _margin_c3(config: CampaignConfig, inputs: dict) -> np.ndarray:
             families[j] = _FAMILY_OF[type(channel)]
     inputs["family"] = families
     q = quad_form(config.scalar_function(), np.stack([x, outputs[0]]), np.stack([h, outputs[1]]))
-    return q[0] - q[1]
+    return _scaled(inputs, q[0] - q[1], q[0], q[1])
 
 
-def _q_midpoint_margin(curvature, h1, h2):
+def _q_midpoint_margin(curvature, h1, h2, inputs=None):
     """(Q(x1, h1) + Q(x2, h2)) / 2 - Q(midpoint, midpoint), per matrix, from
-    the curvature stack of ``(x1, x2, (x1 + x2) / 2)`` on axis -3."""
+    the curvature stack of ``(x1, x2, (x1 + x2) / 2)`` on axis -3; its scale
+    is written into ``inputs``, where given."""
     q = _quad_form(*curvature, np.stack([h1, h2, (h1 + h2) / 2.0], axis=-3))
-    return (0.5 * q[..., 0] + 0.5 * q[..., 1]) - q[..., 2]
+    terms = 0.5 * q[..., 0], 0.5 * q[..., 1], q[..., 2]
+    return _scaled({} if inputs is None else inputs, (terms[0] + terms[1]) - terms[2], *terms)
 
 
 def _pair_inner(a, b) -> np.ndarray:
@@ -419,13 +422,13 @@ def _midpoint_curvature(config: CampaignConfig, inputs: dict):
 
 
 def _margin_c4(config: CampaignConfig, inputs: dict) -> np.ndarray:
-    return _q_midpoint_margin(_midpoint_curvature(config, inputs), inputs["h1"], inputs["h2"])
+    return _q_midpoint_margin(_midpoint_curvature(config, inputs), inputs["h1"], inputs["h2"], inputs)
 
 
 def _margin_c9(config: CampaignConfig, inputs: dict) -> np.ndarray:
     curvature = _midpoint_curvature(config, inputs)
     inputs["h1"], inputs["h2"] = _lowest_directions(curvature, inputs["h1"], inputs["h2"])
-    return _q_midpoint_margin(curvature, inputs["h1"], inputs["h2"])
+    return _q_midpoint_margin(curvature, inputs["h1"], inputs["h2"], inputs)
 
 
 def _congruence_inverse(a, b) -> np.ndarray:
@@ -445,12 +448,13 @@ def _margin_c7(config: CampaignConfig, inputs: dict) -> np.ndarray:
     a1, b1, a2, b2 = (inputs[key] for key in ("a1", "b1", "a2", "b2"))
     for a in (a1, a2):
         check_hermitian(a)
-    defect = (
-        0.5 * _congruence_inverse(a1, b1)
-        + 0.5 * _congruence_inverse(a2, b2)
-        - _congruence_inverse((a1 + a2) / 2.0, (b1 + b2) / 2.0)
-    )
-    return _eigvalsh(defect).min(axis=-1)
+    terms = (0.5 * _congruence_inverse(a1, b1), 0.5 * _congruence_inverse(a2, b2),
+             _congruence_inverse((a1 + a2) / 2.0, (b1 + b2) / 2.0))
+    defect = terms[0] + terms[1] - terms[2]
+    # Frobenius norms as sums over the trailing axes, which give each matrix
+    # its bits alone: a norm without axes takes a BLAS dot.
+    norms = [np.sqrt(np.sum(parts * parts, axis=(-2, -1))) for parts in (t.view(float) for t in terms)]
+    return _scaled(inputs, _eigvalsh(defect).min(axis=-1), *norms)
 
 
 def _draw_c8(config: CampaignConfig, streams) -> dict:
@@ -465,6 +469,7 @@ def _margin_c8(config: CampaignConfig, inputs: dict) -> np.ndarray:
     dd_gaps = np.abs(divided_difference(LOG, "f", s, t) - dd_log_quadrature(s, t))
     references = log_quad_form_quadrature(a, h)
     qf_gaps = np.abs(quad_form(T_LOG_T, a, h) - references) / np.abs(references)
+    inputs["scale"] = [1.0] * len(a)  # both gaps are relative or of fixed scale
     return -np.maximum(dd_gaps, qf_gaps)
 
 
@@ -504,12 +509,18 @@ _SAMPLERS = {campaign: partial(_sample, row.draw, row.margin) for campaign, row 
 
 
 def _reported(config: CampaignConfig, inputs: dict, margins: np.ndarray) -> np.ndarray:
-    # The margins as a report holds them, scaled where relative; a non-finite
-    # one is a NumericError, a net for what the margins' checks miss.
+    # Which margins are violations, by their scales.  A non-finite one (a net for what
+    # the checks miss), or one below its threshold within its rounding error, is a NumericError.
     finite = np.isfinite(margins)
     if not finite.all():
         raise NumericError(f"margin is not finite: {float(margins[~finite][0])!r}")
-    return margins / _scales(inputs) if config.relative else margins
+    scale = np.asarray(inputs["scale"])
+    threshold, floor = config.tolerance * np.minimum(1.0, scale), _ROUNDING * scale
+    unsure = (margins < -threshold) & (margins >= -floor)
+    if unsure.any():
+        raise NumericError(f"margin {margins[unsure][0]:.3e} is within its rounding error "
+                           f"{floor[unsure][0]:.3e} of 0")
+    return margins < -threshold
 
 
 def _same_report(config: CampaignConfig, earlier: CampaignConfig) -> bool:
@@ -527,25 +538,24 @@ def _chunk_samples(dim: int) -> int:
 
 
 def _attempt(config: CampaignConfig, indices):
-    # The (indices, margins, inputs) block of a chunk, or the error it raises.
+    # The (indices, margins, inputs, violated) block of a chunk, or the error it raises.
     streams = RngStream.chunk(config.seed, indices)
     try:
         margins, inputs = _SAMPLERS[config.campaign](config, streams)
-        margins = _reported(config, inputs, margins)
+        violated = _reported(config, inputs, margins)
     except _SAMPLE_ERRORS as exc:
         return exc
-    return indices, margins, inputs
+    return indices, margins, inputs, violated
 
 
 def _evaluate(config: CampaignConfig, indices, errors: list, raised=None) -> list:
-    """``(indices, margins, inputs)`` blocks, as a sampler returns them, of
-    the samples in ``indices`` that succeed, each failure appended to
-    ``errors`` against its own sample; ``raised`` is the error the chunk is
-    already known to raise.  A chunk that raises is split in halves, and
-    each half that raises is split again, so one failing sample of n costs
-    2 log2(n) + 1 sampler calls.  Once both halves of a block raise, its
-    samples run one at a time instead, so however many fail, the chunk
-    costs at most about three times its samples.
+    """:func:`_attempt`'s blocks of the samples in ``indices`` that succeed,
+    each failure appended to ``errors`` against its own sample; ``raised`` is
+    the error the chunk is already known to raise.  A chunk that raises is
+    split in halves, and each half that raises is split again, so one failing
+    sample of n costs 2 log2(n) + 1 sampler calls.  Once both halves of a
+    block raise, its samples run one at a time instead, so however many fail,
+    the chunk costs at most about three times its samples.
     """
     if raised is None:
         raised = _attempt(config, indices)
@@ -585,9 +595,9 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     size = _chunk_samples(config.space().dim)
     for first in range(0, config.samples, size):
         indices = range(first, min(first + size, config.samples))
-        for block, values, inputs in _evaluate(config, indices, errors):
+        for block, values, inputs, violated in _evaluate(config, indices, errors):
             margins.extend(values.tolist())
-            violations += int(np.count_nonzero(values < -config.tolerance))
+            violations += int(np.count_nonzero(violated))
             k = int(values.argmin())
             if worst is None or values[k] < worst:
                 worst = float(values[k])
@@ -607,9 +617,9 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
 def replay(report: CampaignReport) -> float:
     """The worst margin of ``report`` recomputed from its witness, each value
     a stack of one, by the margin its campaign's row replays it with, which
-    checks it, and scaled where relative.  A witness value that the margin
-    derives (C1's weight, C3's family) must be the one it derives, else
-    ``ValueError``."""
+    checks and judges it.  A witness value that the margin derives (its
+    scale, which older witnesses lack, C1's weight, C3's family) must be the
+    one it derives, else ``ValueError``."""
     config, witness = report.config, report.witness
     if witness is None:
         raise ValueError(f"the {config.campaign} report has no witness to replay")
@@ -621,4 +631,5 @@ def replay(report: CampaignReport) -> float:
     for name, value in stored.items():
         if inputs[name] is not value and inputs[name] != value:
             raise ValueError(f"the witness {name} is {value[0]!r}, but its margin derives {inputs[name][0]!r}")
-    return float(_reported(config, inputs, margins)[0])
+    _reported(config, inputs, margins)
+    return float(margins[0])

@@ -5,7 +5,9 @@ C1 through C8 with shared settings and prints a summary table.  A campaign
 whose report is that of one already run, but for its config (C5 or C6 where
 it repeats C1), takes that report instead of running again.  Exit codes:
 0 all pass, 1 at least one violation, 2 usage error, 3 numeric error
-encountered in some sample.
+encountered in some sample.  A violation is a margin below
+``-tolerance * min(1, scale)`` and beyond its rounding error; a margin
+within its rounding error of 0 but below that threshold is a numeric error.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("--d2", type=int, help=f"second factor dimension (default {CampaignConfig.d2})")
     add("--samples", type=int, help=f"samples per campaign (default {CampaignConfig.samples})")
     add("--seed", type=int, help=f"base seed (default {CampaignConfig.seed})")
-    add("--tolerance", type=float, help=f"margin tolerance (default {CampaignConfig.tolerance})")
+    add("--tolerance", type=float, help="violation threshold of a margin of scale 1 or more, "
+        f"times the scale below 1 (default {CampaignConfig.tolerance})")
     add("--function", choices=BUILTIN_NAMES,
         help=f"scalar function of C1-C4 (default {CampaignConfig.function}); C5-C9 fix their own")
     add("--p", type=float, help=f"exponent of --function power and C6 (default {CampaignConfig.p})")
@@ -70,9 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"separated (default {','.join(map(str, CampaignConfig.weights))})")
     add("--eig-range", type=_parse_eig_range, help="spectrum range of positive definite "
         f"draws (default {CampaignConfig.eig_low},{CampaignConfig.eig_high})")
-    add("--normalize", action="store_true", help="rescale positive definite draws to unit trace")
-    add("--relative", action="store_true",
-        help="divide margins by 1 + the Frobenius norms of the drawn inputs")
     add("--channel-family", choices=CHANNEL_FAMILIES,
         help=f"channel family of C3 (default {CampaignConfig.channel_family})")
     add("--out", type=Path, default=None, help="write a JSON report here")

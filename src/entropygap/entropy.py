@@ -42,6 +42,18 @@ def von_neumann_entropy(rho) -> float | np.ndarray:
     return _per_matrix(-np.sum(vals * np.log(vals), axis=-1))
 
 
+def _gap_and_scale(rho, spec: EntropyGapSpec) -> tuple[np.ndarray, np.ndarray]:
+    # The gap of each state, and the sum of the magnitudes of its terms.
+    space, f = spec.space, spec.function.f
+    rho = check_hermitian(_as_square(rho, "state", space.dim), "state")
+    vals = _positive_eigenvalues(rho, "state must be positive definite")
+    marginal_vals = _positive_eigenvalues(partial_trace_2(rho, space),
+                                          "partial trace of the state must be positive definite")
+    composite, marginal = f(space.d2 * vals), f(marginal_vals)
+    return (np.sum(composite, axis=-1) / space.d2 - np.sum(marginal, axis=-1),
+            np.sum(np.abs(composite), axis=-1) / space.d2 + np.sum(np.abs(marginal), axis=-1))
+
+
 def entropy_gap(rho, spec: EntropyGapSpec) -> float | np.ndarray:
     """Evaluate ``tr f(d2 * rho) / d2 - tr f(tr_2 rho)``.
 
@@ -50,13 +62,15 @@ def entropy_gap(rho, spec: EntropyGapSpec) -> float | np.ndarray:
     matrix; the first term uses the exact spectral mapping
     ``eig(d2 * rho) = d2 * eig(rho)``.
     """
-    space = spec.space
-    rho = check_hermitian(_as_square(rho, "state", space.dim), "state")
-    vals = _positive_eigenvalues(rho, "state must be positive definite")
-    marginal_vals = _positive_eigenvalues(partial_trace_2(rho, space),
-                                          "partial trace of the state must be positive definite")
-    f, d2 = spec.function.f, space.d2
-    return _per_matrix(np.sum(f(d2 * vals), axis=-1) / d2 - np.sum(f(marginal_vals), axis=-1))
+    return _per_matrix(_gap_and_scale(rho, spec)[0])
+
+
+def _second_differential_terms(rho, h, spec: EntropyGapSpec) -> tuple[np.ndarray, np.ndarray]:
+    # d2 * Q(d2 * rho, h) and Q(tr_2 rho, tr_2 h), per state.
+    space, func = spec.space, spec.function
+    rho, h = _check_pair(rho, h, "state", space.dim)
+    return (space.d2 * _quad_form(*_curvature(func, space.d2 * rho), h),
+            _quad_form(*_curvature(func, partial_trace_2(rho, space)), partial_trace_2(h, space)))
 
 
 def second_differential_spectral(rho, h, spec: EntropyGapSpec) -> float | np.ndarray:
@@ -65,8 +79,4 @@ def second_differential_spectral(rho, h, spec: EntropyGapSpec) -> float | np.nda
     Returns ``d2 * Q(d2 * rho, h) - Q(tr_2 rho, tr_2 h)`` with Q the
     curvature form of ``spec.function``.
     """
-    space, func = spec.space, spec.function
-    rho, h = _check_pair(rho, h, "state", space.dim)
-    composite = space.d2 * _quad_form(*_curvature(func, space.d2 * rho), h)
-    marginal = _quad_form(*_curvature(func, partial_trace_2(rho, space)), partial_trace_2(h, space))
-    return _per_matrix(composite - marginal)
+    return _per_matrix(np.subtract(*_second_differential_terms(rho, h, spec)))

@@ -54,8 +54,14 @@ def matrix_to_json(m) -> dict:
 
 def matrix_from_json(value) -> np.ndarray:
     """Decode :func:`matrix_to_json`'s encoding, or the earlier nested
-    ``[re, im]`` lists, back into a complex matrix."""
+    ``[re, im]`` lists, back into a complex matrix.  A ``base64`` that is no
+    string, or a ``shape`` that is no list of integers, raises ``ValueError``
+    naming the field."""
     if isinstance(value, dict):
+        if type(value.get("base64")) is not str:
+            raise ValueError(f"matrix field 'base64' must be a string, got {_json_type(value.get('base64'))}")
+        if type(value.get("shape")) is not list or not all(type(n) is int for n in value["shape"]):
+            raise ValueError(f"matrix field 'shape' must be a list of integers, got {value.get('shape')!r}")
         data = base64.b64decode(value["base64"], validate=True)
         return np.frombuffer(data, dtype=_ENTRY).reshape(value["shape"]).astype(complex)
     return np.array([[complex(re, im) for re, im in row] for row in value], dtype=complex)
@@ -117,8 +123,9 @@ def report_to_dict(report: CampaignReport) -> dict:
     }
 
 
-# Config fields that earlier versions wrote and no campaign read.
-_RETIRED_CONFIG_FIELDS = ("fd_step", "threads")
+# Config fields that earlier versions wrote, each with the one value dropped
+# (None: any); another asks for draws or margins this version does not make.
+_RETIRED_CONFIG_FIELDS = {"fd_step": None, "threads": None, "normalize": False, "relative": False}
 _CONFIG_FIELDS = frozenset(field.name for field in fields(CampaignConfig))
 
 # Each field of a report document, with the JSON types it may hold as
@@ -144,12 +151,37 @@ def _check_object(what: str, value) -> None:
         raise ValueError(f"{what} must be a JSON object, got {_json_type(value)}")
 
 
+def _error_entry_fault(entry) -> str | None:
+    # What is wrong with an errors entry, or None.
+    if not isinstance(entry, dict):
+        return _json_type(entry)
+    for key, kind in (("sample", int), ("type", str), ("message", str)):
+        if type(entry.get(key)) is not kind:
+            return f"{_json_type(entry.get(key))} {key!r}" if key in entry else f"no {key!r}"
+    return None
+
+
+def _check_entries(data: dict) -> None:
+    # Margins are JSON numbers, and errors objects with an integer sample and
+    # a string type and message.
+    for k, m in enumerate(data["margins"]):
+        if type(m) is not float and type(m) is not int:
+            raise ValueError(f"report field 'margins' must be an array of numbers, got {_json_type(m)} "
+                             f"at index {k}")
+    for k, entry in enumerate(data["errors"]):
+        fault = _error_entry_fault(entry)
+        if fault is not None:
+            raise ValueError("report field 'errors' must be an array of objects with an integer 'sample' "
+                             f"and a string 'type' and 'message', got {fault} at index {k}")
+
+
 def report_from_dict(data: dict) -> CampaignReport:
     """Rebuild a report from its JSON form (wall time comes back as 0).
 
-    A document that is no JSON object, or whose field is missing or of the
-    wrong JSON type, raises ``ValueError`` naming that field, as does an
-    invalid config.
+    A document that is no JSON object, or whose field or entry is missing
+    or of the wrong JSON type, raises ``ValueError`` naming that field, as
+    does an invalid config and a retired config field at a value this
+    version cannot honour.
     """
     _check_object("a report", data)
     for name, (kind, types) in _REPORT_FIELDS.items():
@@ -157,6 +189,11 @@ def report_from_dict(data: dict) -> CampaignReport:
             raise ValueError(f"missing report field {name!r}")
         if isinstance(data[name], bool) or not isinstance(data[name], types):
             raise ValueError(f"report field {name!r} must be {kind}, got {_json_type(data[name])}")
+    _check_entries(data)
+    for key, dropped in _RETIRED_CONFIG_FIELDS.items():
+        if dropped is not None and data["config"].get(key, dropped) is not dropped:
+            raise ValueError(f"config field {key!r} is {data['config'][key]!r}, not {json.dumps(dropped)}: "
+                             "this version makes no such draws or margins")
     config = {key: value for key, value in data["config"].items()
               if key not in _RETIRED_CONFIG_FIELDS}
     unknown = sorted(config.keys() - _CONFIG_FIELDS)

@@ -229,8 +229,8 @@ def test_an_invalid_setting_exits_two_where_it_is_not_read(capsys, campaign):
 def test_settings_not_given_take_the_config_defaults():
     args = build_parser().parse_args(["--campaign", "C3"])
     assert _config(args, "C3") == CampaignConfig("C3")
-    args = build_parser().parse_args(["--campaign", "C3", "--eig-range", "0.2,2", "--normalize"])
-    assert _config(args, "C3") == CampaignConfig("C3", eig_low=0.2, eig_high=2.0, normalize=True)
+    args = build_parser().parse_args(["--campaign", "C3", "--eig-range", "0.2,2"])
+    assert _config(args, "C3") == CampaignConfig("C3", eig_low=0.2, eig_high=2.0)
 
 
 def test_c9_prints_inconclusive_note(capsys):

@@ -306,7 +306,8 @@ def test_report_without_witness_round_trips():
 
 
 def test_escaped_error_message_round_trips():
-    errors = [{"sample": 2, "message": 'NumericError: "zero" pivot in \\ \u03c1 \u2264 \u221e\n'}]
+    errors = [{"sample": 2, "type": "NumericError",
+               "message": 'NumericError: "zero" pivot in \\ \u03c1 \u2264 \u221e\n'}]
     report = _hand_built({"rho": np.eye(2), "sample": 0}, errors=errors)
     text = render_report(report)
     assert text.isascii()
@@ -742,11 +743,48 @@ def test_report_from_dict_names_a_missing_report_field(field):
     ("worst_margin", "0.5", "a string"), ("worst_margin", [0.5], "an array"),
     ("witness", [], "an array"), ("witness", 1, "an integer"),
     ("errors", {}, "an object"), ("errors", None, "null"),
+    # Entries: margins are numbers, errors objects with an integer sample
+    # and a string type and message.
+    ("margins", [0.5, None], "null at index 1"), ("margins", ["1.5"], "a string at index 0"),
+    ("margins", [True], "a boolean at index 0"), ("margins", [[0.5]], "an array at index 0"),
+    ("errors", [1], "an integer at index 0"), ("errors", [None], "null at index 0"),
+    ("errors", [{"sample": "1", "type": "NumericError", "message": "m"}], "a string 'sample' at index 0"),
+    ("errors", [{"sample": True, "type": "NumericError", "message": "m"}], "a boolean 'sample' at index 0"),
+    ("errors", [{"sample": 1, "type": 3, "message": "m"}], "an integer 'type' at index 0"),
+    ("errors", [{"sample": 1, "type": "NumericError"}], "no 'message' at index 0"),
 ])
 def test_report_from_dict_names_a_report_field_of_the_wrong_json_type(field, value, kind):
     data = report_to_dict(_report())
     data[field] = value
     with pytest.raises(ValueError, match=f"report field '{field}' must be .*, got {kind}"):
+        report_from_dict(data)
+
+
+@pytest.mark.parametrize("field,value,match", [
+    ("base64", 12, "matrix field 'base64' must be a string, got an integer"),
+    ("base64", None, "matrix field 'base64' must be a string, got null"),
+    ("shape", "ab", "matrix field 'shape' must be a list of integers, got 'ab'"),
+    ("shape", [4, 4.0], r"matrix field 'shape' must be a list of integers, got \[4, 4.0\]"),
+    ("shape", [4, True], r"matrix field 'shape' must be a list of integers, got \[4, True\]"),
+    ("shape", None, "matrix field 'shape' must be a list of integers, got None"),
+])
+def test_report_from_dict_names_a_witness_matrix_field_of_the_wrong_json_type(field, value, match):
+    data = report_to_dict(_report())
+    data["witness"]["rho"]["matrix"][field] = value
+    with pytest.raises(ValueError, match=match):
+        report_from_dict(data)
+
+
+@pytest.mark.parametrize("field", ["normalize", "relative"])
+def test_report_from_dict_refuses_a_retired_setting_it_cannot_honour(field):
+    # Earlier versions could rescale draws to unit trace or divide margins by
+    # a norm; a document that did either holds what this version does not
+    # compute, and one that did neither loads.
+    data = report_to_dict(_report())
+    data["config"][field] = False
+    assert report_from_dict(data).config == _report().config
+    data["config"][field] = True
+    with pytest.raises(ValueError, match=f"config field '{field}' is True"):
         report_from_dict(data)
 
 
@@ -867,7 +905,9 @@ def test_reports_with_nested_pair_matrices_still_load_bit_for_bit(name):
         assert report.config == rerun.config
         _assert_rerun_margins(campaign, report.margins, rerun.margins)
         assert report.violations == rerun.violations
-        _assert_same_witness(report.witness, rerun.witness)
+        # These reports were written before witnesses recorded their scale.
+        assert "scale" not in report.witness
+        _assert_same_witness(report.witness, {k: v for k, v in rerun.witness.items() if k != "scale"})
 
 
 def test_earlier_reports_cover_both_matrix_channels():
@@ -900,11 +940,13 @@ REPLAY_CASES = ([(campaign, "uniform") for campaign in CAMPAIGN_IDS if campaign 
                 + [("C3", family) for family in CHANNEL_FAMILIES])
 
 
-@pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+@pytest.mark.parametrize("eig_range", [(0.1, 3.0), (1e-10, 1e-9)], ids=["default", "small"])
 @pytest.mark.parametrize("d1,d2", [(1, 3), (2, 2), (8, 8)])
 @pytest.mark.parametrize("campaign,family", REPLAY_CASES)
-def test_replay_recomputes_the_worst_margin_bit_for_bit(tmp_path, campaign, family, d1, d2, relative):
-    report = _report(campaign, d1=d1, d2=d2, samples=3, channel_family=family, relative=relative)
+def test_replay_recomputes_the_worst_margin_bit_for_bit(tmp_path, campaign, family, d1, d2, eig_range):
+    # The witness's scale replays too, at every spectrum scale.
+    report = _report(campaign, d1=d1, d2=d2, samples=3, channel_family=family,
+                     eig_low=eig_range[0], eig_high=eig_range[1])
     path = tmp_path / "report.json"
     emit_report(report, path)
     for replayed in (report, load_report(path)):
@@ -941,6 +983,14 @@ def test_replay_refuses_a_weight_its_margin_does_not_pick(campaign):
     stored = report.witness["weight"]
     with pytest.raises(ValueError, match=rf"witness weight is 0.123, but its margin derives {stored}"):
         replay(replace(report, witness={**report.witness, "weight": 0.123}))
+
+
+@pytest.mark.parametrize("campaign", CAMPAIGN_IDS)
+def test_replay_refuses_a_scale_its_margin_does_not_derive(campaign):
+    report = _report(campaign=campaign)
+    stored = report.witness["scale"]
+    with pytest.raises(ValueError, match=rf"witness scale is 2.5, but its margin derives {stored}"):
+        replay(replace(report, witness={**report.witness, "scale": 2.5}))
 
 
 @pytest.mark.parametrize("family", ["pinching", "expectation", "mixed"])
