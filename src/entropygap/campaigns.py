@@ -57,7 +57,11 @@ each matrix the bits it gets alone, so margins do not depend on the chunk
 size, and :func:`replay` recomputes a report's worst margin bit for bit from
 its witness, as stacks of one, through the same margin.  A chunk makes the
 calls that one sample would make alone, in the same order, so a chunk of one
-sample raises what that sample raises; only the worst witness is built.
+sample raises what that sample raises; only the worst witness is built.  A
+chunk whose sampler call raises is bisected plainly, down to the samples that
+raise alone, at 2n - 1 sampler calls when all n of its samples raise; a
+margin's verdict, a NumericError included, is judged in the chunk that
+computed it, which is not drawn again.
 
 C1, C5 and C6 take the gaps and scales of both states and every mixture in
 one ``_gap_and_scale`` call.  C3 groups a chunk's samples by channel family and term
@@ -508,19 +512,19 @@ def _sample(draw, margin, config: CampaignConfig, streams):
 _SAMPLERS = {campaign: partial(_sample, row.draw, row.margin) for campaign, row in _CAMPAIGNS.items()}
 
 
-def _reported(config: CampaignConfig, inputs: dict, margins: np.ndarray) -> np.ndarray:
-    # Which margins are violations, by their scales.  A non-finite one (a net for what
-    # the checks miss), or one below its threshold within its rounding error, is a NumericError.
-    finite = np.isfinite(margins)
-    if not finite.all():
-        raise NumericError(f"margin is not finite: {float(margins[~finite][0])!r}")
+def _reported(config: CampaignConfig, inputs: dict, margins: np.ndarray):
+    # Which margins are violations, by their scales, and by position the NumericError of each one
+    # not finite (a net for what the checks miss) or below its threshold within its rounding error.
     scale = np.asarray(inputs["scale"])
     threshold, floor = config.tolerance * np.minimum(1.0, scale), _ROUNDING * scale
-    unsure = (margins < -threshold) & (margins >= -floor)
-    if unsure.any():
-        raise NumericError(f"margin {margins[unsure][0]:.3e} is within its rounding error "
-                           f"{floor[unsure][0]:.3e} of 0")
-    return margins < -threshold
+    below = margins < -threshold
+    faulted = ~np.isfinite(margins) | below & (margins >= -floor)
+    if not faulted.any():
+        return below, {}
+    return below & ~faulted, {
+        j: NumericError(f"margin {margins[j]:.3e} is within its rounding error {floor[j]:.3e} of 0"
+                        if math.isfinite(margins[j]) else f"margin is not finite: {float(margins[j])!r}")
+        for j in np.flatnonzero(faulted).tolist()}
 
 
 def _same_report(config: CampaignConfig, earlier: CampaignConfig) -> bool:
@@ -537,56 +541,33 @@ def _chunk_samples(dim: int) -> int:
     return max(1, CHUNK_BYTES // (_SAMPLE_MATRICES * 16 * dim * dim))
 
 
-def _attempt(config: CampaignConfig, indices):
-    # The (indices, margins, inputs, violated) block of a chunk, or the error it raises.
-    streams = RngStream.chunk(config.seed, indices)
-    try:
-        margins, inputs = _SAMPLERS[config.campaign](config, streams)
-        violated = _reported(config, inputs, margins)
-    except _SAMPLE_ERRORS as exc:
-        return exc
-    return indices, margins, inputs, violated
+def _error(sample: int, exc: Exception) -> dict:
+    return {"sample": sample, "type": type(exc).__name__, "message": f"{type(exc).__name__}: {exc}"}
 
 
-def _evaluate(config: CampaignConfig, indices, errors: list, raised=None) -> list:
-    """:func:`_attempt`'s blocks of the samples in ``indices`` that succeed,
-    each failure appended to ``errors`` against its own sample; ``raised`` is
-    the error the chunk is already known to raise.  A chunk that raises is
-    split in halves, and each half that raises is split again, so one failing
-    sample of n costs 2 log2(n) + 1 sampler calls.  Once both halves of a
-    block raise, its samples run one at a time instead, so however many fail,
-    the chunk costs at most about three times its samples.
+def _evaluate(config: CampaignConfig, indices, errors: list) -> list:
+    """The ``(indices, margins, inputs)`` blocks of ``indices`` in sample order.
+    A chunk whose sampler call raises is split in halves, each evaluated
+    alike, down to single samples, whose errors go to ``errors``: one raising
+    sample of n costs 2 log2(n) + 1 sampler calls, and n of them 2n - 1.
     """
-    if raised is None:
-        raised = _attempt(config, indices)
-        if not isinstance(raised, Exception):
-            return [raised]
-    if len(indices) == 1:
-        kind = type(raised).__name__
-        errors.append({"sample": indices[0], "type": kind, "message": f"{kind}: {raised}"})
-        return []
+    try:
+        return [(indices, *_SAMPLERS[config.campaign](config, RngStream.chunk(config.seed, indices)))]
+    except _SAMPLE_ERRORS as exc:
+        if len(indices) == 1:
+            errors.append(_error(indices[0], exc))
+            return []
     half = len(indices) // 2
-    parts = [indices[:half], indices[half:]]
-    outcomes = [_attempt(config, part) for part in parts]
-    both = all(isinstance(outcome, Exception) for outcome in outcomes)
-    blocks = []
-    for part, outcome in zip(parts, outcomes):
-        if not isinstance(outcome, Exception):
-            blocks.append(outcome)
-        elif both and len(part) > 1:
-            blocks.extend(block for k in range(len(part)) for block in _evaluate(config, part[k:k + 1], errors))
-        else:
-            blocks.extend(_evaluate(config, part, errors, outcome))
-    return blocks
+    return _evaluate(config, indices[:half], errors) + _evaluate(config, indices[half:], errors)
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Run one campaign and assemble its report.
 
-    Samples are evaluated chunk by chunk, each chunk's reported margins
+    Samples are evaluated chunk by chunk, each chunk's margins judged,
     counted and searched as one block, and recorded in sample order.  A
-    sample whose evaluation raises a domain, numeric or LAPACK error is
-    recorded under ``errors`` and the campaign continues.
+    sample that raises a domain, numeric or LAPACK error, or whose margin
+    :func:`_reported` faults, is recorded under ``errors``, and the campaign continues.
     """
     start = perf_counter()
     margins: list[float] = []
@@ -595,14 +576,20 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     size = _chunk_samples(config.space().dim)
     for first in range(0, config.samples, size):
         indices = range(first, min(first + size, config.samples))
-        for block, values, inputs, violated in _evaluate(config, indices, errors):
-            margins.extend(values.tolist())
+        for block, values, inputs in _evaluate(config, indices, errors):
+            violated, faults = _reported(config, inputs, values)
+            errors.extend(_error(block[j], exc) for j, exc in faults.items())
+            kept = np.delete(np.arange(len(values)), list(faults)) if faults else np.arange(len(values))
+            margins.extend(values[kept].tolist())
             violations += int(np.count_nonzero(violated))
-            k = int(values.argmin())
+            if not kept.size:
+                continue
+            k = int(kept[values[kept].argmin()])
             if worst is None or values[k] < worst:
                 worst = float(values[k])
                 witness = {name: stack[k] for name, stack in inputs.items()}
                 witness["sample"] = block[k]
+    errors.sort(key=lambda error: error["sample"])  # those raised and those judged
     return CampaignReport(
         config=config,
         margins=margins,
@@ -631,5 +618,7 @@ def replay(report: CampaignReport) -> float:
     for name, value in stored.items():
         if inputs[name] is not value and inputs[name] != value:
             raise ValueError(f"the witness {name} is {value[0]!r}, but its margin derives {inputs[name][0]!r}")
-    _reported(config, inputs, margins)
+    _, faults = _reported(config, inputs, margins)
+    if faults:
+        raise faults[0]
     return float(margins[0])

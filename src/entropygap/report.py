@@ -36,6 +36,7 @@ import json
 import os
 import stat
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
@@ -88,18 +89,31 @@ def _encode_value(value):
     raise TypeError(f"cannot serialize witness value of type {type(value)!r}")
 
 
+def _channel_field(payload: dict, name: str):
+    kind, types, items = _CHANNEL_FIELDS[name]
+    value = payload.get(name)
+    fault = "nothing" if name not in payload else None if type(value) in types else _json_type(value)
+    if fault is None and items:
+        fault = next((f"{_json_type(v)} at index {k}" for k, v in enumerate(value) if type(v) not in items), None)
+    if fault is not None:
+        raise ValueError(f"channel field {name!r} must be {kind}, got {fault}")
+    return value
+
+
 def _decode_value(value):
     if isinstance(value, dict) and set(value) == {"channel"}:
         payload = value["channel"]
-        if "frame" in payload:
-            return Pinching(matrix_from_json(payload["frame"]), np.array(payload["labels"]))
-        if "d1" in payload:
-            return ConditionalExpectation1(BipartiteSpace(payload["d1"], payload["d2"]))
+        _check_object("witness field 'channel'", payload)
+        field = partial(_channel_field, payload)
+        if "frame" in payload or "labels" in payload:
+            return Pinching(matrix_from_json(field("frame")), np.array(field("labels")))
+        if "d1" in payload or "d2" in payload:
+            return ConditionalExpectation1(BipartiteSpace(field("d1"), field("d2")))
         # Earlier versions stored every channel this way, adding a flag
         # "is_conditional_expectation" that no longer exists.
         return MixedUnitaryChannel(
-            weights=np.array(payload["weights"], dtype=float),
-            unitaries=np.stack([matrix_from_json(u) for u in payload["unitaries"]]),
+            weights=np.array(field("weights"), dtype=float),
+            unitaries=np.stack([matrix_from_json(u) for u in field("unitaries")]),
         )
     if isinstance(value, dict) and set(value) == {"matrix"}:
         return matrix_from_json(value["matrix"])
@@ -140,6 +154,18 @@ _REPORT_FIELDS = {
 }
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
                float: "a number", bool: "a boolean", type(None): "null"}
+
+# Each field of a witness channel: the JSON type it holds, by name, by its
+# type and, for a list, by its items' types.  A matrix is a matrix_to_json
+# object, or the nested lists of earlier versions.
+_CHANNEL_FIELDS = {
+    "frame": ("a matrix", (dict, list), None),
+    "labels": ("a list of integers", (list,), (int,)),
+    "d1": ("an integer", (int,), None),
+    "d2": ("an integer", (int,), None),
+    "weights": ("a list of numbers", (list,), (int, float)),
+    "unitaries": ("a list of matrices", (list,), (dict, list)),
+}
 
 
 def _json_type(value) -> str:

@@ -902,6 +902,29 @@ def test_dd_log_quadrature_is_accurate_over_the_c8_pair_range():
     assert np.max(np.abs(dd_log_quadrature(s, t) - exact) / exact) <= 1e-14
 
 
+@pytest.mark.parametrize("s,t", [(1e200, 3e200), (1e-200, 3e-200), (1e-160, 3e-160), (1e154, 3e154)])
+def test_dd_log_quadrature_is_accurate_near_the_float_limits(s, t):
+    # s * t overflows or leaves the normal range at these pairs; the rule
+    # runs on the pair divided by a power of two near its geometric mean.
+    expected = divided_difference(LOG, "f", s, t)
+    assert abs(dd_log_quadrature(s, t) - expected) <= 1e-15 * expected
+
+
+def test_resolvent_quadrature_is_homogeneous_of_degree_minus_one():
+    # A base point scaled by 2**k gives the reference scaled by 2**-k: bit
+    # for bit where the eigensolver does not rescale the matrix itself, and
+    # to two rounding errors where it does.
+    a = random_pd(4, RngStream.chunk(3, range(6)), (0.1, 3.0))
+    h = random_hermitian(4, RngStream.chunk(4, range(6)))
+    reference = log_quad_form_quadrature(a, h)
+    for k in (-1000, -600, -300, 300, 600, 1000):
+        got = log_quad_form_quadrature(np.ldexp(a.view(float), k).view(complex), h)
+        expected = np.ldexp(reference, -k)
+        assert np.max(np.abs(got - expected) / expected) <= 2 * np.finfo(float).eps
+        if abs(k) <= 300:
+            assert got.tobytes() == expected.tobytes()
+
+
 def test_central_difference_requires_positive_step():
     rng = RngStream(89, 0)
     a = random_pd(2, rng)

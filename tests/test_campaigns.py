@@ -597,6 +597,22 @@ def test_c8_reports_no_false_violation_on_wide_or_small_spectra(overrides):
     assert report.violations == 0
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(samples=20, eig_low=1e160, eig_high=1e161),
+    dict(d1=1, d2=1, samples=40, eig_low=1e157, eig_high=1e158),
+    dict(samples=20, eig_low=1e-200, eig_high=1e-190),
+    dict(samples=20, eig_low=1e200, eig_high=1e201),
+    dict(d1=8, d2=8, samples=5, eig_low=1e160, eig_high=1e161),
+], ids=["2x2-1e160", "1x1-1e157", "2x2-1e-200", "2x2-1e200", "8x8-1e160"])
+def test_c8_references_hold_on_spectra_near_the_float_limits(overrides):
+    # The resolvent reference's traces sank below the normal range or
+    # overflowed here, and its pencils are now taken at a power of two near
+    # the spectrum's geometric mean: no false violation and no error.
+    report = _run("C8", **overrides)
+    assert report.errors == []
+    assert report.violations == 0
+
+
 @pytest.mark.parametrize("d1,d2", [(1, 2), (2, 2), (2, 3)])
 def test_c8_records_an_ill_conditioned_sample_against_itself(monkeypatch, d1, d2):
     # Sample 4's base point gets condition number 1e12, beyond the resolvent
@@ -848,11 +864,9 @@ def test_a_non_finite_margin_is_a_numeric_error_of_its_sample(monkeypatch, chunk
 @pytest.mark.parametrize("failing", [[0], [300], [511], list(range(5, 512, 16)), list(range(512))],
                          ids=["first", "middle", "last", "every-16th", "all"])
 def test_a_failing_chunk_is_bisected_at_a_bounded_cost(monkeypatch, failing):
-    # NaN margins in a chunk of 512 samples.  With one, each halving reruns
-    # one half that fails and one that does not: 1 + 2 * 9 sampler calls,
-    # where rerunning every sample alone took 513.  With failures in both
-    # halves of a block, its samples run alone: the chunk, both halves and
-    # 512 samples, no more than three times the chunk's samples in all.  The
+    # NaN margins in a chunk of 512 samples.  A NaN margin is a verdict,
+    # judged in the chunk that computed it, so the chunk runs once however
+    # many fail, well inside the bounds that bisection once needed.  The
     # report is the one that chunks of one sample give, byte for byte.
     original = _SAMPLERS["C2"]
     calls = []
@@ -878,6 +892,76 @@ def test_a_failing_chunk_is_bisected_at_a_bounded_cost(monkeypatch, failing):
                                              for k in failing]
     assert _bits(report.margins) == _bits(alone.margins)
     assert render_report(report) == render_report(alone)
+
+
+@pytest.mark.parametrize("failing", [[0], [300], [511], list(range(5, 512, 16)), list(range(512))],
+                         ids=["first", "middle", "last", "every-16th", "all"])
+def test_a_raising_chunk_is_bisected_at_a_bounded_cost(monkeypatch, failing):
+    # A sampler that raises DomainError for any chunk holding a failing
+    # stream, in a chunk of 512 samples.  Each chunk that raises is split in
+    # halves: one failure costs the chunk and two halves per level, 1 + 2 * 9
+    # sampler calls, and failures anywhere at most the 2 * 512 - 1 chunks of
+    # the whole bisection.  The report is the one that chunks of one sample
+    # give, byte for byte.
+    original = _SAMPLERS["C2"]
+    calls, fails = [], set(failing)
+
+    def raising(config, streams):
+        calls.append(len(streams))
+        if any(stream.stream in fails for stream in streams):
+            raise DomainError("synthetic failure for testing")
+        return original(config, streams)
+
+    monkeypatch.setitem(_SAMPLERS, "C2", raising)
+    assert campaigns._chunk_samples(4) == 512
+    report = _run("C2", samples=512)
+    if len(failing) == 1:
+        assert len(calls) <= 2 * math.ceil(math.log2(512)) + 1
+    else:
+        assert len(calls) <= 2 * 512 - 1
+    _with_chunk(monkeypatch, 4, 1)
+    alone = _run("C2", samples=512)
+    assert report.errors == alone.errors == [{"sample": k, "type": "DomainError",
+                                              "message": "DomainError: synthetic failure for testing"}
+                                             for k in failing]
+    assert render_report(report) == render_report(alone)
+
+
+def test_a_chunk_whose_only_faults_are_verdicts_calls_the_sampler_once(monkeypatch):
+    # Non-finite margins and one within its rounding error, at samples on
+    # either side of the worst: each is recorded against its own sample, in
+    # sample order, left out of the margins, the count and the witness, and
+    # the chunk is drawn once.  The report is that of chunks of one sample.
+    clean = _run("C2", samples=64)
+    worst = clean.witness["sample"]
+    faults = {worst: np.nan, 0: np.inf, 63: -np.inf, 17: -1e-6}
+    original = _SAMPLERS["C2"]
+    calls = []
+
+    def judged(config, streams):
+        calls.append(len(streams))
+        margins, inputs = original(config, streams)
+        for j, stream in enumerate(streams):
+            if stream.stream in faults:
+                margins[j] = faults[stream.stream]
+                if stream.stream == 17:
+                    inputs["scale"][j] = 2.0**40
+        return margins, inputs
+
+    monkeypatch.setitem(_SAMPLERS, "C2", judged)
+    report = _run("C2", samples=64)
+    assert calls == [64]
+    floor = campaigns._ROUNDING * 2.0**40
+    messages = {0: "margin is not finite: inf", 17: f"margin -1.000e-06 is within its rounding error {floor:.3e} of 0",
+                worst: "margin is not finite: nan", 63: "margin is not finite: -inf"}
+    assert report.errors == [{"sample": k, "type": "NumericError", "message": f"NumericError: {messages[k]}"}
+                             for k in sorted(faults)]
+    kept = [m for k, m in enumerate(clean.margins) if k not in faults]
+    assert _bits(report.margins) == _bits(kept)
+    assert report.worst_margin == min(kept) and report.witness["sample"] != worst
+    assert report.violations == clean.violations
+    _with_chunk(monkeypatch, 4, 1)
+    assert render_report(report) == render_report(_run("C2", samples=64))
 
 
 # -- the falsification campaign ------------------------------------------------------

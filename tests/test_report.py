@@ -760,6 +760,9 @@ def test_report_from_dict_names_a_report_field_of_the_wrong_json_type(field, val
         report_from_dict(data)
 
 
+_MISSING = object()  # a field deleted from the document
+
+
 @pytest.mark.parametrize("field,value,match", [
     ("base64", 12, "matrix field 'base64' must be a string, got an integer"),
     ("base64", None, "matrix field 'base64' must be a string, got null"),
@@ -767,10 +770,33 @@ def test_report_from_dict_names_a_report_field_of_the_wrong_json_type(field, val
     ("shape", [4, 4.0], r"matrix field 'shape' must be a list of integers, got \[4, 4.0\]"),
     ("shape", [4, True], r"matrix field 'shape' must be a list of integers, got \[4, True\]"),
     ("shape", None, "matrix field 'shape' must be a list of integers, got None"),
+    # The fields of a witness channel, missing or of the wrong JSON type.
+    ("frame", _MISSING, "channel field 'frame' must be a matrix, got nothing"),
+    ("frame", 3, "channel field 'frame' must be a matrix, got an integer"),
+    ("labels", _MISSING, "channel field 'labels' must be a list of integers, got nothing"),
+    ("labels", [0, 1.0], "channel field 'labels' must be a list of integers, got a number at index 1"),
+    ("d1", "2", "channel field 'd1' must be an integer, got a string"),
+    ("d2", _MISSING, "channel field 'd2' must be an integer, got nothing"),
+    ("weights", _MISSING, "channel field 'weights' must be a list of numbers, got nothing"),
+    ("weights", [0.5, True], "channel field 'weights' must be a list of numbers, got a boolean at index 1"),
+    ("unitaries", _MISSING, "channel field 'unitaries' must be a list of matrices, got nothing"),
+    ("unitaries", [3], "channel field 'unitaries' must be a list of matrices, got an integer at index 0"),
 ])
 def test_report_from_dict_names_a_witness_matrix_field_of_the_wrong_json_type(field, value, match):
-    data = report_to_dict(_report())
-    data["witness"]["rho"]["matrix"][field] = value
+    # A matrix field is set in C1's witness, a channel field in that of C3
+    # with a channel of the family that stores it.
+    family = {"frame": "pinching", "labels": "pinching", "d1": "expectation", "d2": "expectation",
+              "weights": "mixed", "unitaries": "mixed"}.get(field)
+    if family is None:
+        data = report_to_dict(_report())
+        target = data["witness"]["rho"]["matrix"]
+    else:
+        data = report_to_dict(_report(campaign="C3", d2=3, channel_family=family))
+        target = data["witness"]["channel"]["channel"]
+    if value is _MISSING:
+        del target[field]
+    else:
+        target[field] = value
     with pytest.raises(ValueError, match=match):
         report_from_dict(data)
 
