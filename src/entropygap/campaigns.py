@@ -541,18 +541,30 @@ def _chunk_samples(dim: int) -> int:
     return max(1, CHUNK_BYTES // (_SAMPLE_MATRICES * 16 * dim * dim))
 
 
+def _checked(function, *args):
+    # function(*args), where a floating-point overflow, invalid operation or
+    # division by zero raises a NumericError naming it; a kernel that replaces
+    # a form where that form overflows silences the event itself.
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return function(*args)
+    except FloatingPointError as exc:
+        raise NumericError(str(exc)) from None
+
+
 def _error(sample: int, exc: Exception) -> dict:
     return {"sample": sample, "type": type(exc).__name__, "message": f"{type(exc).__name__}: {exc}"}
 
 
 def _evaluate(config: CampaignConfig, indices, errors: list) -> list:
     """The ``(indices, margins, inputs)`` blocks of ``indices`` in sample order.
-    A chunk whose sampler call raises is split in halves, each evaluated
-    alike, down to single samples, whose errors go to ``errors``: one raising
-    sample of n costs 2 log2(n) + 1 sampler calls, and n of them 2n - 1.
+    A chunk whose sampler call raises, a floating-point event included, is
+    split in halves, each evaluated alike, down to single samples, whose errors
+    go to ``errors``: one raising sample of n costs 2 log2(n) + 1 sampler calls,
+    and n of them 2n - 1.
     """
     try:
-        return [(indices, *_SAMPLERS[config.campaign](config, RngStream.chunk(config.seed, indices)))]
+        return [(indices, *_checked(_SAMPLERS[config.campaign], config, RngStream.chunk(config.seed, indices)))]
     except _SAMPLE_ERRORS as exc:
         if len(indices) == 1:
             errors.append(_error(indices[0], exc))
@@ -604,9 +616,10 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
 def replay(report: CampaignReport) -> float:
     """The worst margin of ``report`` recomputed from its witness, each value
     a stack of one, by the margin its campaign's row replays it with, which
-    checks and judges it.  A witness value that the margin derives (its
-    scale, which older witnesses lack, C1's weight, C3's family) must be the
-    one it derives, else ``ValueError``."""
+    checks and judges it; a floating-point event raises a NumericError.  A
+    witness value that the margin derives (its scale, which older witnesses
+    lack, C1's weight, C3's family) must be the one it derives, else
+    ``ValueError``."""
     config, witness = report.config, report.witness
     if witness is None:
         raise ValueError(f"the {config.campaign} report has no witness to replay")
@@ -614,7 +627,7 @@ def replay(report: CampaignReport) -> float:
               for name, value in witness.items() if name != "sample"}
     stored = dict(inputs)
     row = _CAMPAIGNS[config.campaign]
-    margins = (row.replay_margin or row.margin)(config, inputs)
+    margins = _checked(row.replay_margin or row.margin, config, inputs)
     for name, value in stored.items():
         if inputs[name] is not value and inputs[name] != value:
             raise ValueError(f"the witness {name} is {value[0]!r}, but its margin derives {inputs[name][0]!r}")

@@ -9,10 +9,12 @@ extreme eigenvalues.  That centring puts the integrand's poles symmetrically
 about [0, 1], at a distance set by the condition number, which in turn sets
 the node count both rules need (Trefethen, "Is Gauss quadrature better than
 Clenshaw-Curtis?", SIAM Rev. 2008): :func:`resolvent_nodes`, from an error
-constant fitted against 40-digit arithmetic.  Past the count, what limits
-either rule is the error of numpy's ``leggauss`` nodes and weights, which
-grows with the count: about 3e-13 relative at a condition number of 1e4 and
-2e-9 at 1e9.
+constant fitted against 40-digit arithmetic.  Past the count, the rule's
+own error is that of numpy's ``leggauss`` nodes and weights, which grows
+with the count: on the spectrum {1, kappa}, where the eigendecomposition is
+exact, about 3e-13 relative at kappa = 1e4 and 2e-9 at 1e9.  On C8's own
+witnesses the reference errs far less than the ``quad_form`` it checks: on
+its worst 4x4 witness on [1e-6, 1] (seed 42), by 1.9e-14 against 3.0e-13.
 
 Both rules run on the pair or the spectrum divided by 2**e, the power of two
 just above its geometric mean, and divide the integral, of degree -1 in it,

@@ -59,12 +59,8 @@ def matrix_from_json(value) -> np.ndarray:
     string, or a ``shape`` that is no list of integers, raises ``ValueError``
     naming the field."""
     if isinstance(value, dict):
-        if type(value.get("base64")) is not str:
-            raise ValueError(f"matrix field 'base64' must be a string, got {_json_type(value.get('base64'))}")
-        if type(value.get("shape")) is not list or not all(type(n) is int for n in value["shape"]):
-            raise ValueError(f"matrix field 'shape' must be a list of integers, got {value.get('shape')!r}")
-        data = base64.b64decode(value["base64"], validate=True)
-        return np.frombuffer(data, dtype=_ENTRY).reshape(value["shape"]).astype(complex)
+        data = base64.b64decode(_field("matrix", value, "base64"), validate=True)
+        return np.frombuffer(data, dtype=_ENTRY).reshape(_field("matrix", value, "shape")).astype(complex)
     return np.array([[complex(re, im) for re, im in row] for row in value], dtype=complex)
 
 
@@ -89,22 +85,11 @@ def _encode_value(value):
     raise TypeError(f"cannot serialize witness value of type {type(value)!r}")
 
 
-def _channel_field(payload: dict, name: str):
-    kind, types, items = _CHANNEL_FIELDS[name]
-    value = payload.get(name)
-    fault = "nothing" if name not in payload else None if type(value) in types else _json_type(value)
-    if fault is None and items:
-        fault = next((f"{_json_type(v)} at index {k}" for k, v in enumerate(value) if type(v) not in items), None)
-    if fault is not None:
-        raise ValueError(f"channel field {name!r} must be {kind}, got {fault}")
-    return value
-
-
 def _decode_value(value):
     if isinstance(value, dict) and set(value) == {"channel"}:
         payload = value["channel"]
         _check_object("witness field 'channel'", payload)
-        field = partial(_channel_field, payload)
+        field = partial(_field, "channel", payload)
         if "frame" in payload or "labels" in payload:
             return Pinching(matrix_from_json(field("frame")), np.array(field("labels")))
         if "d1" in payload or "d2" in payload:
@@ -142,30 +127,33 @@ def report_to_dict(report: CampaignReport) -> dict:
 _RETIRED_CONFIG_FIELDS = {"fd_step": None, "threads": None, "normalize": False, "relative": False}
 _CONFIG_FIELDS = frozenset(field.name for field in fields(CampaignConfig))
 
-# Each field of a report document, with the JSON types it may hold as
-# json.loads returns them.
-_REPORT_FIELDS = {
-    "config": ("an object", (dict,)),
-    "margins": ("an array", (list,)),
-    "violations": ("an integer", (int,)),
-    "worst_margin": ("a number or null", (int, float, type(None))),
-    "witness": ("an object or null", (dict, type(None))),
-    "errors": ("an array", (list,)),
+# Each field of each kind of object a document holds: what it must be, the
+# JSON types json.loads may return for it and, for an array, the set of its
+# items' types.  A channel's matrix is a matrix object or, as earlier versions wrote
+# it, nested lists.
+_INTEGER, _STRING = ("an integer", (int,), None), ("a string", (str,), None)
+_FIELDS = {
+    "report": {
+        "config": ("an object", (dict,), None),
+        "margins": ("an array of numbers", (list,), {int, float}),
+        "violations": _INTEGER,
+        "worst_margin": ("a number or null", (int, float, type(None)), None),
+        "witness": ("an object or null", (dict, type(None)), None),
+        "errors": ("an array of objects", (list,), {dict}),
+    },
+    "errors entry": {"sample": _INTEGER, "type": _STRING, "message": _STRING},
+    "matrix": {"shape": ("a list of integers", (list,), {int}), "base64": _STRING},
+    "channel": {
+        "frame": ("a matrix", (dict, list), None),
+        "labels": ("a list of integers", (list,), {int}),
+        "d1": _INTEGER,
+        "d2": _INTEGER,
+        "weights": ("a list of numbers", (list,), {int, float}),
+        "unitaries": ("a list of matrices", (list,), {dict, list}),
+    },
 }
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
                float: "a number", bool: "a boolean", type(None): "null"}
-
-# Each field of a witness channel: the JSON type it holds, by name, by its
-# type and, for a list, by its items' types.  A matrix is a matrix_to_json
-# object, or the nested lists of earlier versions.
-_CHANNEL_FIELDS = {
-    "frame": ("a matrix", (dict, list), None),
-    "labels": ("a list of integers", (list,), (int,)),
-    "d1": ("an integer", (int,), None),
-    "d2": ("an integer", (int,), None),
-    "weights": ("a list of numbers", (list,), (int, float)),
-    "unitaries": ("a list of matrices", (list,), (dict, list)),
-}
 
 
 def _json_type(value) -> str:
@@ -177,28 +165,19 @@ def _check_object(what: str, value) -> None:
         raise ValueError(f"{what} must be a JSON object, got {_json_type(value)}")
 
 
-def _error_entry_fault(entry) -> str | None:
-    # What is wrong with an errors entry, or None.
-    if not isinstance(entry, dict):
-        return _json_type(entry)
-    for key, kind in (("sample", int), ("type", str), ("message", str)):
-        if type(entry.get(key)) is not kind:
-            return f"{_json_type(entry.get(key))} {key!r}" if key in entry else f"no {key!r}"
-    return None
-
-
-def _check_entries(data: dict) -> None:
-    # Margins are JSON numbers, and errors objects with an integer sample and
-    # a string type and message.
-    for k, m in enumerate(data["margins"]):
-        if type(m) is not float and type(m) is not int:
-            raise ValueError(f"report field 'margins' must be an array of numbers, got {_json_type(m)} "
-                             f"at index {k}")
-    for k, entry in enumerate(data["errors"]):
-        fault = _error_entry_fault(entry)
-        if fault is not None:
-            raise ValueError("report field 'errors' must be an array of objects with an integer 'sample' "
-                             f"and a string 'type' and 'message', got {fault} at index {k}")
+def _field(kind: str, payload: dict, name: str, index: int | None = None):
+    """Field ``name`` of ``payload``, an object of ``kind`` (entry ``index``
+    of its array, if given), if it is what ``_FIELDS`` says; else ValueError
+    naming both and what it holds: nothing, a JSON type, or one at index k."""
+    what, types, items = _FIELDS[kind][name]
+    value = payload.get(name)
+    fault = "nothing" if name not in payload else None if type(value) in types else _json_type(value)
+    if fault is None and items and not items.issuperset(map(type, value)):
+        fault = next(f"{_json_type(v)} at index {k}" for k, v in enumerate(value) if type(v) not in items)
+    if fault is not None:
+        owner = kind if index is None else f"{kind} {index}"
+        raise ValueError(f"{owner} field {name!r} must be {what}, got {fault}")
+    return value
 
 
 def report_from_dict(data: dict) -> CampaignReport:
@@ -210,30 +189,26 @@ def report_from_dict(data: dict) -> CampaignReport:
     version cannot honour.
     """
     _check_object("a report", data)
-    for name, (kind, types) in _REPORT_FIELDS.items():
-        if name not in data:
-            raise ValueError(f"missing report field {name!r}")
-        if isinstance(data[name], bool) or not isinstance(data[name], types):
-            raise ValueError(f"report field {name!r} must be {kind}, got {_json_type(data[name])}")
-    _check_entries(data)
+    for name in _FIELDS["report"]:
+        _field("report", data, name)
+    for k, entry in enumerate(data["errors"]):
+        for name in _FIELDS["errors entry"]:
+            _field("errors entry", entry, name, k)
     for key, dropped in _RETIRED_CONFIG_FIELDS.items():
         if dropped is not None and data["config"].get(key, dropped) is not dropped:
             raise ValueError(f"config field {key!r} is {data['config'][key]!r}, not {json.dumps(dropped)}: "
                              "this version makes no such draws or margins")
-    config = {key: value for key, value in data["config"].items()
-              if key not in _RETIRED_CONFIG_FIELDS}
+    config = {key: value for key, value in data["config"].items() if key not in _RETIRED_CONFIG_FIELDS}
     unknown = sorted(config.keys() - _CONFIG_FIELDS)
     if unknown or "campaign" not in config:
         raise ValueError(f"unknown config fields {unknown}" if unknown else "missing config field 'campaign'")
-    witness = None
-    if data["witness"] is not None:
-        witness = {key: _decode_value(value) for key, value in data["witness"].items()}
+    witness = data["witness"]
     return CampaignReport(
         config=CampaignConfig(**config),
         margins=[float(m) for m in data["margins"]],
-        violations=int(data["violations"]),
+        violations=data["violations"],
         worst_margin=None if data["worst_margin"] is None else float(data["worst_margin"]),
-        witness=witness,
+        witness=None if witness is None else {key: _decode_value(value) for key, value in witness.items()},
         errors=[dict(e) for e in data["errors"]],
         wall_time=0.0,
     )
@@ -279,7 +254,7 @@ def _blank_payloads(value, payloads: list):
     # ``value`` with each matrix_to_json payload moved to ``payloads``, in
     # the order json.dumps writes them.
     if isinstance(value, dict):
-        if value.keys() == {"shape", "base64"}:
+        if value.keys() == _FIELDS["matrix"].keys():
             payloads.append(value["base64"])
             return {**value, "base64": ""}
         return {key: _blank_payloads(item, payloads) for key, item in value.items()}

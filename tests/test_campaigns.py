@@ -34,6 +34,7 @@ from entropygap import (
 from entropygap import bipartite, campaigns
 from entropygap.calculus import _curvature
 from entropygap.campaigns import _SAMPLERS, _q_midpoint_margin
+from kernels import HASWELL, HASWELL_ON_AVX512, SKYLAKEX, recorded
 from test_bipartite import sign_unitary_pinching, term_by_term, weyl_expectation
 from test_linalg import UNIFORM_RANGES
 
@@ -131,8 +132,9 @@ def test_samples_are_independent_streams(campaign):
 # or a Schur multiplier, at seed 42 and 20 samples: C2-C4 with t log t and
 # t**2, C3 once per channel family, C8 and C9 with their presets.  The earlier
 # reports in tests/data rerun these campaigns only within KERNEL_MARGIN_MOVES,
-# so a change that moves their last bits fails here and nowhere else.
-CURVATURE_PINS = {
+# so a change that moves their last bits fails here and nowhere else.  Each
+# pin table holds one set of values per kernel set (see kernels.py).
+CURVATURE_PINS = {SKYLAKEX: {
     "C2 t_log_t 2x2": "73d3ed7b5f80b8d683aebbc6db7e544af64497233fd4ff2ca20e7cfb0d4538f3",
     "C3 pinching t_log_t 2x2": "5a535c4710c06b33806129a9696e3d832ab233691bfffcffe88d02da6934b461",
     "C3 expectation t_log_t 2x2": "160ca0022422ad3f36dc3a91424933fef941ad4703705f7a8d32b730b2ef3800",
@@ -157,12 +159,62 @@ CURVATURE_PINS = {
     "C4 square 1x3": "ed1deecd0271a6371bb1ed4383970f8408ae1fe07b68131c574d316656532d39",
     "C8 t_log_t 1x3": "6457b891f00fca1c3d9abf4ee8f6ceee88aada6f45433c3d47fd462d1ed34e95",
     "C9 cube 1x3": "564b82f8a83e46fb2b460d114b7651ef43a16e38a8caacba99e2ed97a0ca1f18",
-}
+}, HASWELL: {
+    "C2 t_log_t 2x2": "932e6c7e29fc5e81eb80444f266a1e2843fbb9e8ba54b648209f6c7bfabb8aa3",
+    "C3 pinching t_log_t 2x2": "f2dc7e3d9e80cc9605571c2460003977a8a5faecff93ede73ff2c87e132c1067",
+    "C3 expectation t_log_t 2x2": "f81a535dc0fa629e4660b370ca389d40d795564072a0c14d9f3558068ff0e5d1",
+    "C3 mixed t_log_t 2x2": "802ec7b5a6dc585c0dde7c308af15138289191cfd7066a997504060bfbb6b6bf",
+    "C4 t_log_t 2x2": "9557066a7bff1fc52674239fdd790dc0a37d9ff03902848eaa5a0cc17187ebf5",
+    "C2 square 2x2": "43e70f6fdedda0063955557d407dacc924e6af9e432edfa087f0c169f1f26257",
+    "C3 pinching square 2x2": "7ce761c336a28b77df01c42eeaf88f3c17ee90ae5bc03c16a016c11bc4f3a4ac",
+    "C3 expectation square 2x2": "3d1f6e4f1d7367485dafe7eb11e31a515921a653f94d82e745aa4cfabf5334df",
+    "C3 mixed square 2x2": "b80c0a33fed85e61eea8877fa249f33d0db45ff06a7a285f94324cc4dba8757a",
+    "C4 square 2x2": "c18b36da42e390de932f9db5b639d8a7824eebfaae5c95ed080bb608c8d77e8c",
+    "C8 t_log_t 2x2": "46d608f0fe543e9abafdff3a424d8fca2709ce529abd530e180e02f2ce971cb4",
+    "C9 cube 2x2": "23959a5ad4f98e65e1a4d95bffc8c4568831d0127fbb40e41697c26a279a9773",
+    "C2 t_log_t 1x3": "9ee76cded26ef831d27d10625bc1f8aa7168bbb46b95941bd03dac8637a3e2a2",
+    "C3 pinching t_log_t 1x3": "711bb8b0c9a5969d4688df6a88e3bd326d3ca0a2aee553b6bb922999e7ceb8bc",
+    "C3 expectation t_log_t 1x3": "f6b0c5a532975cb29a236219923c26ec59ff3b7b80d7b38252d62ec0b65c97d1",
+    "C3 mixed t_log_t 1x3": "7a37a9922359c08d2750064bb99af9f4af6f344f529fc0d5edaa562e59833700",
+    "C4 t_log_t 1x3": "22ea3c6d9a9be47e4a2b179dc8b0144aa959a9953010c32bb27d382f9e9446a3",
+    "C2 square 1x3": "fe9eb5ca17d9ff9ec1b9e9e63bd4a31c9473a46edb7eed36ec4742419c77ccd9",
+    "C3 pinching square 1x3": "df0c5075442b6ba6ffbebc1ffd5b5c7fdbc168224f70dd5c35cac2bf2ee62f85",
+    "C3 expectation square 1x3": "27c159129d08a8ff3819497e469d7f4b1c5e6dd2b9eab930300ab787c964c20b",
+    "C3 mixed square 1x3": "ca0f23d9f02092a242ea6a212e041818b582f69e09de03b6fc1bcb1d4601da64",
+    "C4 square 1x3": "cea912c22e559cb705b4542e214c873b0b4cdedaa007a00c2283239ffbe68f70",
+    "C8 t_log_t 1x3": "ce9626c4a83bde75f350a65519889021efdf667947d2e4605a9a67dc4addbcb6",
+    "C9 cube 1x3": "f08dc9345ff5abbc4ad856482dd4d4e5a56be1aba53f18b6c5faa78615706e42",
+}, HASWELL_ON_AVX512: {
+    "C2 t_log_t 2x2": "932e6c7e29fc5e81eb80444f266a1e2843fbb9e8ba54b648209f6c7bfabb8aa3",
+    "C3 pinching t_log_t 2x2": "f2dc7e3d9e80cc9605571c2460003977a8a5faecff93ede73ff2c87e132c1067",
+    "C3 expectation t_log_t 2x2": "f81a535dc0fa629e4660b370ca389d40d795564072a0c14d9f3558068ff0e5d1",
+    "C3 mixed t_log_t 2x2": "3bc683ef61eb80f8f83b841c8644d9b8993ff18c87bd91c5fa6eb2c3ee1b2eb4",
+    "C4 t_log_t 2x2": "4dfd4a3ca87c1fd9915b96b36b63b5f05fce5c1062666d3c9995633cdde56a2c",
+    "C2 square 2x2": "43e70f6fdedda0063955557d407dacc924e6af9e432edfa087f0c169f1f26257",
+    "C3 pinching square 2x2": "7ce761c336a28b77df01c42eeaf88f3c17ee90ae5bc03c16a016c11bc4f3a4ac",
+    "C3 expectation square 2x2": "3d1f6e4f1d7367485dafe7eb11e31a515921a653f94d82e745aa4cfabf5334df",
+    "C3 mixed square 2x2": "b80c0a33fed85e61eea8877fa249f33d0db45ff06a7a285f94324cc4dba8757a",
+    "C4 square 2x2": "c18b36da42e390de932f9db5b639d8a7824eebfaae5c95ed080bb608c8d77e8c",
+    "C8 t_log_t 2x2": "24b4b846714e6f29c6c033b7569ec54f38c85cfd67035b0f39b400c1c70e3d70",
+    "C9 cube 2x2": "23959a5ad4f98e65e1a4d95bffc8c4568831d0127fbb40e41697c26a279a9773",
+    "C2 t_log_t 1x3": "9ee76cded26ef831d27d10625bc1f8aa7168bbb46b95941bd03dac8637a3e2a2",
+    "C3 pinching t_log_t 1x3": "a7e30bf5b1c7b17c523def43f5594b140f715a3d3569e55d0c994b8b07f1e977",
+    "C3 expectation t_log_t 1x3": "06c80a399a748680682c8d254d9816ce51e481822dc18080d03560f360f2ee54",
+    "C3 mixed t_log_t 1x3": "50d98a34ea454621f6d36ea99c3692ad82247f533b57bbab4700c26f2fec16e0",
+    "C4 t_log_t 1x3": "a2c011d161c91244bea48a9932f536a47b0f7cf09fd61fd69dd97204732af378",
+    "C2 square 1x3": "fe9eb5ca17d9ff9ec1b9e9e63bd4a31c9473a46edb7eed36ec4742419c77ccd9",
+    "C3 pinching square 1x3": "df0c5075442b6ba6ffbebc1ffd5b5c7fdbc168224f70dd5c35cac2bf2ee62f85",
+    "C3 expectation square 1x3": "27c159129d08a8ff3819497e469d7f4b1c5e6dd2b9eab930300ab787c964c20b",
+    "C3 mixed square 1x3": "ca0f23d9f02092a242ea6a212e041818b582f69e09de03b6fc1bcb1d4601da64",
+    "C4 square 1x3": "cea912c22e559cb705b4542e214c873b0b4cdedaa007a00c2283239ffbe68f70",
+    "C8 t_log_t 1x3": "aac41c76b52fe2b74c988f89344cd1361d94a3c15060ce771962a3120077582f",
+    "C9 cube 1x3": "f08dc9345ff5abbc4ad856482dd4d4e5a56be1aba53f18b6c5faa78615706e42",
+}}
 
 
 # The same for the campaigns that read no curvature form: the gap campaigns
 # C1, C5 and C6, which take spectra alone, and C7, which takes linear solves.
-GAP_AND_CONGRUENCE_PINS = {
+GAP_AND_CONGRUENCE_PINS = {SKYLAKEX: {
     "C1 t_log_t 2x2": "974a816ac1a2bcb7b0a8f3cbc00ab2699d808446bfae0e7d3876a8e50ae37f51",
     "C5 t_log_t 2x2": "0944e68a72f53653603ce5437cff621125953ca30321d16c28b7fa5b40b619d0",
     "C6 power 2x2": "4c0cd47cfc2f8ea0a16e1e2efaae667858b376b859ebf4f9a0127bee8f93ffc5",
@@ -171,15 +223,39 @@ GAP_AND_CONGRUENCE_PINS = {
     "C5 t_log_t 1x3": "c2ec2dc4b3eddc5118b5725698e599ce821f3509a47997c037952144805cc7f2",
     "C6 power 1x3": "e60226ea36aa7aba3703a45208f6d75b53326aac1d0365618cb53821add61757",
     "C7 t_log_t 1x3": "e79acfb21c1d276b7c596104b304d08bef549519c4a822cdc75a046765270771",
-}
+}, HASWELL: {
+    "C1 t_log_t 2x2": "c0c9b867ee663f7dcf04e53bda184a9f0323b0fb742032636fabc7e01284818b",
+    "C5 t_log_t 2x2": "5924b2144a210893673763c757e01856bdb9ffd2f349de51cb52107bd83c824b",
+    "C6 power 2x2": "aa602b48cd793973c64de109ca117c0f383176e7562b1d35ac4db335492ca84c",
+    "C7 t_log_t 2x2": "23a5473e373e2d13c2a8d973c583dde1b282007978213d1aeaf3f90f3f6fa85b",
+    "C1 t_log_t 1x3": "9eb8a407e64273d954515d2ef2328881132137e19671358441a476374d4881cc",
+    "C5 t_log_t 1x3": "9aa07902c52035812e0774886f5487ab6ab481dc8bf5464a2e3a46ffecbaf62a",
+    "C6 power 1x3": "287cd1ab90e451ffc4bcd3235b2fe3b0f3a5beef2de02292cb335997de982179",
+    "C7 t_log_t 1x3": "fc828501beb632ab37877fde9b121a3fbbe70afc86ade55c9f5256ae1750008b",
+}, HASWELL_ON_AVX512: {
+    "C1 t_log_t 2x2": "c0c9b867ee663f7dcf04e53bda184a9f0323b0fb742032636fabc7e01284818b",
+    "C5 t_log_t 2x2": "5924b2144a210893673763c757e01856bdb9ffd2f349de51cb52107bd83c824b",
+    "C6 power 2x2": "5df7f58bc2b37f1b1b4e66f0d6a3709b7547f9305d126c7d5568a2c185adc43a",
+    "C7 t_log_t 2x2": "23a5473e373e2d13c2a8d973c583dde1b282007978213d1aeaf3f90f3f6fa85b",
+    "C1 t_log_t 1x3": "9eb8a407e64273d954515d2ef2328881132137e19671358441a476374d4881cc",
+    "C5 t_log_t 1x3": "9aa07902c52035812e0774886f5487ab6ab481dc8bf5464a2e3a46ffecbaf62a",
+    "C6 power 1x3": "38ee498b4ef8f3f62a77f6df6adabe4c51d744f84f71b4c15d8f43bc15e509cf",
+    "C7 t_log_t 1x3": "fc828501beb632ab37877fde9b121a3fbbe70afc86ade55c9f5256ae1750008b",
+}}
 
 
 # C1 and C4 at 8x8 and 3 samples, whose witnesses are two and four 64x64
 # matrices: the writer splices each matrix's base64 payload into the JSON text.
-WITNESS_64X64_PINS = {
+WITNESS_64X64_PINS = {SKYLAKEX: {
     "C1 t_log_t 8x8": "a93c614f54e47e4e2ac5ec6bb6c696c3c95076c2e56c084da62d9a558ae63c8e",
     "C4 t_log_t 8x8": "729cd482a36f7d6406ae07baaefc4377e9376456423d635bef2bbf4907f62679",
-}
+}, HASWELL: {
+    "C1 t_log_t 8x8": "c49d52f66278477f724e0ce8e109fe21d184bca55461ab3ce182ab73828175e4",
+    "C4 t_log_t 8x8": "91a883c29e18660e9e8038c0ef3a94fbb8cb1bf9d11b46054f513153d860c983",
+}, HASWELL_ON_AVX512: {
+    "C1 t_log_t 8x8": "c49d52f66278477f724e0ce8e109fe21d184bca55461ab3ce182ab73828175e4",
+    "C4 t_log_t 8x8": "91a883c29e18660e9e8038c0ef3a94fbb8cb1bf9d11b46054f513153d860c983",
+}}
 
 
 def _pinned_report_sha(label: str, samples: int = 20) -> str:
@@ -190,19 +266,24 @@ def _pinned_report_sha(label: str, samples: int = 20) -> str:
     return hashlib.sha256(render_report(report).encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("label", CURVATURE_PINS)
+@pytest.mark.parametrize("label", CURVATURE_PINS[SKYLAKEX])
 def test_curvature_campaign_reports_keep_their_bits(label):
-    assert _pinned_report_sha(label) == CURVATURE_PINS[label]
+    assert _pinned_report_sha(label) == recorded(CURVATURE_PINS)[label]
 
 
-@pytest.mark.parametrize("label", GAP_AND_CONGRUENCE_PINS)
+@pytest.mark.parametrize("label", GAP_AND_CONGRUENCE_PINS[SKYLAKEX])
 def test_gap_and_congruence_campaign_reports_keep_their_bits(label):
-    assert _pinned_report_sha(label) == GAP_AND_CONGRUENCE_PINS[label]
+    assert _pinned_report_sha(label) == recorded(GAP_AND_CONGRUENCE_PINS)[label]
 
 
-@pytest.mark.parametrize("label", WITNESS_64X64_PINS)
+@pytest.mark.parametrize("label", WITNESS_64X64_PINS[SKYLAKEX])
 def test_reports_with_64x64_witnesses_keep_their_bits(label):
-    assert _pinned_report_sha(label, samples=3) == WITNESS_64X64_PINS[label]
+    assert _pinned_report_sha(label, samples=3) == recorded(WITNESS_64X64_PINS)[label]
+
+
+@pytest.mark.parametrize("pins", [CURVATURE_PINS, GAP_AND_CONGRUENCE_PINS, WITNESS_64X64_PINS])
+def test_every_kernel_set_pins_the_same_reports(pins):
+    assert all(values.keys() == pins[SKYLAKEX].keys() for values in pins.values())
 
 
 # -- chunked evaluation -----------------------------------------------------------
@@ -859,6 +940,23 @@ def test_a_non_finite_margin_is_a_numeric_error_of_its_sample(monkeypatch, chunk
                               "message": f"NumericError: margin is not finite: {text}"}]
     assert _bits(report.margins) == _bits(clean.margins[:3] + clean.margins[4:])
     assert report.violations == clean.violations
+
+
+@pytest.mark.parametrize("campaign,eig_range,event", [
+    ("C2", (5e-324, 1e-320), "invalid value encountered in subtract"),
+    ("C1", (1e307, 1.7e308), "overflow encountered in "),
+])
+def test_a_floating_point_event_is_a_numeric_error_of_its_sample(campaign, eig_range, event):
+    # Near the ends of the float range a margin's arithmetic overflows, or
+    # subtracts two infinities; each sample where it does is recorded with
+    # the event named, and nothing is warned, whatever the warnings filter.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = _run(campaign, samples=8, eig_low=eig_range[0], eig_high=eig_range[1])
+    assert report.margins == [] and report.witness is None
+    assert [error["sample"] for error in report.errors] == list(range(8))
+    assert all(error["type"] == "NumericError" and error["message"].startswith(f"NumericError: {event}")
+               for error in report.errors)
 
 
 @pytest.mark.parametrize("failing", [[0], [300], [511], list(range(5, 512, 16)), list(range(512))],

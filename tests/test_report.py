@@ -3,12 +3,15 @@
 import base64
 import builtins
 import codecs
+import hashlib
 import io
 import json
 import os
+import re
 import stat
 import struct
 import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -48,6 +51,8 @@ from entropygap import (
 )
 from entropygap import RngStream, campaigns
 from entropygap.cli import EXIT_PASS, main
+from entropygap.report import _FIELDS
+from kernels import HASWELL, HASWELL_ON_AVX512, SKYLAKEX, recorded
 from test_bipartite import sign_unitary_pinching, term_by_term, weyl_expectation
 
 
@@ -732,7 +737,7 @@ def test_report_from_dict_rejects_a_document_that_is_no_object(document, kind):
 def test_report_from_dict_names_a_missing_report_field(field):
     data = report_to_dict(_report())
     del data[field]
-    with pytest.raises(ValueError, match=f"missing report field '{field}'"):
+    with pytest.raises(ValueError, match=f"report field '{field}' must be .*, got nothing"):
         report_from_dict(data)
 
 
@@ -743,20 +748,30 @@ def test_report_from_dict_names_a_missing_report_field(field):
     ("worst_margin", "0.5", "a string"), ("worst_margin", [0.5], "an array"),
     ("witness", [], "an array"), ("witness", 1, "an integer"),
     ("errors", {}, "an object"), ("errors", None, "null"),
-    # Entries: margins are numbers, errors objects with an integer sample
-    # and a string type and message.
+    # Entries: margins are numbers, errors objects.
     ("margins", [0.5, None], "null at index 1"), ("margins", ["1.5"], "a string at index 0"),
     ("margins", [True], "a boolean at index 0"), ("margins", [[0.5]], "an array at index 0"),
     ("errors", [1], "an integer at index 0"), ("errors", [None], "null at index 0"),
-    ("errors", [{"sample": "1", "type": "NumericError", "message": "m"}], "a string 'sample' at index 0"),
-    ("errors", [{"sample": True, "type": "NumericError", "message": "m"}], "a boolean 'sample' at index 0"),
-    ("errors", [{"sample": 1, "type": 3, "message": "m"}], "an integer 'type' at index 0"),
-    ("errors", [{"sample": 1, "type": "NumericError"}], "no 'message' at index 0"),
 ])
 def test_report_from_dict_names_a_report_field_of_the_wrong_json_type(field, value, kind):
     data = report_to_dict(_report())
     data[field] = value
     with pytest.raises(ValueError, match=f"report field '{field}' must be .*, got {kind}"):
+        report_from_dict(data)
+
+
+@pytest.mark.parametrize("entry,match", [
+    ({"sample": "1", "type": "NumericError", "message": "m"}, "'sample' must be an integer, got a string"),
+    ({"sample": True, "type": "NumericError", "message": "m"}, "'sample' must be an integer, got a boolean"),
+    ({"sample": 1, "type": 3, "message": "m"}, "'type' must be a string, got an integer"),
+    ({"sample": 1, "type": "NumericError"}, "'message' must be a string, got nothing"),
+])
+def test_report_from_dict_names_a_field_of_an_errors_entry_and_its_index(entry, match):
+    # An errors entry is an object with an integer sample and a string type
+    # and message; the second entry here is not.
+    data = report_to_dict(_report())
+    data["errors"] = [{"sample": 0, "type": "NumericError", "message": "m"}, entry]
+    with pytest.raises(ValueError, match=f"errors entry 1 field {match}"):
         report_from_dict(data)
 
 
@@ -766,10 +781,11 @@ _MISSING = object()  # a field deleted from the document
 @pytest.mark.parametrize("field,value,match", [
     ("base64", 12, "matrix field 'base64' must be a string, got an integer"),
     ("base64", None, "matrix field 'base64' must be a string, got null"),
-    ("shape", "ab", "matrix field 'shape' must be a list of integers, got 'ab'"),
-    ("shape", [4, 4.0], r"matrix field 'shape' must be a list of integers, got \[4, 4.0\]"),
-    ("shape", [4, True], r"matrix field 'shape' must be a list of integers, got \[4, True\]"),
-    ("shape", None, "matrix field 'shape' must be a list of integers, got None"),
+    ("shape", "ab", "matrix field 'shape' must be a list of integers, got a string"),
+    ("shape", [4, 4.0], "matrix field 'shape' must be a list of integers, got a number at index 1"),
+    ("shape", [4, True], "matrix field 'shape' must be a list of integers, got a boolean at index 1"),
+    ("shape", None, "matrix field 'shape' must be a list of integers, got null"),
+    ("shape", _MISSING, "matrix field 'shape' must be a list of integers, got nothing"),
     # The fields of a witness channel, missing or of the wrong JSON type.
     ("frame", _MISSING, "channel field 'frame' must be a matrix, got nothing"),
     ("frame", 3, "channel field 'frame' must be a matrix, got an integer"),
@@ -798,6 +814,57 @@ def test_report_from_dict_names_a_witness_matrix_field_of_the_wrong_json_type(fi
     else:
         target[field] = value
     with pytest.raises(ValueError, match=match):
+        report_from_dict(data)
+
+
+# One value of each JSON type, by the name the loader gives its type.
+JSON_VALUES = {"an object": {}, "an array": [], "a string": "s", "an integer": 1, "a number": 0.5,
+               "a boolean": True, "null": None}
+
+
+def _field_table_cases():
+    # For every field of every kind of object in the loader's table: the field
+    # missing, of a JSON type it may not hold and, for an array, holding an
+    # item of a type it may not hold.
+    for kind, table in _FIELDS.items():
+        for name, (_, types, items) in table.items():
+            wrong = next(found for found, value in JSON_VALUES.items() if type(value) not in types)
+            cases = [(_MISSING, "nothing"), (JSON_VALUES[wrong], wrong)]
+            if items:
+                bad = next(found for found, value in JSON_VALUES.items() if type(value) not in items)
+                cases.append(([JSON_VALUES[bad]], f"{bad} at index 0"))
+            for value, found in cases:
+                yield pytest.param(kind, name, value, found, id=f"{kind}-{name}-{found}")
+
+
+def _object_holding(kind, name):
+    # A report document, an object of kind in it that holds field name, and
+    # how the loader names that object.
+    data = report_to_dict(_report())
+    if kind == "report":
+        return data, data, kind
+    if kind == "errors entry":
+        data["errors"] = [{"sample": 0, "type": "NumericError", "message": "m"}]
+        return data, data["errors"][0], "errors entry 0"
+    if kind == "matrix":
+        return data, data["witness"]["rho"]["matrix"], kind
+    for family in ("pinching", "expectation", "mixed"):
+        data = report_to_dict(_report(campaign="C3", d2=3, channel_family=family))
+        if name in data["witness"]["channel"]["channel"]:
+            return data, data["witness"]["channel"]["channel"], kind
+    raise AssertionError(f"no witness holds a {kind} field {name!r}")
+
+
+@pytest.mark.parametrize("kind,name,value,found", _field_table_cases())
+def test_every_field_of_the_loader_table_is_checked(kind, name, value, found):
+    # Generated from the table itself, so a field added to it is checked too.
+    data, target, owner = _object_holding(kind, name)
+    if value is _MISSING:
+        del target[name]
+    else:
+        target[name] = value
+    what = _FIELDS[kind][name][0]
+    with pytest.raises(ValueError, match=re.escape(f"{owner} field {name!r} must be {what}, got {found}")):
         report_from_dict(data)
 
 
@@ -839,7 +906,7 @@ def test_load_reports_names_a_missing_field_of_one_report(tmp_path):
     data = json.loads(path.read_text(encoding="utf-8"))
     del data["campaigns"]["C2"]["margins"]
     path.write_text(json.dumps(data), encoding="utf-8")
-    with pytest.raises(ValueError, match="missing report field 'margins'"):
+    with pytest.raises(ValueError, match="report field 'margins' must be an array of numbers, got nothing"):
         load_reports(path)
 
 
@@ -918,6 +985,64 @@ def _assert_rerun_margins(campaign, margins, rerun):
         assert all(abs(a - b) <= budget * (1.0 + abs(a)) for a, b in zip(margins, rerun))
 
 
+# The earlier reports were written on the SKYLAKEX kernel set, where a rerun
+# of each gives its margins and witness.  On another kernel set, the SHA-256
+# of each rerun's rendered report is pinned, and the float.hex of the margin
+# that each witness replays to, by file and campaign.
+EARLIER_RERUN_PINS = {SKYLAKEX: None, HASWELL: {
+    "c1-2x2.json C1": "0832f289e914639c1a2502c28d3328e1abbe0c66472a1959b82ba06c0b09ba0c",
+    "c3-pinching-2x2.json C3": "080b8bfac86a2a9de3ff5d321861626fe76317fced7011084c11b251cac75895",
+    "c3-mixed-2x2.json C3": "01c75b15eb199d42868d6d4ce7be7b1cfefee0b0dfb62b29412323ff3fbd8411",
+    "all-samples-3.json C1": "0832f289e914639c1a2502c28d3328e1abbe0c66472a1959b82ba06c0b09ba0c",
+    "all-samples-3.json C2": "9fdec3d8692d560fce0922562b0da47dac360d24ea5b44473f70dbc183bdf0d4",
+    "all-samples-3.json C3": "f872d3180fe737388cb904f947b5914a0616db32fe7d9f38adc163fec2046771",
+    "all-samples-3.json C4": "86846092f6483178f7f2ae7fc51983853d7547393ca7e17100fc3b5d6c2b482e",
+    "all-samples-3.json C5": "127fdaa462fdf51b2df0c649660f7e3e2b2145ddf9bf6cff4e8ab0312fa8f0cf",
+    "all-samples-3.json C6": "209dcbb34dd9063004d93ac447685082939d427dbe94152fba3e5a7aba85d3db",
+    "all-samples-3.json C7": "0daf88ce809d8ab23262d9aac5174c14cd230499fa221f244f41fc4b13739c20",
+    "all-samples-3.json C8": "6989e55e26aa1b5b9ab723a4c59bf757e66d402c4d6692e2bc95b73476c7c823",
+}, HASWELL_ON_AVX512: {
+    "c1-2x2.json C1": "0832f289e914639c1a2502c28d3328e1abbe0c66472a1959b82ba06c0b09ba0c",
+    "c3-pinching-2x2.json C3": "080b8bfac86a2a9de3ff5d321861626fe76317fced7011084c11b251cac75895",
+    "c3-mixed-2x2.json C3": "01c75b15eb199d42868d6d4ce7be7b1cfefee0b0dfb62b29412323ff3fbd8411",
+    "all-samples-3.json C1": "0832f289e914639c1a2502c28d3328e1abbe0c66472a1959b82ba06c0b09ba0c",
+    "all-samples-3.json C2": "9fdec3d8692d560fce0922562b0da47dac360d24ea5b44473f70dbc183bdf0d4",
+    "all-samples-3.json C3": "f872d3180fe737388cb904f947b5914a0616db32fe7d9f38adc163fec2046771",
+    "all-samples-3.json C4": "86846092f6483178f7f2ae7fc51983853d7547393ca7e17100fc3b5d6c2b482e",
+    "all-samples-3.json C5": "127fdaa462fdf51b2df0c649660f7e3e2b2145ddf9bf6cff4e8ab0312fa8f0cf",
+    "all-samples-3.json C6": "022125d64ea614b5b82afcaad4d7b210ab3f2fa9851322d1835d44a79f71abe4",
+    "all-samples-3.json C7": "0daf88ce809d8ab23262d9aac5174c14cd230499fa221f244f41fc4b13739c20",
+    "all-samples-3.json C8": "6989e55e26aa1b5b9ab723a4c59bf757e66d402c4d6692e2bc95b73476c7c823",
+}}
+EARLIER_REPLAY_PINS = {SKYLAKEX: None, HASWELL: {
+    "c1-2x2.json C1": "0x1.e69004870ccb0p-4",
+    "c3-pinching-2x2.json C3": "0x1.5ff24a608e288p-1",
+    "c3-mixed-2x2.json C3": "0x1.290aa67e53931p-1",
+    "all-samples-3.json C1": "0x1.e69004870ccb0p-4",
+    "all-samples-3.json C2": "0x1.5c1d2411691b2p-1",
+    "all-samples-3.json C3": "0x1.3e196908fcd8ep-1",
+    "all-samples-3.json C4": "0x1.fea52005bcab2p-2",
+    "all-samples-3.json C5": "0x1.e69004870ccb0p-4",
+    "all-samples-3.json C6": "0x1.6faaf690598a8p-3",
+    "all-samples-3.json C7": "0x1.5293a71ce8107p-7",
+    "all-samples-3.json C8": "-0x1.0000000000000p-56",
+    "c9-2x2.json C9": "0x1.5a34430b0c639p+3",
+}, HASWELL_ON_AVX512: {
+    "c1-2x2.json C1": "0x1.e69004870ccb0p-4",
+    "c3-pinching-2x2.json C3": "0x1.5ff24a608e288p-1",
+    "c3-mixed-2x2.json C3": "0x1.290aa67e53931p-1",
+    "all-samples-3.json C1": "0x1.e69004870ccb0p-4",
+    "all-samples-3.json C2": "0x1.5c1d2411691b2p-1",
+    "all-samples-3.json C3": "0x1.3e196908fcd8ep-1",
+    "all-samples-3.json C4": "0x1.fea52005bcab0p-2",
+    "all-samples-3.json C5": "0x1.e69004870ccb0p-4",
+    "all-samples-3.json C6": "0x1.6faaf690598a8p-3",
+    "all-samples-3.json C7": "0x1.5293a71ce8107p-7",
+    "all-samples-3.json C8": "-0x1.0000000000000p-56",
+    "c9-2x2.json C9": "0x1.5a34430b0c639p+3",
+}}
+
+
 @pytest.mark.parametrize("name", EARLIER_REPORTS)
 def test_reports_with_nested_pair_matrices_still_load_bit_for_bit(name):
     text = (DATA / name).read_text(encoding="utf-8")
@@ -926,14 +1051,18 @@ def test_reports_with_nested_pair_matrices_still_load_bit_for_bit(name):
     if "campaigns" not in json.loads(text):
         (only,) = loaded.values()
         assert render_report(load_report(DATA / name)) == render_report(only)
+    pins = recorded(EARLIER_RERUN_PINS)
     for campaign, report in loaded.items():
         rerun = run_campaign(report.config)
         assert report.config == rerun.config
-        _assert_rerun_margins(campaign, report.margins, rerun.margins)
         assert report.violations == rerun.violations
         # These reports were written before witnesses recorded their scale.
         assert "scale" not in report.witness
-        _assert_same_witness(report.witness, {k: v for k, v in rerun.witness.items() if k != "scale"})
+        if pins is None:
+            _assert_rerun_margins(campaign, report.margins, rerun.margins)
+            _assert_same_witness(report.witness, {k: v for k, v in rerun.witness.items() if k != "scale"})
+        else:
+            assert hashlib.sha256(render_report(rerun).encode("utf-8")).hexdigest() == pins[f"{name} {campaign}"]
 
 
 def test_earlier_reports_cover_both_matrix_channels():
@@ -982,8 +1111,12 @@ def test_replay_recomputes_the_worst_margin_bit_for_bit(tmp_path, campaign, fami
 @pytest.mark.parametrize("name", EARLIER_REPORTS + ["c9-2x2.json"])
 def test_earlier_witnesses_replay_to_their_worst_margin(name):
     # Exactly, but for the campaigns whose kernels have changed since.
+    pins = recorded(EARLIER_REPLAY_PINS)
     for campaign, report in load_reports(DATA / name).items():
-        _assert_rerun_margins(campaign, [report.worst_margin], [replay(report)])
+        if pins is None:
+            _assert_rerun_margins(campaign, [report.worst_margin], [replay(report)])
+        else:
+            assert replay(report).hex() == pins[f"{name} {campaign}"]
 
 
 def test_replay_refuses_a_report_without_a_witness():
@@ -1039,3 +1172,12 @@ def test_replay_refuses_a_non_finite_witness_or_margin(monkeypatch):
     monkeypatch.setitem(campaigns._CAMPAIGNS, "C7", row._replace(margin=lambda config, inputs: np.array([np.inf])))
     with pytest.raises(NumericError, match="margin is not finite: inf"):
         replay(report)
+
+
+def test_replay_names_a_floating_point_event_of_its_margin():
+    report = _report(samples=3)
+    witness = {**report.witness, "rho": report.witness["rho"] * 1e307}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="^overflow encountered in "):
+            replay(replace(report, witness=witness))
