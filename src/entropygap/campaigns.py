@@ -471,8 +471,8 @@ def _draw_c8(config: CampaignConfig, streams) -> dict:
 def _margin_c8(config: CampaignConfig, inputs: dict) -> np.ndarray:
     s, t, a, h = (inputs[key] for key in ("s", "t", "a", "h"))
     dd_gaps = np.abs(divided_difference(LOG, "f", s, t) - dd_log_quadrature(s, t))
-    references = log_quad_form_quadrature(a, h)
-    qf_gaps = np.abs(quad_form(T_LOG_T, a, h) - references) / np.abs(references)
+    references = log_quad_form_quadrature(a, h)  # checks a and h, once for both forms
+    qf_gaps = np.abs(_quad_form(*_curvature(T_LOG_T, a), h) - references) / np.abs(references)
     inputs["scale"] = [1.0] * len(a)  # both gaps are relative or of fixed scale
     return -np.maximum(dd_gaps, qf_gaps)
 

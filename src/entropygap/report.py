@@ -10,10 +10,11 @@ conversion either way.  Earlier versions wrote a matrix as nested lists of
 deliberately not serialized, so identical configurations produce
 byte-identical documents.
 
-The bytes are those of the ``json.dumps`` call, but base64 text needs no JSON
-escaping, and escaping it took most of the time of dumping a 64x64 witness.
-So the writer dumps the document with every payload left empty and splices
-the payloads into that text.
+The writer emits the bytes of that ``json.dumps`` call itself: with an
+``indent``, ``json.dumps`` runs a pure-Python encoder, which took most of the
+time of rendering a small report.  Each string but a witness matrix's base64
+payload, which needs no escaping, goes through ``json.dumps``'s escaper.  A
+key that is no string raises ``TypeError``: it would load as another key.
 
 An existing file is overwritten in place and then cut to the new length, so
 it keeps its inode; the write is not atomic.  It is not cut to zero first,
@@ -243,52 +244,60 @@ def _write(path, text: str) -> None:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 
 
-# A matrix_to_json value with its payload left empty, as json.dumps writes it.
-# json.dumps escapes each quote inside a string, so the text matches nowhere
-# else but after a string that ends in an escaped quote and base64 and has an
-# empty string for its value.
-_BLANK = '"base64": ""'
+_escape = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # float.__repr__ to JSON
 
 
-def _blank_payloads(value, payloads: list):
-    # ``value`` with each matrix_to_json payload moved to ``payloads``, in
-    # the order json.dumps writes them.
-    if isinstance(value, dict):
-        if value.keys() == _FIELDS["matrix"].keys():
-            payloads.append(value["base64"])
-            return {**value, "base64": ""}
-        return {key: _blank_payloads(item, payloads) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_blank_payloads(item, payloads) for item in value]
-    return value
-
-
-def _blank_witness(report: dict, payloads: list) -> dict:
-    # A report_to_dict value with its witness's payloads moved to
-    # ``payloads``: no other field of a report holds one.
-    return {**report, "witness": _blank_payloads(report["witness"], payloads)}
+def _emit(value, out: list, newline: str, witnesses: set, raw: bool = False) -> None:
+    # Append to ``out`` the text json.dumps(value, indent=2) writes for
+    # ``value`` nested after ``newline``.  Below a dict whose id is in
+    # ``witnesses`` (``raw``), each matrix_to_json payload goes out unescaped.
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        out.append(_NON_FINITE.get(text, text))
+    elif isinstance(value, str):
+        out.append(_escape(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif not isinstance(value, (list, tuple, dict)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        payload = raw and value.keys() == _FIELDS["matrix"].keys()
+        raw = raw or id(value) in witnesses
+        separator, inner = "{", newline + "  "
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            out += separator, inner, _escape(key), ": "
+            if payload and key == "base64":
+                out += '"', item, '"'
+            else:
+                _emit(item, out, inner, witnesses, raw)
+            separator = ","
+        out += newline, "}"
+    else:
+        separator, inner = "[", newline + "  "
+        for item in value:
+            out += separator, inner
+            _emit(item, out, inner, witnesses, raw)
+            separator = ","
+        out += newline, "]"
 
 
 def _dump(tree: dict) -> str:
-    """``json.dumps(tree, indent=2)`` plus a newline, each base64 payload
-    spliced into the text rather than passed through the JSON escaper.
+    """``json.dumps(tree, indent=2)`` plus a newline.
 
     ``tree`` is one report_to_dict value or ``{"campaigns": {id: value}}``.
     """
-    payloads = []
-    if "campaigns" in tree:
-        blank = {"campaigns": {campaign: _blank_witness(report, payloads)
-                               for campaign, report in tree["campaigns"].items()}}
-    else:
-        blank = _blank_witness(tree, payloads)
-    parts = json.dumps(blank, indent=2).split(_BLANK)
-    if len(parts) != len(payloads) + 1:  # a string matched _BLANK too
-        return json.dumps(tree, indent=2) + "\n"
-    pieces = [parts[0]]
-    for payload, part in zip(payloads, parts[1:]):
-        pieces += ('"base64": "', payload, '"', part)
-    pieces.append("\n")
-    return "".join(pieces)
+    reports = tree["campaigns"].values() if "campaigns" in tree else (tree,)
+    out = []
+    _emit(tree, out, "\n", {id(report["witness"]) for report in reports})
+    out.append("\n")
+    return "".join(out)
 
 
 def render_report(report: CampaignReport) -> str:

@@ -245,7 +245,9 @@ GAP_AND_CONGRUENCE_PINS = {SKYLAKEX: {
 
 
 # C1 and C4 at 8x8 and 3 samples, whose witnesses are two and four 64x64
-# matrices: the writer splices each matrix's base64 payload into the JSON text.
+# matrices. The writer emits json.dumps's bytes itself, as json.dumps with an
+# indent runs a slow pure-Python encoder, and writes each base64 payload
+# unescaped: base64 holds nothing to escape.
 WITNESS_64X64_PINS = {SKYLAKEX: {
     "C1 t_log_t 8x8": "a93c614f54e47e4e2ac5ec6bb6c696c3c95076c2e56c084da62d9a558ae63c8e",
     "C4 t_log_t 8x8": "729cd482a36f7d6406ae07baaefc4377e9376456423d635bef2bbf4907f62679",

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from entropygap import (
@@ -334,7 +334,9 @@ def test_random_bit_patterns_round_trip(rows, cols, data):
     _assert_same_witness(_through_text(report).witness, report.witness)
 
 
-# -- the writer: json.dumps' bytes, each base64 payload spliced in ----------------
+# -- the writer: json.dumps' bytes, emitted without json.dumps -------------------
+# json.dumps with an indent runs a slow pure-Python encoder, so the writer emits
+# its bytes itself, every string escaped but a witness matrix's base64 payload.
 
 
 def _dumped(tree: dict) -> str:
@@ -380,6 +382,57 @@ def test_emit_reports_of_hand_built_reports_is_json_dumps(tmp_path):
     emit_reports(reports, path)
     tree = {"campaigns": {r.config.campaign: report_to_dict(r) for r in reports}}
     assert path.read_bytes() == _dumped(tree).encode("utf-8")
+
+
+_KEYS = st.text(st.sampled_from('"\\/\x00\x1f\n\t\x7f\u2028a\u00e9\U0001f600')) | st.text(max_size=4)
+_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, *SPECIAL])
+_SCALARS = _FLOATS | st.integers() | st.integers(2**64, 10**80) | st.booleans() | st.none() | _KEYS
+_TREES = st.recursive(_SCALARS, lambda children: st.lists(children, max_size=3)
+                      | st.dictionaries(_KEYS, children, max_size=3), max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    margins=st.lists(_FLOATS, max_size=4),
+    worst=st.none() | _FLOATS,
+    witness=st.none() | st.dictionaries(_KEYS, _SCALARS | st.sampled_from([np.zeros((0, 0)), np.eye(2)]),
+                                        max_size=4),
+    errors=st.lists(st.dictionaries(_KEYS, _TREES, max_size=4), max_size=3),
+)
+def test_render_and_emit_reports_are_json_dumps_for_any_tree(tmp_path, margins, worst, witness, errors):
+    report = CampaignReport(config=CampaignConfig(campaign="C1"), margins=margins, violations=0,
+                            worst_margin=worst, witness=witness, errors=errors, wall_time=0.0)
+    assert render_report(report) == _dumped(report_to_dict(report))
+    reports = [report, replace(report, config=CampaignConfig(campaign="C2"), witness=None)]
+    emit_reports(reports, tmp_path / "several.json")
+    tree = {"campaigns": {r.config.campaign: report_to_dict(r) for r in reports}}
+    assert (tmp_path / "several.json").read_bytes() == _dumped(tree).encode("utf-8")
+
+
+@pytest.mark.parametrize("witness, errors", [
+    # Outside a witness every string is escaped, one shaped as a matrix too.
+    ({"rho": np.eye(2), "sample": 0}, [{"sample": 1, "shape": [1], "base64": 'a"b'}]),
+    ({"rho": np.eye(2)}, [{"witness": {"m": {"shape": [1], "base64": 'a"b'}}}]),
+    # So is a witness value, and the witness itself is no matrix.
+    ({'x"base64': 'a"b', "none": np.zeros((0, 0)), "sample": 0}, []),
+    ({"shape": "1x1", "base64": 'a"b'}, []),
+])
+def test_render_escapes_every_string_but_a_witness_matrix_payload(witness, errors):
+    report = _hand_built(witness, errors=errors)
+    assert render_report(report) == _dumped(report_to_dict(report))
+
+
+@pytest.mark.parametrize("key", [1, 1.5, True, None])
+def test_a_key_that_is_no_string_raises_type_error_and_writes_nothing(tmp_path, key):
+    # json.dumps would write the key as a string, which would load as another key.
+    path = tmp_path / "report.json"
+    path.write_bytes(b"earlier document\n")
+    for report in (_hand_built({key: 0.5}), _hand_built(None, errors=[{"sample": 0, key: 1}])):
+        with pytest.raises(TypeError, match="report keys must be str"):
+            emit_report(report, path)
+        with pytest.raises(TypeError, match="report keys must be str"):
+            emit_reports([report], path)
+    assert path.read_bytes() == b"earlier document\n"
 
 
 def test_emitted_file_is_rendered_utf8_bytes(tmp_path):
