@@ -10,6 +10,13 @@ conversion either way.  Earlier versions wrote a matrix as nested lists of
 deliberately not serialized, so identical configurations produce
 byte-identical documents.
 
+A payload of 16 K characters or more (from about 28x28 entries up) is decoded
+in numpy, twelve bits per table lookup, and a shorter one, or one that fails
+there, by ``base64.b64decode(..., validate=True)``.  Either path gives that
+call's bytes or raises its error: ``tests/test_report.py``'s
+``test_payloads_near_the_numpy_threshold_decode_as_b64decode`` and
+``test_a_corrupted_payload_fails_as_b64decode_does`` check both against it.
+
 The writer emits the bytes of that ``json.dumps`` call itself: with an
 ``indent``, ``json.dumps`` runs a pure-Python encoder, which took most of the
 time of rendering a small report.  Each string but a witness matrix's base64
@@ -57,12 +64,80 @@ def matrix_to_json(m) -> dict:
 def matrix_from_json(value) -> np.ndarray:
     """Decode :func:`matrix_to_json`'s encoding, or the earlier nested
     ``[re, im]`` lists, back into a complex matrix.  A ``base64`` that is no
-    string, or a ``shape`` that is no list of integers, raises ``ValueError``
-    naming the field."""
-    if isinstance(value, dict):
-        data = base64.b64decode(_field("matrix", value, "base64"), validate=True)
-        return np.frombuffer(data, dtype=_ENTRY).reshape(_field("matrix", value, "shape")).astype(complex)
+    string, a ``shape`` that is no list of non-negative integers whose
+    product is the entry count, and nested lists that are no rows of pairs
+    of numbers raise ``ValueError`` naming the field."""
+    if not isinstance(value, dict):
+        return _nested_pairs(value)
+    data = _b64decode(_field("matrix", value, "base64"))
+    shape = _field("matrix", value, "shape")
+    try:
+        matrix = np.frombuffer(data, dtype=_ENTRY).reshape(shape)
+    except ValueError:
+        matrix = None
+    # reshape takes a negative entry as "whatever fits", so the shape must also come back as given.
+    if matrix is None or matrix.shape != tuple(shape):
+        raise ValueError(f"matrix field 'shape' must be non-negative integers for the {len(data)} bytes of "
+                         f"'base64', {_ENTRY.itemsize} per entry, got {shape}")
+    return matrix.astype(complex)
+
+
+def _nested_pairs(value) -> np.ndarray:
+    # Earlier versions' layout: equally long rows of [re, im] number pairs.
+    fault = next(_pair_faults(value), None) if type(value) is list else _json_type(value)
+    if fault is not None:
+        raise ValueError(f"matrix must be an object or equally long rows of [re, im] number pairs, got {fault}")
     return np.array([[complex(re, im) for re, im in row] for row in value], dtype=complex)
+
+
+def _pair_faults(rows):
+    for i, row in enumerate(rows):
+        if type(row) is not list:
+            yield f"{json.dumps(row)} at row {i}"
+        elif len(row) != len(rows[0]):
+            yield f"{len(row)} pairs at row {i} and {len(rows[0])} at row 0"
+        for j, pair in enumerate(row if type(row) is list else ()):
+            if type(pair) is not list or len(pair) != 2 or not _NUMBERS.issuperset(map(type, pair)):
+                yield f"{json.dumps(pair)} at row {i}, column {j}"
+
+
+# A base64 payload at least this long (from about 28x28 entries up) is decoded
+# in numpy, a shorter one by b64decode alone: numpy's fixed cost per call makes
+# it the slower of the two up to about 24x24 entries (12,288 characters).
+_NUMPY_DECODE_MIN = 1 << 14
+
+# The 12-bit value of each pair of base64 characters, indexed by the pair read
+# as a little-endian uint16.  A pair holding a character outside the alphabet,
+# "=" included, maps to 0xFFFF, outside 12 bits.
+_SEXTETS = np.full(256, 1 << 12, dtype=np.uint32)
+_SEXTETS[np.frombuffer(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", np.uint8)] = range(64)
+_PAIRS = np.minimum(_SEXTETS << 6 | _SEXTETS[:, None], 0xFFFF).astype(np.uint16).ravel()
+
+
+def _b64decode(text: str) -> bytes:
+    """``base64.b64decode(text, validate=True)``: its bytes, or its error."""
+    if len(text) >= _NUMPY_DECODE_MIN and text.isascii():
+        # Each 16-character group but the last is eight pairs of 12 bits,
+        # which make three big-endian 32-bit words.  The last group, with any
+        # padding, goes to b64decode.  Where a pair or that call fails, the
+        # whole text goes to b64decode, which raises its own error.
+        groups = (len(text) - 1) // 16
+        raw = text.encode("ascii")
+        # Looked up transposed, so that each of the eight columns is contiguous.
+        pairs = _PAIRS.take(np.frombuffer(raw, "<u2", 8 * groups).reshape(groups, 8).T)
+        if pairs.max() < 1 << 12:
+            try:
+                tail = base64.b64decode(raw[16 * groups:], validate=True)
+            except ValueError:
+                pass
+            else:
+                u0, u1, u2, u3, u4, u5, u6, u7 = pairs.astype(np.uint32)
+                words = np.empty((groups, 3), ">u4")
+                words[:, 0] = u0 << 20 | u1 << 8 | u2 >> 4
+                words[:, 1] = (u2 & 0xF) << 28 | u3 << 16 | u4 << 4 | u5 >> 8
+                words[:, 2] = (u5 & 0xFF) << 24 | u6 << 12 | u7
+                return words.tobytes() + tail
+    return base64.b64decode(text, validate=True)
 
 
 def _encode_value(value):
@@ -132,11 +207,11 @@ _CONFIG_FIELDS = frozenset(field.name for field in fields(CampaignConfig))
 # JSON types json.loads may return for it and, for an array, the set of its
 # items' types.  A channel's matrix is a matrix object or, as earlier versions wrote
 # it, nested lists.
-_INTEGER, _STRING = ("an integer", (int,), None), ("a string", (str,), None)
+_INTEGER, _STRING, _NUMBERS = ("an integer", (int,), None), ("a string", (str,), None), {int, float}
 _FIELDS = {
     "report": {
         "config": ("an object", (dict,), None),
-        "margins": ("an array of numbers", (list,), {int, float}),
+        "margins": ("an array of numbers", (list,), _NUMBERS),
         "violations": _INTEGER,
         "worst_margin": ("a number or null", (int, float, type(None)), None),
         "witness": ("an object or null", (dict, type(None)), None),
@@ -149,7 +224,7 @@ _FIELDS = {
         "labels": ("a list of integers", (list,), {int}),
         "d1": _INTEGER,
         "d2": _INTEGER,
-        "weights": ("a list of numbers", (list,), {int, float}),
+        "weights": ("a list of numbers", (list,), _NUMBERS),
         "unitaries": ("a list of matrices", (list,), {dict, list}),
     },
 }

@@ -50,8 +50,8 @@ from entropygap import (
     run_campaign,
 )
 from entropygap import RngStream, campaigns
-from entropygap.cli import EXIT_PASS, main
-from entropygap.report import _FIELDS
+from entropygap.cli import EXIT_NUMERIC, EXIT_PASS, EXIT_VIOLATION, main
+from entropygap.report import _FIELDS, _NUMPY_DECODE_MIN, _b64decode
 from kernels import HASWELL, HASWELL_ON_AVX512, SKYLAKEX, recorded
 from test_bipartite import sign_unitary_pinching, term_by_term, weyl_expectation
 
@@ -93,10 +93,54 @@ def test_matrix_round_trip_is_bitwise():
     assert through_text.tobytes() == m.tobytes()
 
 
-def test_matrix_from_json_rejects_a_shape_that_does_not_fit():
-    encoded = matrix_to_json(np.eye(2))
-    with pytest.raises(ValueError):
-        matrix_from_json({"shape": [3, 3], "base64": encoded["base64"]})
+@pytest.mark.parametrize("shape,payload", [
+    ([-1], ""),
+    ([2, -2], ""),
+    ([-2, -2], matrix_to_json(np.eye(2))["base64"]),
+    ([3, 3], matrix_to_json(np.eye(2))["base64"]),
+    ([-1, 4], matrix_to_json(np.eye(2))["base64"]),
+    ([2**64], ""),
+    ([], ""),
+    ([1], "AAAA"),
+])
+def test_matrix_from_json_rejects_a_shape_that_does_not_fit(shape, payload):
+    # A negative entry, which reshape would take as "whatever fits", or a
+    # product other than the entry count.
+    size = len(base64.b64decode(payload))
+    match = f"matrix field 'shape' must be non-negative integers for the {size} bytes of 'base64', 16 per entry"
+    with pytest.raises(ValueError, match=re.escape(f"{match}, got {shape}")):
+        matrix_from_json({"shape": shape, "base64": payload})
+
+
+@pytest.mark.parametrize("matrix,fault", [
+    ([[1]], "1 at row 0, column 0"),
+    ([[["a", 1]]], '["a", 1] at row 0, column 0'),
+    ([[[1, None]]], "[1, null] at row 0, column 0"),
+    ([[[1, 2, 3]]], "[1, 2, 3] at row 0, column 0"),
+    ([[[0, 1]], [[1, True]]], "[1, true] at row 1, column 0"),
+    ([[[0, 1]], 2], "2 at row 1"),
+    ([[[0, 1]], []], "0 pairs at row 1 and 1 at row 0"),
+])
+@pytest.mark.parametrize("where", ["witness", "frame"])
+def test_report_from_dict_names_malformed_nested_pairs(matrix, fault, where):
+    # Earlier versions' matrix layout, in a witness matrix and in a pinching's frame.
+    if where == "witness":
+        data = report_to_dict(_report())
+        data["witness"]["rho"] = {"matrix": matrix}
+    else:
+        data = report_to_dict(_report(campaign="C3", d2=3, channel_family="pinching"))
+        data["witness"]["channel"]["channel"]["frame"] = matrix
+    message = f"matrix must be an object or equally long rows of [re, im] number pairs, got {fault}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        report_from_dict(data)
+
+
+def test_report_from_dict_names_a_witness_matrix_that_is_no_array():
+    data = report_to_dict(_report())
+    data["witness"]["rho"] = {"matrix": "[[1]]"}
+    with pytest.raises(ValueError, match=re.escape("matrix must be an object or equally long rows of "
+                                                   "[re, im] number pairs, got a string")):
+        report_from_dict(data)
 
 
 def test_empty_report_round_trips_to_equality():
@@ -334,6 +378,112 @@ def test_random_bit_patterns_round_trip(rows, cols, data):
     _assert_same_witness(_through_text(report).witness, report.witness)
 
 
+# -- the reader: payloads of 16 K characters and more are decoded in numpy -------
+# The reader must return b64decode(text, validate=True)'s bytes on either path,
+# or raise its exception with its message.
+
+
+def _outcome(decode, text):
+    # What decode(text) returns, or the type and message of what it raises.
+    try:
+        return decode(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _stdlib_decode(text: str) -> bytes:
+    return base64.b64decode(text, validate=True)
+
+
+def test_payloads_near_the_numpy_threshold_decode_as_b64decode():
+    # Every residue of the length mod 4 and mod 16 on both sides of it: a
+    # length that is a multiple of 4 with 0, 1 and 2 padding characters, any
+    # other a valid text cut short.
+    rng = np.random.default_rng(17)
+    for length in range(_NUMPY_DECODE_MIN - 32, _NUMPY_DECODE_MIN + 33):
+        data = rng.bytes(3 * length // 4 + 3)
+        if length % 4:
+            texts = [base64.b64encode(data).decode()[:length]]
+        else:
+            texts = [base64.b64encode(data[:3 * length // 4 - pad]).decode() for pad in (0, 1, 2)]
+        for text in texts:
+            assert len(text) == length
+            expected = _outcome(_stdlib_decode, text)
+            assert isinstance(expected, bytes) == (length % 4 == 0)
+            assert _outcome(_b64decode, text) == expected, (length, text[-4:])
+
+
+def test_only_the_last_group_of_a_long_payload_reaches_b64decode(monkeypatch):
+    # A 64x64 witness is decoded in numpy but its last group of at most 16
+    # characters, and so is a payload at the threshold whose last full group
+    # ends in padding. The longest valid payload below the threshold is
+    # decoded by b64decode alone.
+    m = random_hermitian(64, RngStream(331, 1))
+    long_payload = matrix_to_json(m)["base64"]
+    rng = np.random.default_rng(3)
+    padded = base64.b64encode(rng.bytes(3 * _NUMPY_DECODE_MIN // 4 - 2)).decode()
+    short_payload = base64.b64encode(rng.bytes(3 * _NUMPY_DECODE_MIN // 4 - 3)).decode()
+    assert len(long_payload) % 16 == 8 and padded.endswith("==") and len(padded) == _NUMPY_DECODE_MIN
+    lengths = []
+    real = base64.b64decode
+    monkeypatch.setattr(base64, "b64decode", lambda text, **kw: lengths.append(len(text)) or real(text, **kw))
+    assert matrix_from_json({"shape": [64, 64], "base64": long_payload}).tobytes() == m.tobytes()
+    assert _b64decode(padded) == real(padded, validate=True)
+    assert lengths == [8, 16]
+    lengths.clear()
+    assert _b64decode(short_payload) == real(short_payload, validate=True)
+    assert lengths == [_NUMPY_DECODE_MIN - 4]
+
+
+_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _corrupt(kind, text, data):
+    # One corruption of a valid payload, placed by hypothesis.
+    at = data.draw(st.integers(0, len(text) - 1))
+    if kind == "non-alphabet byte":
+        return text[:at] + data.draw(st.sampled_from("!-_.*\x00\x7f \t")) + text[at + 1:]
+    if kind == "padding inside":
+        return text[:at] + "=" + text[at + 1:]
+    if kind == "padding":
+        padded = text.rstrip("=") + "=" * data.draw(st.integers(0, 3))
+        return padded if padded != text else padded + "="
+    if kind == "newline":
+        return text[:at] + data.draw(st.sampled_from(["\n", "\r\n"])) + text[at:]
+    if kind == "non-ASCII":
+        return text[:at] + data.draw(st.sampled_from("\x80\xe9\u2028\U0001f600")) + text[at + 1:]
+    cut = data.draw(st.integers(1, 3))
+    if data.draw(st.booleans()):
+        return text[:at] + text[at + cut:]
+    return text[:at] + data.draw(st.text(st.sampled_from(_ALPHABET), min_size=cut, max_size=cut)) + text[at:]
+
+
+# Entries of a payload shorter than the threshold, and of one around it.
+_THRESHOLD_ENTRIES = 3 * _NUMPY_DECODE_MIN // 64
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    entries=st.integers(1, 40) | st.integers(_THRESHOLD_ENTRIES - 8, _THRESHOLD_ENTRIES + 40),
+    kind=st.sampled_from(["non-alphabet byte", "padding inside", "padding", "newline", "non-ASCII", "length"]),
+    data=st.data(),
+)
+def test_a_corrupted_payload_fails_as_b64decode_does(entries, kind, data):
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    payload = base64.b64encode(np.random.default_rng(seed).bytes(16 * entries)).decode()
+    text = _corrupt(kind, payload, data)
+    assert text != payload
+    expected = _outcome(_stdlib_decode, text)
+    assert _outcome(_b64decode, text) == expected
+    matrix = _outcome(lambda t: matrix_from_json({"shape": [entries], "base64": t}).tobytes(), text)
+    if not isinstance(expected, bytes):
+        assert matrix == expected
+    elif len(expected) == 16 * entries:
+        assert matrix == expected
+    else:
+        assert matrix[0] is ValueError and matrix[1].startswith("matrix field ")
+
+
 # -- the writer: json.dumps' bytes, emitted without json.dumps -------------------
 # json.dumps with an indent runs a slow pure-Python encoder, so the writer emits
 # its bytes itself, every string escaped but a witness matrix's base64 payload.
@@ -462,6 +612,80 @@ def test_all_out_document_matches_oracle_and_reads_back(tmp_path, capsys):
         _assert_same_witness(report.witness, fresh.witness)
     payload = {"campaigns": {c: report_to_dict(r) for c, r in loaded.items()}}
     assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=2) + "\n"
+
+
+# -- documents the CLI writes at 8x8, read back ---------------------------------
+# all.json holds 64x64 witnesses, whose payloads the reader decodes in numpy. It
+# is written with 5 samples and then rewritten in place with 3, so its checks
+# also cover a document that shrank over a longer one. At 8x8 a chunk holds 2
+# samples, so the run of 3 judges and searches two chunks. The C9 run finds its
+# violation (t^3 is no matrix entropy); in errors.json the identity margins are
+# lost in rounding, so its C1 report holds errors entries.
+CLI_DOCUMENTS = {
+    "all.json": [(["--all", "--d1", "8", "--d2", "8", "--samples", "5"], EXIT_PASS),
+                 (["--all", "--d1", "8", "--d2", "8", "--samples", "3"], EXIT_PASS)],
+    "c9.json": [(["--campaign", "C9", "--d1", "8", "--d2", "8", "--samples", "3"], EXIT_VIOLATION)],
+    "errors.json": [(["--all", "--function", "identity", "--eig-range", "1e6,1e7", "--d1", "4", "--d2", "4",
+                      "--samples", "100"], EXIT_NUMERIC)],
+}
+
+
+@pytest.fixture(scope="module")
+def cli_documents(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("cli")
+    for name, runs in CLI_DOCUMENTS.items():
+        for args, code in runs:
+            assert main([*args, "--out", str(directory / name)]) == code, (name, args)
+    return directory
+
+
+@pytest.mark.parametrize("name", ["all.json", "errors.json"])
+def test_cli_document_is_json_dumps_of_its_loaded_reports(cli_documents, name):
+    path = cli_documents / name
+    reports = load_reports(path)
+    tree = {"campaigns": {campaign: report_to_dict(r) for campaign, r in reports.items()}}
+    assert path.read_bytes() == (json.dumps(tree, indent=2) + "\n").encode("utf-8")
+    assert any(report.errors for report in reports.values()) == (name == "errors.json")
+
+
+def test_cli_document_at_8x8_reruns_and_replays_bit_for_bit(cli_documents):
+    path = cli_documents / "all.json"
+    assert max(map(len, re.findall(r'"base64": "([^"]*)"', path.read_text()))) >= _NUMPY_DECODE_MIN
+    reports = load_reports(path)
+    assert sorted(reports) == [f"C{i}" for i in range(1, 9)]
+    for campaign, report in reports.items():
+        rerun = run_campaign(report.config)
+        assert len(report.margins) == 3 and _bits(report.margins) == _bits(rerun.margins), campaign
+        for key, value in rerun.witness.items():
+            if isinstance(value, np.ndarray):
+                assert value.tobytes() == report.witness[key].tobytes(), (campaign, key)
+        assert _bits([replay(report)]) == _bits([report.worst_margin]), campaign
+
+
+def test_cli_c9_document_replays_its_violation(cli_documents):
+    # C9's witness holds the Lanczos directions and replays through C4's margin,
+    # the only replay through another campaign's margin.
+    c9 = load_report(cli_documents / "c9.json")
+    assert c9.violations > 0
+    assert _bits([replay(c9)]) == _bits([c9.worst_margin])
+
+
+@pytest.mark.parametrize("campaign,field", [("C1", "weight"), ("C2", "scale"), ("C3", "family")])
+def test_cli_document_witness_does_not_replay_once_edited(cli_documents, campaign, field):
+    report = load_reports(cli_documents / "all.json")[campaign]
+    edited = {"weight": 0.123, "scale": 2.5,
+              "family": "pinching" if report.witness.get("family") == "mixed" else "mixed"}[field]
+    with pytest.raises(ValueError):
+        replay(replace(report, witness={**report.witness, field: edited}))
+
+
+def test_cli_document_without_the_margins_of_one_report_does_not_load(cli_documents, tmp_path):
+    data = json.loads((cli_documents / "all.json").read_text(encoding="utf-8"))
+    del data["campaigns"]["C2"]["margins"]
+    broken = tmp_path / "all-broken.json"
+    broken.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ValueError, match="report field 'margins' must be an array of numbers, got nothing"):
+        load_reports(broken)
 
 
 def test_emit_reports_matches_oracle(tmp_path):
@@ -839,6 +1063,13 @@ _MISSING = object()  # a field deleted from the document
     ("shape", [4, True], "matrix field 'shape' must be a list of integers, got a boolean at index 1"),
     ("shape", None, "matrix field 'shape' must be a list of integers, got null"),
     ("shape", _MISSING, "matrix field 'shape' must be a list of integers, got nothing"),
+    # A shape that does not fit the entries its base64 holds: rho at 2x2 holds 16.
+    ("shape", [-1], "matrix field 'shape' must be non-negative integers for the 256 bytes of 'base64', "
+                    "16 per entry, got [-1]"),
+    ("shape", [-4, -4], "matrix field 'shape' must be non-negative integers for the 256 bytes of 'base64', "
+                        "16 per entry, got [-4, -4]"),
+    ("shape", [3, 3], "matrix field 'shape' must be non-negative integers for the 256 bytes of 'base64', "
+                      "16 per entry, got [3, 3]"),
     # The fields of a witness channel, missing or of the wrong JSON type.
     ("frame", _MISSING, "channel field 'frame' must be a matrix, got nothing"),
     ("frame", 3, "channel field 'frame' must be a matrix, got an integer"),
@@ -866,7 +1097,7 @@ def test_report_from_dict_names_a_witness_matrix_field_of_the_wrong_json_type(fi
         del target[field]
     else:
         target[field] = value
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=re.escape(match)):
         report_from_dict(data)
 
 
