@@ -87,7 +87,8 @@ def _nested_pairs(value) -> np.ndarray:
     fault = next(_pair_faults(value), None) if type(value) is list else _json_type(value)
     if fault is not None:
         raise ValueError(f"matrix must be an object or equally long rows of [re, im] number pairs, got {fault}")
-    return np.array([[complex(re, im) for re, im in row] for row in value], dtype=complex)
+    rows = [[complex(re, im) for re, im in row] for row in value]
+    return np.array(rows, dtype=complex).reshape(len(rows), len(rows[0]) if rows else 0)  # [] is 0x0
 
 
 def _pair_faults(rows):
@@ -432,13 +433,18 @@ def load_reports(path) -> dict[str, CampaignReport]:
 
     Reads both the single-report document of :func:`emit_report` and the
     ``{"campaigns": ...}`` document of :func:`emit_reports`.  A
-    ``campaigns`` value or entry that is no JSON object raises ``ValueError``.
+    ``campaigns`` value or entry that is no JSON object, or a report under
+    another campaign's key, raises ``ValueError``.
     """
     data = _read(path)
     if isinstance(data, dict) and "campaigns" in data:
         _check_object("'campaigns'", data["campaigns"])
         for campaign, entry in data["campaigns"].items():
             _check_object(f"the report of campaign {campaign!r}", entry)
-        return {campaign: report_from_dict(entry) for campaign, entry in data["campaigns"].items()}
+        reports = {campaign: report_from_dict(entry) for campaign, entry in data["campaigns"].items()}
+        for campaign, report in reports.items():
+            if report.config.campaign != campaign:
+                raise ValueError(f"the report of campaign {campaign!r} is a {report.config.campaign} report")
+        return reports
     report = report_from_dict(data)
     return {report.config.campaign: report}

@@ -501,6 +501,40 @@ def test_c9_finds_its_violations_at_small_scale():
     assert report.worst_margin > -1e-8
 
 
+# Each campaign and function whose margins and scales are homogeneous of a
+# degree in the positive definite draws: (campaign, function, degree).  C1
+# with t log t is left out, as its f takes a logarithm and scales only to
+# within rounding.
+HOMOGENEOUS = [("C2", "t_log_t", -1), ("C3", "t_log_t", -1), ("C4", "t_log_t", -1), ("C7", "t_log_t", -1),
+               ("C8", "t_log_t", 0), ("C9", "cube", 1),
+               ("C1", "identity", 1), ("C1", "square", 2), ("C1", "cube", 3)]
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("campaign,function,degree", HOMOGENEOUS, ids=str)
+def test_scaling_the_draws_by_a_power_of_four_scales_margins_exactly(monkeypatch, campaign, function, degree, d):
+    # A power of four and its square root are exact factors, and LAPACK's
+    # routines and every kernel keep them exact for 4**k, k from about -115
+    # to 110: margins and scales are the unscaled ones times 4**(k * degree)
+    # bit for bit, so the worst sample is the same.
+    config = CampaignConfig(campaign, d1=d, d2=d, samples=40, function=function)
+    original = campaigns.random_pd
+
+    def sampled(k):
+        monkeypatch.setattr(campaigns, "random_pd", lambda *args: original(*args) * 4.0**k)
+        streams = RngStream.chunk(config.seed, range(config.samples))
+        margins, inputs = campaigns._checked(_SAMPLERS[campaign], config, streams)
+        return margins, np.array(inputs["scale"])
+
+    margins, scales = sampled(0)
+    for k in (-115, -40, 1, 40, 110):
+        factor = 4.0 ** (k * degree)
+        scaled_margins, scaled_scales = sampled(k)
+        assert _bits(scaled_margins) == _bits(margins * factor)
+        assert _bits(scaled_scales) == _bits(scales * factor)
+        assert scaled_margins.argmin() == margins.argmin()
+
+
 # -- report invariants ----------------------------------------------------------
 
 

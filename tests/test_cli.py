@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import pytest
 
@@ -258,3 +259,97 @@ def test_unwritable_out_exits_two(capsys):
     code = main(["--campaign", "C1", "--samples", "2", "--out", "/no-such-dir/x.json"])
     assert code == EXIT_USAGE
     assert "cannot write" in capsys.readouterr().err
+
+
+# Runs on inputs where a wrong code path once read as a violation, a crash
+# or a warning, each with the exit it must give and why.
+EXPECTED_EXITS = [
+    # C8 at dimension 64 on spectra in [1e-3, 3e-2], where unit trace puts a
+    # spectrum drawn in [0.1, 3], and where a resolvent quadrature not centred
+    # on it reports false gaps, read as violations.
+    pytest.param("--campaign C8 --d1 8 --d2 8 --samples 20 --eig-range 1e-3,3e-2", EXIT_PASS,
+                 id="C8-8x8-unit-trace-spectrum"),
+    # C8 on spectra in [1e-6, 1] at dimension 64 takes resolvent node counts
+    # in the hundreds, where a fitted error constant too small for them would
+    # leave truncation above the tolerance and read as a false violation.
+    pytest.param("--campaign C8 --d1 8 --d2 8 --samples 10 --eig-range 1e-6,1", EXIT_PASS,
+                 id="C8-8x8-node-counts-in-the-hundreds"),
+    # t^3 is no matrix entropy, and C9's Lanczos directions must show it.
+    pytest.param("--campaign C9 --d1 8 --d2 8 --samples 5", EXIT_VIOLATION, id="C9-8x8-finds-its-violation"),
+    # C8 on spectra in [1e-4, 1] puts the base points of one chunk on several
+    # resolvent node counts, and 40 mixed-unitary C3 channels at 4x4 draw
+    # every term count from 2 to 5.
+    pytest.param("--campaign C8 --d1 2 --d2 2 --samples 200 --eig-range 1e-4,1", EXIT_PASS,
+                 id="C8-one-chunk-on-several-node-counts"),
+    pytest.param("--campaign C3 --channel-family mixed --d1 4 --d2 4 --samples 40", EXIT_PASS,
+                 id="C3-mixed-4x4-every-term-count"),
+    # C3's other families run at 1x3 and 4x4, each through its stack of
+    # channels.
+    pytest.param("--campaign C3 --channel-family pinching --d1 1 --d2 3 --samples 40", EXIT_PASS,
+                 id="C3-pinching-1x3-channel-stack"),
+    pytest.param("--campaign C3 --channel-family pinching --d1 4 --d2 4 --samples 40", EXIT_PASS,
+                 id="C3-pinching-4x4-channel-stack"),
+    pytest.param("--campaign C3 --channel-family expectation --d1 1 --d2 3 --samples 40", EXIT_PASS,
+                 id="C3-expectation-1x3-channel-stack"),
+    pytest.param("--campaign C3 --channel-family expectation --d1 4 --d2 4 --samples 40", EXIT_PASS,
+                 id="C3-expectation-4x4-channel-stack"),
+    pytest.param("--campaign C3 --channel-family uniform --d1 1 --d2 3 --samples 40", EXIT_PASS,
+                 id="C3-uniform-1x3-channel-stack"),
+    pytest.param("--campaign C3 --channel-family uniform --d1 4 --d2 4 --samples 40", EXIT_PASS,
+                 id="C3-uniform-4x4-channel-stack"),
+    # C4 and C9 run at 1x1, 1x3 and 4x4 on their stack of curvature
+    # operators; C9 must find its violation there too.
+    pytest.param("--campaign C4 --d1 1 --d2 1 --samples 40", EXIT_PASS, id="C4-1x1-curvature-stack"),
+    pytest.param("--campaign C4 --d1 1 --d2 3 --samples 40", EXIT_PASS, id="C4-1x3-curvature-stack"),
+    pytest.param("--campaign C4 --d1 4 --d2 4 --samples 40", EXIT_PASS, id="C4-4x4-curvature-stack"),
+    pytest.param("--campaign C9 --d1 1 --d2 1 --samples 40", EXIT_VIOLATION, id="C9-1x1-finds-its-violation"),
+    pytest.param("--campaign C9 --d1 1 --d2 3 --samples 40", EXIT_VIOLATION, id="C9-1x3-finds-its-violation"),
+    pytest.param("--campaign C9 --d1 4 --d2 4 --samples 40", EXIT_VIOLATION, id="C9-4x4-finds-its-violation"),
+    # Uniform draws map random() values onto their range over the whole
+    # stack: C1 and C7 run on the zero-width range [1, 1], where the map's
+    # scale is 0, and C7 on the wide range [1e-4, 1].
+    pytest.param("--campaign C1 --eig-range 1,1 --samples 40", EXIT_PASS, id="C1-zero-width-range"),
+    pytest.param("--campaign C7 --eig-range 1,1 --samples 40", EXIT_PASS, id="C7-zero-width-range"),
+    pytest.param("--campaign C7 --eig-range 1e-4,1 --samples 40", EXIT_PASS, id="C7-wide-range"),
+    # Verdicts follow the spectrum's scale.  identity's C1 margin is 0, and on
+    # [1e6, 1e7] its rounding error passes the tolerance: those samples are
+    # numeric errors, not violations.  So is C3's one margin of -1.5e-5 on
+    # forms of 2.4e11 on [1e-10, 1e-9].  There C9's margins, about -3e-9, lie
+    # inside the tolerance but far below it times their scale, and all
+    # violate; C2's large positive margins pass where the rounding floor is
+    # wide.
+    pytest.param("--all --function identity --eig-range 1e6,1e7 --d1 4 --d2 4 --samples 100", EXIT_NUMERIC,
+                 id="all-identity-1e6-rounding-is-no-violation"),
+    pytest.param("--campaign C3 --eig-range 1e-10,1e-9 --d1 4 --d2 4 --samples 40", EXIT_NUMERIC,
+                 id="C3-1e-10-margin-within-its-rounding"),
+    pytest.param("--campaign C9 --eig-range 1e-10,1e-9 --samples 50", EXIT_VIOLATION,
+                 id="C9-1e-10-violates-below-tolerance-times-scale"),
+    pytest.param("--campaign C2 --eig-range 1e-10,1e-9 --d1 4 --d2 4 --samples 40", EXIT_PASS,
+                 id="C2-1e-10-large-margins-pass"),
+    # C8 near the float limits: on [1e160, 1e161], at 2x2 and 8x8, the
+    # resolvent reference's traces sank to about 1e-320 and lost their digits
+    # as subnormals, and on [1e-200, 1e-190] they overflowed.  The references
+    # run on the spectrum divided by a power of two near its geometric mean.
+    pytest.param("--campaign C8 --eig-range 1e160,1e161 --samples 20", EXIT_PASS, id="C8-1e160-no-subnormal-traces"),
+    pytest.param("--campaign C8 --eig-range 1e-200,1e-190 --samples 20", EXIT_PASS, id="C8-1e-200-no-overflow"),
+    pytest.param("--campaign C8 --d1 8 --d2 8 --samples 5 --eig-range 1e160,1e161", EXIT_PASS,
+                 id="C8-8x8-1e160-no-subnormal-traces"),
+    # Margins at the ends of the float range: C2 on [5e-324, 1e-320]
+    # subtracts infinities, C1 on [1e307, 1.7e308] overflows, and so do C2-C4
+    # and C7 with log on [1e-300, 1e-290].  Each such sample is a numeric
+    # error naming its floating-point event, and no warning is emitted.
+    pytest.param("--campaign C2 --eig-range 5e-324,1e-320", EXIT_NUMERIC, id="C2-subnormal-spectrum"),
+    pytest.param("--campaign C1 --eig-range 1e307,1.7e308", EXIT_NUMERIC, id="C1-1e307-overflows"),
+    pytest.param("--all --function log --eig-range 1e-300,1e-290 --samples 100", EXIT_NUMERIC,
+                 id="all-log-1e-300-overflows"),
+]
+
+
+@pytest.mark.parametrize("args,code", EXPECTED_EXITS)
+def test_run_gives_its_exit_code_and_an_empty_stderr(capsys, args, code):
+    # Every warning is an error, and a traceback exits 1 too, so the empty
+    # stderr is what tells a violation from a crash.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exit_code = main(args.split())
+    assert (exit_code, capsys.readouterr().err) == (code, "")

@@ -75,8 +75,11 @@ def test_matrix_encoding_layout():
     assert np.array_equal(matrix_from_json(encoded), m)
 
 
-def test_matrix_from_json_reads_earlier_nested_pairs():
-    m = np.array([[1.0 + 2.0j, 0.0], [3.5, -1.0j]])
+@pytest.mark.parametrize("m", [np.array([[1.0 + 2.0j, 0.0], [3.5, -1.0j]]), np.zeros((0, 0)), np.zeros((1, 0))],
+                         ids=["2x2", "0x0", "1x0"])
+def test_matrix_from_json_reads_earlier_nested_pairs(m):
+    # A matrix loads 2-D whatever its shape: [] is the 0x0 matrix, [[]] the 1x0 one.
+    assert matrix_from_json(_nested(m)).shape == m.shape
     assert np.array_equal(matrix_from_json(_nested(m)), m)
     assert matrix_from_json(_nested(m)).tobytes() == matrix_from_json(matrix_to_json(m)).tobytes()
 
@@ -1191,6 +1194,16 @@ def test_load_reports_names_a_missing_field_of_one_report(tmp_path):
     del data["campaigns"]["C2"]["margins"]
     path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(ValueError, match="report field 'margins' must be an array of numbers, got nothing"):
+        load_reports(path)
+
+
+def test_load_reports_names_a_report_under_another_campaigns_key(tmp_path):
+    path = tmp_path / "all.json"
+    emit_reports([_report(campaign="C2")], path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["campaigns"] = {"C1": data["campaigns"]["C2"]}
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ValueError, match="the report of campaign 'C1' is a C2 report"):
         load_reports(path)
 
 
