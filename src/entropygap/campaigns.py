@@ -295,7 +295,7 @@ def _margin_c2(config: CampaignConfig, inputs: dict) -> np.ndarray:
     return _scaled(inputs, composite - marginal, composite, marginal)
 
 
-class _Members(Sequence):
+class _Members:
     """Each sample's channel of a C3 chunk, built only when indexed, from the
     ``(channel, indices)`` of its group: member ``k`` of that stack of channels
     for sample ``indices[k]``, or the one conditional expectation."""
@@ -303,9 +303,6 @@ class _Members(Sequence):
     def __init__(self, groups: list):
         self.groups = groups
         self._placed = sorted((j, k, channel) for channel, indices in groups for k, j in enumerate(indices))
-
-    def __len__(self) -> int:
-        return len(self._placed)
 
     def __getitem__(self, j):
         _, k, channel = self._placed[j]

@@ -27,7 +27,12 @@ An existing file is overwritten in place and then cut to the new length, so
 it keeps its inode; the write is not atomic.  It is not cut to zero first,
 because on ext4 a file truncated to zero and written again is flushed on
 close, which took most of the time of writing a small report.  Only a
-regular file is cut: a pipe or a device takes the bytes as a plain stream.
+regular file is cut: a device, a pipe or a FIFO takes the bytes as a plain
+stream.  So does the process's own standard output or error, named by any
+path (``/dev/stdout``, or the file the shell redirected it to): the bytes go
+through descriptor 1 or 2, after what ``sys.stdout`` holds and at the
+stream's position, so a table printed before the document stays before it
+and a file opened to append keeps its earlier lines.
 
 A document is read to the end of the file, so one sent through a pipe or a
 FIFO loads too, and decoded as strict UTF-8, so a byte order mark is
@@ -43,6 +48,7 @@ import base64
 import json
 import os
 import stat
+import sys
 from dataclasses import fields
 from functools import partial
 
@@ -298,22 +304,41 @@ _BINARY = getattr(os, "O_BINARY", 0)
 _PIPE_CAPACITY = 1 << 16
 
 
+def _standard_stream(fd: int, target: os.stat_result) -> int | None:
+    """1 or 2 where stdout or stderr is the file ``target``, else None.
+
+    ``fd`` is ``target``'s own descriptor: where it took the number of a
+    closed stdout or stderr, that number is no stream."""
+    for stream in (1, 2):
+        try:
+            if stream != fd and os.path.samestat(target, os.fstat(stream)):
+                return stream
+        except OSError:  # closed
+            pass
+    return None
+
+
 def _write(path, text: str) -> None:
-    # The file is written over in place, then cut to the bytes just written;
-    # see the module docstring for why it is not opened with O_TRUNC.
+    # A regular file is written over in place, then cut to the bytes just
+    # written; see the module docstring for why it is not opened with O_TRUNC.
+    # The process's own stdout or stderr is written through its descriptor,
+    # after what sys.stdout holds and at the stream's position (its end where
+    # the shell opened it to append), and never cut.
     data = text.encode("utf-8")
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | _BINARY, 0o666)
         try:
+            target = os.fstat(fd)
+            stream = _standard_stream(fd, target)
+            if stream is not None:
+                sys.stdout.flush()
+            out = fd if stream is None else stream
             view = memoryview(data)
             while view:
-                view = view[os.write(fd, view):]
-            try:
+                view = view[os.write(out, view):]
+            # A pipe or a device cannot be cut, and needs no cutting.
+            if stream is None and stat.S_ISREG(target.st_mode):
                 os.ftruncate(fd, len(data))
-            except OSError:
-                # A pipe or a device cannot be cut, and needs no cutting.
-                if stat.S_ISREG(os.fstat(fd).st_mode):
-                    raise
         finally:
             os.close(fd)
     except OSError as exc:

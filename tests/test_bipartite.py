@@ -580,6 +580,13 @@ def test_channel_rejects_bad_weights():
         MixedUnitaryChannel((0.5, 0.4), (u, u))
 
 
+def test_channel_rejects_no_terms():
+    with pytest.raises(DomainError, match="^a channel needs at least one term$"):
+        MixedUnitaryChannel(np.zeros(0), np.zeros((0, 2, 2), dtype=complex))
+    with pytest.raises(DomainError, match="^term count must be positive, got 0$"):
+        random_mixed_unitary(2, RngStream(1, 0), 0)
+
+
 def test_channel_rejects_non_unitary_terms():
     with pytest.raises(DomainError, match="unitary"):
         MixedUnitaryChannel((1.0,), (np.diag([2.0, 1.0]).astype(complex),))

@@ -878,6 +878,12 @@ def test_gauss_legendre_unit_quality():
         assert abs((weights * nodes**k).sum() - 1.0 / (k + 1)) <= 1e-14
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_gauss_legendre_unit_rejects_a_rule_without_nodes(n):
+    with pytest.raises(DomainError, match=f"^node count must be positive, got {n}$"):
+        gauss_legendre_unit(n)
+
+
 def test_gauss_legendre_unit_returns_the_same_read_only_rule():
     first = gauss_legendre_unit(128)
     again = gauss_legendre_unit(128)

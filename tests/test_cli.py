@@ -2,7 +2,11 @@
 
 import json
 import os
+import subprocess
+import sys
+import threading
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,7 @@ from entropygap import (
     DomainError,
     load_reports,
     render_report,
+    report_from_dict,
     report_to_dict,
     run_campaign,
 )
@@ -62,6 +67,13 @@ def test_bad_weights_exit_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["--campaign", "C1", "--weights", "a,b"])
     assert excinfo.value.code == EXIT_USAGE
+
+
+def test_eig_range_of_three_values_exits_two(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--campaign", "C1", "--eig-range", "1,2,3"])
+    assert excinfo.value.code == EXIT_USAGE
+    assert "eig-range must be 'low,high', got '1,2,3'" in capsys.readouterr().err
 
 
 def test_requires_campaign_or_all():
@@ -353,3 +365,93 @@ def test_run_gives_its_exit_code_and_an_empty_stderr(capsys, args, code):
         warnings.simplefilter("error")
         exit_code = main(args.split())
     assert (exit_code, capsys.readouterr().err) == (code, "")
+
+
+# The same program as a child process, as a shell starts it: the summary
+# table then goes to a block-buffered stdout, and --out /dev/stdout reopens
+# the file the shell handed over.  The child runs src/ with every warning an
+# error.  PYTHONUNBUFFERED, which would flush each line of the table at once,
+# is unset unless a test sets it.
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _child(module, args, unbuffered=False, **kwargs) -> subprocess.CompletedProcess:
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-W", "error", "-m", module, *args], env=env,
+                          stderr=subprocess.PIPE, timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("module", ["entropygap", "entropygap.cli"])
+def test_entry_points_pass_the_exit_code_on(module):
+    # One EXPECTED_EXITS row through both module forms: python -m must exit
+    # with main's code, and a traceback would exit 1.
+    done = _child(module, "--all --function log --eig-range 1e-300,1e-290 --samples 100".split(),
+                  stdout=subprocess.DEVNULL)
+    assert (done.returncode, done.stderr) == (EXIT_NUMERIC, b"")
+
+
+def _to_dev_null(tmp_path, run):
+    return run("/dev/null", stdout=subprocess.PIPE).stdout, None
+
+
+def _to_stdout_pipe(tmp_path, run):
+    return run("/dev/stdout", stdout=subprocess.PIPE).stdout, None
+
+
+def _to_fifo(tmp_path, run):
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    out = run(str(fifo), stdout=subprocess.PIPE).stdout
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    return out, received[0]
+
+
+def _to_stdout_appending_to_a_file(tmp_path, run):
+    log = tmp_path / "log.txt"
+    log.write_bytes(EARLIER_LINES)
+    with open(log, "ab") as stdout:
+        run("/dev/stdout", stdout=stdout)
+    return log.read_bytes(), None
+
+
+# Each --out target's run gives what its stdout received and what the target
+# received apart from it, if anything.
+EARLIER_LINES = b"an earlier line\nanother earlier line\n"
+OUT_TARGETS = {"dev-null": _to_dev_null, "stdout-pipe": _to_stdout_pipe, "fifo": _to_fifo,
+               "stdout-file-opened-to-append": _to_stdout_appending_to_a_file}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("target", OUT_TARGETS)
+def test_out_to_a_stream_comes_after_the_table_and_reruns(tmp_path, target, unbuffered):
+    # A device, a pipe, a FIFO and the process's own stdout take the document
+    # as a stream: no earlier line is lost, the table comes first, and the
+    # document loads and equals a rerun of its config.
+    runs = []
+
+    def run(out, **kwargs):
+        runs.append(_child("entropygap", ["--campaign", "C1", "--samples", "3", "--out", out], unbuffered, **kwargs))
+        return runs[-1]
+
+    stdout, received = OUT_TARGETS[target](tmp_path, run)
+    assert [(done.returncode, done.stderr) for done in runs] == [(EXIT_PASS, b"")]
+    earlier = EARLIER_LINES if target == "stdout-file-opened-to-append" else b""
+    assert stdout.startswith(earlier)
+    header, row, document = stdout[len(earlier):].decode("utf-8").split("\n", 2)
+    assert header.split()[:2] == ["campaign", "samples"] and row.split()[:2] == ["C1", "3"]
+    if received is not None:
+        assert document == ""
+        document = received.decode("utf-8")
+    if target == "dev-null":
+        assert document == ""
+        return
+    report = report_from_dict(json.loads(document))
+    assert report.config == CampaignConfig("C1", samples=3)
+    assert render_report(report) == document == render_report(run_campaign(report.config))

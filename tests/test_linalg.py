@@ -14,6 +14,7 @@ from entropygap import (
     BipartiteSpace,
     DomainError,
     EntropyGapSpec,
+    NumericError,
     RngStream,
     check_hermitian,
     check_positive,
@@ -148,6 +149,15 @@ def test_eigh_reconstruction_and_orthonormality(dim):
 def test_eigh_requires_stored_symmetry():
     with pytest.raises(DomainError):
         eigh(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
+
+
+def test_eigh_that_does_not_converge_is_a_numeric_error(monkeypatch):
+    def fails(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fails)
+    with pytest.raises(NumericError, match="^eigensolver did not converge: Eigenvalues did not converge$"):
+        eigh(np.eye(2, dtype=complex))
 
 
 _DIMENSIONED = {

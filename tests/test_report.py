@@ -3,6 +3,7 @@
 import base64
 import builtins
 import codecs
+import errno
 import hashlib
 import io
 import json
@@ -10,6 +11,8 @@ import os
 import re
 import stat
 import struct
+import subprocess
+import sys
 import threading
 import warnings
 from dataclasses import replace
@@ -184,6 +187,12 @@ def test_witness_matrices_round_trip_exactly():
     for key in ("rho", "h"):
         assert np.array_equal(recovered.witness[key], report.witness[key])
     assert recovered.witness["sample"] == report.witness["sample"]
+
+
+def test_numpy_scalar_witness_values_are_written_as_their_item():
+    report = replace(_report(), witness={"sample": np.int64(3), "scale": np.float32(0.1)})
+    items = replace(report, witness={"sample": 3, "scale": np.float32(0.1).item()})
+    assert render_report(report) == render_report(items) == _dumped(report_to_dict(items))
 
 
 def test_channel_witness_round_trips():
@@ -447,6 +456,8 @@ def _corrupt(kind, text, data):
     if kind == "non-alphabet byte":
         return text[:at] + data.draw(st.sampled_from("!-_.*\x00\x7f \t")) + text[at + 1:]
     if kind == "padding inside":
+        # Over a character that is no padding already, or nothing changes.
+        at = min(at, len(text.rstrip("=")) - 1)
         return text[:at] + "=" + text[at + 1:]
     if kind == "padding":
         padded = text.rstrip("=") + "=" * data.draw(st.integers(0, 3))
@@ -787,6 +798,17 @@ def test_emit_to_a_directory_raises_os_error(tmp_path, writer):
         WRITERS[writer](_report(), tmp_path)
 
 
+@pytest.mark.parametrize("writer", WRITERS)
+def test_emit_to_a_file_that_cannot_be_cut_raises_os_error(tmp_path, monkeypatch, writer):
+    def refuses(fd, length):
+        raise OSError(errno.EPERM, "Operation not permitted")
+
+    monkeypatch.setattr(os, "ftruncate", refuses)
+    path = tmp_path / "report.json"
+    with pytest.raises(OSError, match=f"^cannot write report to {re.escape(str(path))}: .*Operation not permitted"):
+        WRITERS[writer](_report(), path)
+
+
 def test_emit_and_load_make_one_descriptor_call_and_open_no_file_object(tmp_path, monkeypatch):
     # A file object's fstat, isatty and lseek calls took a large share of
     # the time of writing and reading a small report between campaign runs.
@@ -841,6 +863,31 @@ def test_emit_streams_the_document_into_a_fifo(tmp_path, writer):
     assert received == [expected]
 
 
+@pytest.mark.parametrize("writer", WRITERS)
+def test_emit_to_the_process_stdout_writes_after_what_it_holds(capfd, writer):
+    # Under capfd, descriptor 1 is a regular file that /dev/stdout names: the
+    # document must follow what was printed before it, and nothing is cut.
+    print("an earlier line")
+    expected = WRITERS[writer](_report(), "/dev/stdout")
+    assert capfd.readouterr().out == "an earlier line\n" + expected.decode("utf-8")
+
+
+def test_emit_with_stdout_and_stderr_closed_writes_and_cuts_the_file(tmp_path):
+    # The report file then opens as descriptor 1, and descriptor 2 cannot be
+    # inspected: the file is neither stream, and is cut as any other.
+    path = tmp_path / "report.json"
+    path.write_bytes(b"x" * 100_000)
+    script = ("import os, sys\n"
+              "os.close(1)\n"
+              "os.close(2)\n"
+              "from entropygap import CampaignConfig, emit_report, run_campaign\n"
+              "emit_report(run_campaign(CampaignConfig('C1', samples=2)), sys.argv[1])\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-W", "error", "-c", script, str(path)], env=env, timeout=120)
+    assert done.returncode == 0
+    assert path.read_text() == render_report(run_campaign(CampaignConfig("C1", samples=2)))
+
+
 def test_load_reads_a_document_from_a_fifo_to_its_end(tmp_path):
     # A FIFO reports size 0, and this document is several pipes' worth.
     report = _report(campaign="C4", d1=8, d2=8, samples=2)
@@ -889,6 +936,9 @@ def test_reports_that_cannot_be_written_leave_an_existing_file_unchanged(tmp_pat
         emit_report(unserializable, path)
     with pytest.raises(TypeError, match="cannot serialize witness value"):
         emit_reports([unserializable], path)
+    unserializable = replace(_report(), errors=[{"sample": 0, "type": "NumericError", "message": object()}])
+    with pytest.raises(TypeError, match="^Object of type object is not JSON serializable$"):
+        emit_report(unserializable, path)
     with pytest.raises(ValueError, match="one report per campaign"):
         emit_reports([_report(seed=1), _report(seed=2)], path)
     assert path.read_bytes() == b"earlier document\n"
