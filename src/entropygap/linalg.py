@@ -21,10 +21,21 @@ most :data:`MAX_DIM` (``_check_dim``), the shape (``_as_square``), stored
 Hermitian with finite entries (:func:`check_hermitian`), a base point with its
 direction (``_check_pair``) and positive finite values, empty input rejected
 (:func:`check_positive`, and ``_positive_eigenvalues`` for spectra).
+
+Where the C library is glibc, importing this module keeps up to two
+:data:`CHUNK_BYTES` of freed heap mapped above the top of the heap
+(``mallopt(M_TOP_PAD)``) and serves allocations up to that size from the heap
+(``M_MMAP_THRESHOLD``).  glibc would otherwise return a chunk's freed stacks
+to the system, and the next chunk, or the next run in the same process, would
+fault the same pages in again.  It sets how memory is reused, not what is
+computed: no result changes, and elsewhere nothing is set.
 """
 
 from __future__ import annotations
 
+import ctypes
+import operator
+import os
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -38,6 +49,29 @@ MAX_DIM = 64
 # Memory budget of one stacked computation: a campaign's chunk of samples, or
 # the pencils of one stacked solve of the resolvent quadrature.
 CHUNK_BYTES = 1 << 22
+
+# glibc's mallopt parameters: the freed heap kept mapped above the top of the
+# heap, and the size from which an allocation is mapped on its own.
+_M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3
+
+
+def _pad_heap_top() -> None:
+    # The module docstring says why.  Setting the pad alone would freeze
+    # glibc's dynamic mmap threshold wherever start-up left it, and arrays
+    # above it would still be mapped and faulted in afresh each time.
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return
+    if libc.startswith("glibc"):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        for param in (_M_MMAP_THRESHOLD, _M_TOP_PAD):
+            mallopt(param, 2 * CHUNK_BYTES)
+
+
+_pad_heap_top()
 
 
 class SpectralDecomposition(NamedTuple):
@@ -93,6 +127,16 @@ def _stream_words(seed: int, streams: list[int]) -> np.ndarray:
     return out.reshape(-1, 8).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
+def _index(name: str, value) -> int:
+    # A seed or a stream as an int: an integer, numpy's too, but not a bool.
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
+
+
 class _SeedWords(ISeedSequence):
     # PCG64 asks its seed sequence for four uint64 words, once.
     def __init__(self, words: np.ndarray):
@@ -112,21 +156,24 @@ class RngStream:
     The generator is PCG64 seeded as by ``SeedSequence(seed,
     spawn_key=(stream,))``.  Its seed words are computed in one numpy pass for
     a whole :meth:`chunk` of streams; a stream built alone is a chunk of one.
+    ``seed`` and each ``stream`` are integers in ``[0, 2**64)``, numpy's
+    included; a bool or a real is a :class:`DomainError`, never truncated.
     """
 
     def __init__(self, seed: int, stream: int = 0, *, _words: np.ndarray | None = None):
-        # ``_words`` is passed by chunk(), which has hashed them already.
-        self.seed = int(seed)
-        self.stream = int(stream)
+        # ``_words`` is passed by chunk(), which has checked the seed and the
+        # stream and hashed them already.
         if _words is None:
-            (_words,) = _stream_words(self.seed, [self.stream])
+            seed, stream = _index("seed", seed), _index("stream", stream)
+            (_words,) = _stream_words(seed, [stream])
+        self.seed, self.stream = seed, stream
         self.gen = np.random.Generator(np.random.PCG64(_SeedWords(_words)))
 
     @classmethod
     def chunk(cls, seed: int, streams) -> list[RngStream]:
         """``[RngStream(seed, stream) for stream in streams]``, with the seed
         words of all the streams computed in one pass."""
-        seed, streams = int(seed), [int(stream) for stream in streams]
+        seed, streams = _index("seed", seed), [_index("stream", stream) for stream in streams]
         words = _stream_words(seed, streams)
         return [cls(seed, stream, _words=row) for stream, row in zip(streams, words)]
 

@@ -1,6 +1,11 @@
 """Deterministic linear-algebra substrate: hermitization, eigh, draws."""
 
+import os
+import platform
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +41,8 @@ from entropygap import (
 from entropygap.linalg import _stream_words
 from entropygap.oracles import dd_log_quadrature, log_quad_form_quadrature, resolvent_nodes
 from references import frechet_central_difference, second_differential_fd, second_differential_fd_auto
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_hermitize_is_bitwise_symmetric():
@@ -383,6 +390,28 @@ def test_rng_stream_validates_inputs():
         RngStream.chunk(0, [3, 2**64, 5])
 
 
+@pytest.mark.parametrize("name, build", [
+    ("seed", lambda: RngStream(7.9)), ("seed", lambda: RngStream("7")),
+    ("seed", lambda: RngStream(True)), ("seed", lambda: RngStream(np.float64(7.0))),
+    ("seed", lambda: RngStream.chunk(7.0, [0])), ("seed", lambda: RngStream.chunk(np.True_, [0])),
+    ("stream", lambda: RngStream(7, 1.5)), ("stream", lambda: RngStream(7, "1")),
+    ("stream", lambda: RngStream(7, False)), ("stream", lambda: RngStream.chunk(1, [0.5, 1.5])),
+    ("stream", lambda: RngStream.chunk(1, [0, True])),
+    ("stream", lambda: RngStream.chunk(1, np.array([0.0, 1.0]))),
+])
+def test_rng_stream_rejects_a_seed_or_stream_that_is_no_integer(name, build):
+    # int() would truncate each of these to an integer's stream.
+    with pytest.raises(DomainError, match=f"^{name} must be a 64-bit unsigned integer, got"):
+        build()
+
+
+def test_rng_stream_takes_numpy_integers_as_ints():
+    streams = [RngStream(np.uint64(7), np.int32(3)), *RngStream.chunk(np.int64(7), np.arange(3, 4))]
+    for stream in streams:
+        assert type(stream.seed) is int and type(stream.stream) is int
+        assert stream.gen.random() == RngStream(7, 3).gen.random()
+
+
 def _seed_sequence_words(seed: int, streams) -> np.ndarray:
     return np.stack([np.random.SeedSequence(seed, spawn_key=(stream,)).generate_state(4, np.uint64)
                      for stream in streams])
@@ -429,3 +458,28 @@ def test_hermitize_fixes_any_draw(seed, dim):
     raw = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
     h = hermitize(raw)
     assert np.array_equal(h, h.conj().swapaxes(-1, -2))
+
+
+# Each run of a campaign after the first, in one process, must find its heap
+# pages still mapped: glibc keeps two chunk budgets of freed heap on top.
+_SECOND_RUN_FAULTS = """
+import resource, sys
+from entropygap import CampaignConfig, run_campaign
+for campaign in sys.argv[1:]:
+    config = CampaignConfig(campaign, d1=8, d2=8, samples=8, seed=42)
+    run_campaign(config)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_campaign(config)
+    print(campaign, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap padding is glibc's")
+def test_a_second_8x8_run_takes_no_fresh_pages():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    child = subprocess.run([sys.executable, "-W", "error", "-c", _SECOND_RUN_FAULTS,
+                            "C1", "C4", "C8", "C9"], env=env, capture_output=True, text=True,
+                           timeout=120, check=True)
+    faults = {campaign: int(count) for campaign, count in map(str.split, child.stdout.splitlines())}
+    assert list(faults) == ["C1", "C4", "C8", "C9"]
+    assert all(count <= 16 for count in faults.values()), faults
